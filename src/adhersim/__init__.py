@@ -5,7 +5,6 @@ from .analytics import (
     RoiGrid,
     baseline_cost,
     breakeven_gamma,
-    frontier,
     monetized_roi,
     payback_time,
     roi,

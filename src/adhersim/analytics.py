@@ -1,9 +1,14 @@
-"""ROI, payback, break-even, design-space sweeps, and the cost-effectiveness
-frontier.
+"""ROI, payback, break-even and design-space sweeps.
 
 ROI follows the study's cost-relative definition
 ROI = (C_baseline - C_policy) / C_policy * 100, with the policy-arm cost in
 the denominator (not incremental policy spend).
+
+gamma enters the engine only through the spend channel, so an arm's total
+cost is C(gamma) = R + gamma * inflation * policy_unit_cost * I_P with R
+(C0 plus the rest) and I_P read off one simulated arm (see costmodel).
+Break-even, the per-row sweep and the ROI slope are closed forms on that
+line: one engine arm per (design, delta) instead of one per gamma.
 """
 
 from __future__ import annotations
@@ -12,15 +17,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .costmodel import Trajectory, simulate_trajectory
+from .costmodel import Trajectory, simulate_trajectory, total_cost
 from .numerics import check_finite
 from .params import ModelParams
-from .scenarios import PolicyConfig, PolicyKind, build_preset
+from .scenarios import PolicyConfig, build_preset
 
 BREAKEVEN_GAMMA_MAX = 20.0
-BREAKEVEN_MAX_ITER = 80
-BREAKEVEN_GAMMA_TOL = 1e-4
-BREAKEVEN_ROI_TOL = 0.01  # percentage points at the root
+BREAKEVEN_ROI_TOL = 0.01  # percentage points: |ROI(0)| below this breaks even at gamma* = 0
 
 # Contour levels exported with design-space sweeps.
 CONTOUR_LEVELS_SIGN = (-5.0, 0.0, 5.0)
@@ -78,15 +81,26 @@ def payback_time(traj_baseline: Trajectory, traj_policy: Trajectory) -> float | 
     return float(t0 + (t1 - t0) * d0 / (d0 - d1))
 
 
-def _policy_roi(params: ModelParams, policy: PolicyConfig, baseline_cost: float) -> tuple[float, float]:
-    traj = simulate_trajectory(params, policy)
-    cost = traj.final_cost
-    return roi(baseline_cost, cost), cost
-
-
 def baseline_cost(params: ModelParams) -> float:
     """Cumulative cost of the no-policy counterfactual at the horizon."""
     return simulate_trajectory(params, build_preset("baseline")).final_cost
+
+
+def _spend_per_gamma(params: ModelParams, policy: PolicyConfig, arm: Trajectory) -> float:
+    """dC/dgamma = inflation * policy_unit_cost * I_P."""
+    return policy.inflation_factor * params.policy_unit_cost * arm.spend_integral
+
+
+def _breakeven_on_arm(params: ModelParams, policy: PolicyConfig, arm: Trajectory, c_base: float) -> float | None:
+    """gamma* on the cost line of one arm; see ``breakeven_gamma``."""
+    r0 = roi(c_base, arm.rest_cost)
+    if abs(r0) < BREAKEVEN_ROI_TOL:
+        return 0.0
+    spend_per_gamma = _spend_per_gamma(params, policy, arm)
+    if r0 < 0 or spend_per_gamma <= 0:
+        return None
+    root = (c_base - arm.rest_cost) / spend_per_gamma
+    return root if root <= BREAKEVEN_GAMMA_MAX else None
 
 
 def breakeven_gamma(
@@ -94,58 +108,20 @@ def breakeven_gamma(
     policy_template: PolicyConfig,
     delta: float,
 ) -> float | None:
-    """Largest cost intensity gamma* at which ROI is still zero.
+    """Cost intensity gamma* at which ROI is zero, in closed form.
 
-    Bracketing scan over [0, 20] followed by bisection; returns None when the
-    design is already losing money at gamma = 0 or never crosses zero inside
-    the bracket.  A non-monotone ROI profile along the scan aborts with an
-    error since gamma enters the integrand linearly and ROI must decrease.
+    C(gamma) = R + gamma * inflation * policy_unit_cost * I_P is linear, so
+    gamma* = (C_base - R) / (inflation * policy_unit_cost * I_P) from one arm.
+    Returns 0.0 when |ROI(gamma=0)| < BREAKEVEN_ROI_TOL, and None when the
+    design already loses money at gamma = 0, spends nothing (I_P = 0), or
+    breaks even only above BREAKEVEN_GAMMA_MAX.
     """
     check_finite("delta", delta)
     if not (0.0 <= delta <= 1.0):
         raise ValueError("delta must be in [0, 1]")
+    policy = replace(policy_template, adherence_gain_delta=delta)
     c_base = baseline_cost(params)
-
-    def f(gamma: float) -> float:
-        policy = replace(policy_template, adherence_gain_delta=delta, cost_scale_gamma=gamma)
-        return _policy_roi(params, policy, c_base)[0]
-
-    f0 = f(0.0)
-    if abs(f0) < BREAKEVEN_ROI_TOL:
-        return 0.0
-    if f0 < 0:
-        return None
-
-    lo, f_lo = 0.0, f0
-    hi = None
-    prev = f0
-    for gamma in np.linspace(2.0, BREAKEVEN_GAMMA_MAX, 10):
-        val = f(float(gamma))
-        if val > prev + 1e-9:
-            raise ValueError(
-                f"ROI is not decreasing in gamma near gamma={gamma:.3f}; model misconfigured"
-            )
-        if val <= 0:
-            hi = float(gamma)
-            break
-        lo, f_lo = float(gamma), val
-        prev = val
-    if hi is None:
-        return None
-
-    for _ in range(BREAKEVEN_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        val = f(mid)
-        if val > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < BREAKEVEN_GAMMA_TOL:
-            break
-    root = 0.5 * (lo + hi)
-    if abs(f(root)) > BREAKEVEN_ROI_TOL:
-        raise ValueError(f"bisection failed to reach |ROI| < {BREAKEVEN_ROI_TOL} at gamma*={root}")
-    return root
+    return _breakeven_on_arm(params, policy, simulate_trajectory(params, policy), c_base)
 
 
 def sweep_design_space(
@@ -154,7 +130,11 @@ def sweep_design_space(
     delta_axis: np.ndarray,
     gamma_axis: np.ndarray,
 ) -> RoiGrid:
-    """Evaluate ROI and total cost over the (delta, gamma) design space."""
+    """Evaluate ROI and total cost over the (delta, gamma) design space.
+
+    One arm per delta row: every gamma cell re-prices that arm's cost split
+    with ``total_cost``, which equals a direct run at that gamma bit for bit.
+    """
     delta_axis = np.asarray(delta_axis, dtype=float)
     gamma_axis = np.asarray(gamma_axis, dtype=float)
     for name, axis in (("delta_axis", delta_axis), ("gamma_axis", gamma_axis)):
@@ -162,31 +142,35 @@ def sweep_design_space(
             raise ValueError(f"{name} must be nonempty")
         if axis.size > 1 and not np.all(np.diff(axis) > 0):
             raise ValueError(f"{name} must be strictly increasing")
+    # Cells re-price one arm instead of building a policy per gamma, so the
+    # range check PolicyConfig would make on cost_scale_gamma is made here.
+    if not (np.all(np.isfinite(gamma_axis)) and gamma_axis[0] >= 0):
+        raise ValueError("gamma_axis values must be finite and >= 0")
 
     c_base = baseline_cost(params)
     roi_grid = np.empty((delta_axis.size, gamma_axis.size))
     cost_grid = np.empty_like(roi_grid)
+    breakevens = []
     for i, delta in enumerate(delta_axis):
-        for j, gamma in enumerate(gamma_axis):
-            policy = replace(
-                template, adherence_gain_delta=float(delta), cost_scale_gamma=float(gamma)
-            )
-            try:
-                roi_grid[i, j], cost_grid[i, j] = _policy_roi(params, policy, c_base)
-            except ValueError as exc:
-                raise ValueError(
-                    f"sweep cell (delta={delta}, gamma={gamma}) failed: {exc}"
-                ) from exc
+        j = 0
+        try:
+            policy = replace(template, adherence_gain_delta=float(delta))
+            arm = simulate_trajectory(params, policy)
+            cost_grid[i] = total_cost(params, policy, arm.rest_cost, arm.spend_integral, gamma_axis)
+            for j in range(gamma_axis.size):
+                roi_grid[i, j] = roi(c_base, cost_grid[i, j])
+        except ValueError as exc:
+            raise ValueError(
+                f"sweep cell (delta={delta}, gamma={gamma_axis[j]}) failed: {exc}"
+            ) from exc
+        breakevens.append(_breakeven_on_arm(params, policy, arm, c_base))
 
-    breakevens = tuple(
-        breakeven_gamma(params, template, float(delta)) for delta in delta_axis
-    )
     return RoiGrid(
         delta_axis=delta_axis,
         gamma_axis=gamma_axis,
         roi_percent=roi_grid,
         total_cost=cost_grid,
-        breakeven_gamma_per_delta=breakevens,
+        breakeven_gamma_per_delta=tuple(breakevens),
     )
 
 
@@ -196,46 +180,20 @@ def roi_slope(
     delta: float,
     gamma: float,
 ) -> float:
-    """dROI/dgamma by central finite difference with step 0.01 * max(gamma, 1).
+    """dROI/dgamma = -100 * C_base * inflation * policy_unit_cost * I_P / C(gamma)^2.
 
-    Falls back to a one-sided forward difference when gamma - h would be
-    negative.
+    Exact, since ROI = 100 * (C_base / C - 1) and C is linear in gamma.
     """
     check_finite("gamma", gamma)
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
+    policy = replace(template, adherence_gain_delta=delta, cost_scale_gamma=gamma)
     c_base = baseline_cost(params)
-    h = 0.01 * max(gamma, 1.0)
-
-    def f(g: float) -> float:
-        policy = replace(template, adherence_gain_delta=delta, cost_scale_gamma=g)
-        return _policy_roi(params, policy, c_base)[0]
-
-    if gamma - h < 0:
-        return (f(gamma + h) - f(gamma)) / h
-    return (f(gamma + h) - f(gamma - h)) / (2.0 * h)
-
-
-def frontier(grid: RoiGrid) -> list[tuple[float, float]]:
-    """Pareto-nondominated (total_cost, roi_percent) pairs, ascending by cost.
-
-    A cell is dominated when another cell costs no more and returns no less,
-    with at least one strict improvement.
-    """
-    costs = grid.total_cost.ravel()
-    rois = grid.roi_percent.ravel()
-    if costs.size == 0:
-        raise ValueError("empty grid")
-    points = list(zip(costs.tolist(), rois.tolist()))
-    kept: list[tuple[float, float]] = []
-    for c, r in points:
-        dominated = any(
-            (c2 <= c and r2 >= r) and (c2 < c or r2 > r) for c2, r2 in points
-        )
-        if not dominated:
-            kept.append((c, r))
-    kept.sort(key=lambda p: (p[0], -p[1]))
-    return kept
+    arm = simulate_trajectory(params, policy)
+    cost = arm.final_cost
+    if cost <= 0:
+        raise ValueError(f"cost_policy must be > 0, got {cost}")
+    return -100.0 * c_base * _spend_per_gamma(params, policy, arm) / (cost * cost)
 
 
 def scenario_roi_table(params: ModelParams, preset_names: tuple[str, ...] | None = None) -> dict[str, float]:
@@ -246,5 +204,5 @@ def scenario_roi_table(params: ModelParams, preset_names: tuple[str, ...] | None
     c_base = baseline_cost(params)
     out: dict[str, float] = {}
     for name in names:
-        out[name] = _policy_roi(params, build_preset(name), c_base)[0]
+        out[name] = roi(c_base, simulate_trajectory(params, build_preset(name)).final_cost)
     return out

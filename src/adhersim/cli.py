@@ -19,7 +19,6 @@ import numpy as np
 from .analytics import (
     baseline_cost,
     breakeven_gamma,
-    frontier,
     payback_time,
     roi,
     sweep_design_space,
@@ -29,8 +28,8 @@ from .exports import (
     PLOT_FAMILIES,
     breakeven_csv,
     contours_json,
+    csv_bytes,
     draws_csv,
-    frontier_csv,
     mc_summary_json,
     plot_family_files,
     roi_grid_csv,
@@ -42,11 +41,13 @@ from .params import ModelParams, load_params, reference_params_path
 from .runconfig import (
     RunConfig,
     RunMode,
+    _parse_axis,
     effective_stress_value,
     parse_run_config,
     serialize_run_config,
+    validate_run_config,
 )
-from .scenarios import PRESET_NAMES, StressKind, apply_stress, build_preset
+from .scenarios import PRESET_NAMES, PolicyConfig, StressKind, apply_stress, build_preset
 
 import json
 
@@ -109,7 +110,6 @@ def run(config: RunConfig) -> list[str]:
             params, policy, np.array(config.delta_axis), np.array(config.gamma_axis)
         )
         files["roi_grid.csv"] = roi_grid_csv(grid)
-        files["frontier.csv"] = frontier_csv(frontier(grid))
         files["contours.json"] = contours_json()
         files["breakeven.csv"] = breakeven_csv(grid.delta_axis, grid.breakeven_gamma_per_delta)
         summary = (
@@ -141,14 +141,8 @@ def run(config: RunConfig) -> list[str]:
     elif config.mode is RunMode.STRESS:
         value = effective_stress_value(config)
         kind = StressKind(config.stress_kind)
-        base = simulate_trajectory(params, build_preset("baseline"))
-        pol = simulate_trajectory(params, policy)
-        roi_un = roi(base.final_cost, pol.final_cost)
-        base_s = simulate_trajectory(params, apply_stress(build_preset("baseline"), kind, value))
-        pol_s = simulate_trajectory(params, apply_stress(policy, kind, value))
-        roi_st = roi(base_s.final_cost, pol_s.final_cost)
-        from .exports import csv_bytes
-
+        pairs = _stress_pairs(params, baseline_cost(params), policy, ((kind, value),))
+        (roi_un, cost_un), (roi_st, cost_st) = pairs["unstressed"], pairs[kind.value]
         files["stress_summary.csv"] = csv_bytes(
             [
                 "stress_kind",
@@ -158,7 +152,7 @@ def run(config: RunConfig) -> list[str]:
                 "cost_unstressed",
                 "cost_stressed",
             ],
-            [[config.stress_kind, value, roi_un, roi_st, pol.final_cost, pol_s.final_cost]],
+            [[config.stress_kind, value, roi_un, roi_st, cost_un, cost_st]],
         )
         summary = (
             f"stress {config.scenario} {config.stress_kind}={value:g}: "
@@ -171,6 +165,25 @@ def run(config: RunConfig) -> list[str]:
     written = write_run_outputs(config.output_dir, files, echo)
     print(summary)
     return written
+
+
+def _stress_pairs(
+    params: ModelParams,
+    c_base: float,
+    policy: PolicyConfig,
+    stresses: tuple[tuple[StressKind, float], ...],
+) -> dict[str, tuple[float, float]]:
+    """(ROI, cost) of the policy arm unstressed and under each stress.
+
+    A stressed arm is compared against the baseline under the same stress.
+    """
+    cost = simulate_trajectory(params, policy).final_cost
+    out = {"unstressed": (roi(c_base, cost), cost)}
+    for kind, value in stresses:
+        base_s = simulate_trajectory(params, apply_stress(build_preset("baseline"), kind, value))
+        cost_s = simulate_trajectory(params, apply_stress(policy, kind, value)).final_cost
+        out[kind.value] = (roi(base_s.final_cost, cost_s), cost_s)
+    return out
 
 
 def _default_mc_spec(template_delta: float) -> DistributionSpec:
@@ -208,22 +221,13 @@ def export_plots(
             mc_results[name] = run_monte_carlo(params, policy, spec, n_draws, seed)
     elif family == "stress":
         c_base = baseline_cost(params)
+        stresses = ((StressKind.COST_INFLATION, 1.2), (StressKind.ACCELERATED_PROGRESSION, 0.85))
         stress_rois = {}
         for name in PRESET_NAMES:
             if name == "baseline":
                 continue
-            policy = build_preset(name)
-            pair = {"unstressed": roi(c_base, simulate_trajectory(params, policy).final_cost)}
-            for kind, value in (
-                (StressKind.COST_INFLATION, 1.2),
-                (StressKind.ACCELERATED_PROGRESSION, 0.85),
-            ):
-                base_s = simulate_trajectory(
-                    params, apply_stress(build_preset("baseline"), kind, value)
-                )
-                pol_s = simulate_trajectory(params, apply_stress(policy, kind, value))
-                pair[kind.value] = roi(base_s.final_cost, pol_s.final_cost)
-            stress_rois[name] = pair
+            pairs = _stress_pairs(params, c_base, build_preset(name), stresses)
+            stress_rois[name] = {key: r for key, (r, _) in pairs.items()}
     files, meta = plot_family_files(params, family, mc_results=mc_results, stress_rois=stress_rois)
 
     echo_lines = [f"command = export-plots", f"family = {family}", f"params_file = {params_file}"]
@@ -256,18 +260,18 @@ def _build_parser() -> argparse.ArgumentParser:
     }
     for name, help_text in scenario_cmds.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--scenario", default="early_adherence",
-                       help=f"preset name ({', '.join(PRESET_NAMES)}) or custom")
+        p.add_argument("--scenario",
+                       help=f"preset name ({', '.join(PRESET_NAMES)}) or custom; default early_adherence")
     sweep = sub.add_parser("sweep", help="ROI sweep over the (delta, gamma) design space")
-    sweep.add_argument("--scenario", default="early_adherence")
+    sweep.add_argument("--scenario")
     sweep.add_argument("--delta-axis", required=False, help="comma-separated increasing deltas")
     sweep.add_argument("--gamma-axis", required=False, help="comma-separated increasing gammas")
     brk = sub.add_parser("breakeven", help="break-even gamma* for each delta")
-    brk.add_argument("--scenario", default="early_adherence")
+    brk.add_argument("--scenario")
     brk.add_argument("--delta-axis", required=False, help="comma-separated increasing deltas")
     mc = next(p for p in sub.choices.values() if p.prog.endswith(" mc"))
     mc.add_argument("--n-draws", type=int, help="number of Monte Carlo draws")
-    mc.add_argument("--workers", type=int, default=1, help="concurrent draw workers")
+    mc.add_argument("--workers", type=int, help="accepted for compatibility; draws run in order")
     stress = next(p for p in sub.choices.values() if p.prog.endswith(" stress"))
     stress.add_argument("--kind", choices=["cost_inflation", "accelerated_progression"])
     stress.add_argument("--value", type=float, help="stress multiplier (default 1.2 / 0.85)")
@@ -279,62 +283,37 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.config:
-        text = Path(args.config).read_text()
-        config = parse_run_config(text)
-    else:
-        if not args.out:
-            raise ValueError("missing --out (or provide --config with output_dir)")
-        mode = RunMode(args.command)
+        config = parse_run_config(Path(args.config).read_text())
+    elif args.out:
         config = RunConfig(
-            params_file=args.params or str(reference_params_path()),
-            scenario=getattr(args, "scenario", "early_adherence"),
-            mode=mode,
+            params_file=str(reference_params_path()),
+            scenario="early_adherence",
+            mode=RunMode(args.command),
             output_dir=args.out,
-            seed=args.seed,
         )
+    else:
+        raise ValueError("missing --out (or provide --config with output_dir)")
+
+    def flag(name: str):
+        return getattr(args, name, None)
+
     # flags override config-file keys
-    updates = {}
-    if args.command and config.mode.value != args.command:
-        updates["mode"] = RunMode(args.command)
-    if args.params:
-        updates["params_file"] = args.params
-    if args.out:
-        updates["output_dir"] = args.out
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "scenario", None) and args.config is None:
-        updates["scenario"] = args.scenario
-    if getattr(args, "n_draws", None) is not None:
-        updates["n_draws"] = args.n_draws
-    if getattr(args, "workers", None):
-        updates["n_workers"] = args.workers
-    if getattr(args, "delta_axis", None):
-        from .runconfig import _parse_axis
-
-        updates["delta_axis"] = _parse_axis("delta_axis", args.delta_axis)
-    if getattr(args, "gamma_axis", None):
-        from .runconfig import _parse_axis
-
-        updates["gamma_axis"] = _parse_axis("gamma_axis", args.gamma_axis)
-    if getattr(args, "kind", None):
-        updates["stress_kind"] = args.kind
-    if getattr(args, "value", None) is not None:
-        updates["stress_value"] = args.value
-    if updates:
-        config = replace(config, **updates)
-
-    # re-validate mode requirements after overrides
-    if config.mode is RunMode.MONTE_CARLO:
-        if config.seed is None:
-            raise ValueError("mode=mc requires key: seed")
-        if config.n_draws is None:
-            raise ValueError("mode=mc requires key: n_draws")
-    if config.mode is RunMode.SWEEP and (not config.delta_axis or not config.gamma_axis):
-        raise ValueError("mode=sweep requires delta_axis and gamma_axis")
-    if config.mode is RunMode.BREAKEVEN and not config.delta_axis:
-        raise ValueError("mode=breakeven requires delta_axis")
-    if config.mode is RunMode.STRESS and config.stress_kind is None:
-        raise ValueError("mode=stress requires stress_kind")
+    scenario, delta_axis, gamma_axis = flag("scenario"), flag("delta_axis"), flag("gamma_axis")
+    updates = {
+        "mode": RunMode(args.command),
+        "params_file": args.params,
+        "output_dir": args.out,
+        "seed": args.seed,
+        "scenario": None if scenario is None else scenario.lower(),
+        "n_draws": flag("n_draws"),
+        "n_workers": flag("workers"),
+        "delta_axis": None if delta_axis is None else _parse_axis("delta_axis", delta_axis),
+        "gamma_axis": None if gamma_axis is None else _parse_axis("gamma_axis", gamma_axis),
+        "stress_kind": flag("kind"),
+        "stress_value": flag("value"),
+    }
+    config = replace(config, **{key: v for key, v in updates.items() if v is not None})
+    validate_run_config(config)
     return config
 
 

@@ -56,10 +56,6 @@ def roi_grid_csv(grid: RoiGrid) -> bytes:
     return csv_bytes(["delta", "gamma", "roi_percent", "total_cost"], rows)
 
 
-def frontier_csv(points: list[tuple[float, float]]) -> bytes:
-    return csv_bytes(["total_cost", "roi_percent"], [[c, r] for c, r in points])
-
-
 def breakeven_csv(deltas, gammas) -> bytes:
     rows = [[d, "" if g is None else fmt(g)] for d, g in zip(deltas, gammas)]
     return csv_bytes(["delta", "gamma_star"], rows)

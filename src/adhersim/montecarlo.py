@@ -3,15 +3,14 @@ Carlo execution, and distributional ROI summaries.
 
 Sub-stream derivation is counter-based and pinned: draw i uses
 ``numpy.random.default_rng(numpy.random.SeedSequence(master_seed,
-spawn_key=(i,)))``.  Draws are therefore independent of worker count and
-execution order, and summaries are bit-identical across reruns.
+spawn_key=(i,)))``.  Draws are therefore independent of execution order,
+and summaries are bit-identical across reruns.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -170,9 +169,10 @@ def run_monte_carlo(
     """Propagate n adherence-gain draws through the deterministic engine.
 
     Returns the summary plus the raw per-draw records as a structured array
-    with fields (draw_index, delta, total_cost, roi_percent), sorted by draw
-    index.  Output is bit-identical for identical inputs regardless of
-    ``n_workers``.
+    with fields (draw_index, delta, total_cost, roi_percent), in draw-index
+    order.  Draws run in order in the calling thread, since each is a few
+    small numpy calls that hold the interpreter lock; ``n_workers`` is
+    validated but changes neither the execution nor the output.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -189,16 +189,8 @@ def run_monte_carlo(
         except ValueError as exc:
             raise ValueError(f"draw {i} (delta={delta:.6f}) failed: {exc}") from exc
 
-    indices = range(n)
-    if n_workers == 1:
-        rows = [one_draw(i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            rows = list(pool.map(one_draw, indices))
-    rows.sort(key=lambda r: r[0])
-
     draws = np.array(
-        rows,
+        [one_draw(i) for i in range(n)],
         dtype=[
             ("draw_index", np.int64),
             ("delta", np.float64),

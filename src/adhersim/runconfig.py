@@ -18,6 +18,7 @@ canonical document that parses back to an equal configuration.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from .scenarios import PRESET_NAMES, PolicyConfig, PolicyKind, build_preset
@@ -85,6 +86,52 @@ def _parse_axis(key: str, raw: str) -> tuple[float, ...]:
     return values
 
 
+def validate_run_config(config: RunConfig) -> None:
+    """Range and mode-requirement rules of a run configuration.
+
+    Checked once a document is parsed, and again by the CLI after its flags
+    have overridden the document's keys.  Every message names the key.
+    """
+    valid_scenarios = PRESET_NAMES + ("custom",)
+    if config.scenario not in valid_scenarios:
+        raise ValueError(
+            f"scenario: unknown name {config.scenario!r}; valid: {', '.join(valid_scenarios)}"
+        )
+    if config.n_draws is not None and config.n_draws < 1:
+        raise ValueError("n_draws: must be >= 1")
+    if config.n_workers < 1:
+        raise ValueError("n_workers: must be >= 1")
+    if config.stress_kind is not None and config.stress_kind not in _STRESS_KINDS:
+        raise ValueError(
+            f"stress_kind: unknown kind {config.stress_kind!r}; valid: {', '.join(_STRESS_KINDS)}"
+        )
+    if config.stress_value is not None:
+        value = config.stress_value
+        if config.stress_kind is None:
+            raise ValueError("stress_value: given without stress_kind")
+        if config.stress_kind == "cost_inflation" and not (1.0 <= value < math.inf):
+            raise ValueError("stress_value: cost_inflation factor must be finite and >= 1")
+        if config.stress_kind == "accelerated_progression" and not (0.0 < value <= 1.0):
+            raise ValueError("stress_value: progression compression must be in (0, 1]")
+
+    mode = config.mode
+    if mode is RunMode.MONTE_CARLO:
+        if config.seed is None:
+            raise ValueError("mode=mc requires key: seed")
+        if config.n_draws is None:
+            raise ValueError("mode=mc requires key: n_draws")
+    if mode is RunMode.SWEEP:
+        if not config.delta_axis:
+            raise ValueError("mode=sweep requires key: delta_axis")
+        if not config.gamma_axis:
+            raise ValueError("mode=sweep requires key: gamma_axis")
+    if mode is RunMode.BREAKEVEN and not config.delta_axis:
+        raise ValueError("mode=breakeven requires key: delta_axis")
+    if mode is RunMode.STRESS and config.stress_kind is None:
+        raise ValueError("mode=stress requires key: stress_kind")
+    config.build_policy()  # surfaces out-of-range override values now
+
+
 def parse_run_config(text: str) -> RunConfig:
     """Parse and fully validate a run-configuration document."""
     raw: dict[str, str] = {}
@@ -100,72 +147,40 @@ def parse_run_config(text: str) -> RunConfig:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value
 
-    def take(key: str) -> str | None:
-        return raw.pop(key, None)
+    def take(key: str, kind: type = str):
+        value = raw.pop(key, None)
+        if value is None or kind is str:
+            return value
+        try:
+            return kind(value)
+        except ValueError:
+            expected = "an integer" if kind is int else "a number"
+            raise ValueError(f"{key}: expected {expected}, got {value!r}") from None
 
-    params_file = take("params_file")
-    if not params_file:
-        raise ValueError("missing required key: params_file")
-    scenario = take("scenario")
-    if not scenario:
-        raise ValueError("missing required key: scenario")
-    scenario = scenario.lower()
-    if scenario not in PRESET_NAMES + ("custom",):
-        raise ValueError(
-            f"scenario: unknown name {scenario!r}; valid: {', '.join(PRESET_NAMES + ('custom',))}"
-        )
-    mode_raw = take("mode")
-    if not mode_raw:
-        raise ValueError("missing required key: mode")
+    def required(key: str) -> str:
+        value = take(key)
+        if not value:
+            raise ValueError(f"missing required key: {key}")
+        return value
+
+    params_file = required("params_file")
+    scenario = required("scenario").lower()
+    mode_raw = required("mode")
     try:
         mode = RunMode(mode_raw.lower())
     except ValueError:
         raise ValueError(
             f"mode: unknown mode {mode_raw!r}; valid: {', '.join(m.value for m in RunMode)}"
         ) from None
-    output_dir = take("output_dir")
-    if not output_dir:
-        raise ValueError("missing required key: output_dir")
+    output_dir = required("output_dir")
 
-    seed = take("seed")
-    seed_val = None
-    if seed is not None:
-        try:
-            seed_val = int(seed)
-        except ValueError:
-            raise ValueError(f"seed: expected an integer, got {seed!r}") from None
-
-    n_draws = take("n_draws")
-    n_draws_val = None
-    if n_draws is not None:
-        try:
-            n_draws_val = int(n_draws)
-        except ValueError:
-            raise ValueError(f"n_draws: expected an integer, got {n_draws!r}") from None
-        if n_draws_val < 1:
-            raise ValueError("n_draws: must be >= 1")
-
-    n_workers = take("n_workers")
-    n_workers_val = 1
-    if n_workers is not None:
-        n_workers_val = int(n_workers)
-        if n_workers_val < 1:
-            raise ValueError("n_workers: must be >= 1")
-
+    seed = take("seed", int)
+    n_draws = take("n_draws", int)
+    n_workers = take("n_workers", int)
     delta_axis = take("delta_axis")
-    delta_vals = _parse_axis("delta_axis", delta_axis) if delta_axis else ()
     gamma_axis = take("gamma_axis")
-    gamma_vals = _parse_axis("gamma_axis", gamma_axis) if gamma_axis else ()
-
     stress_kind = take("stress_kind")
-    if stress_kind is not None:
-        stress_kind = stress_kind.lower()
-        if stress_kind not in _STRESS_KINDS:
-            raise ValueError(
-                f"stress_kind: unknown kind {stress_kind!r}; valid: {', '.join(_STRESS_KINDS)}"
-            )
-    stress_value_raw = take("stress_value")
-    stress_value = float(stress_value_raw) if stress_value_raw is not None else None
+    stress_value = take("stress_value", float)
 
     overrides: dict[str, float] = {}
     for key in list(raw):
@@ -176,51 +191,25 @@ def parse_run_config(text: str) -> RunConfig:
                     f"{key}: unknown policy field; valid: "
                     + ", ".join("policy." + f for f in _POLICY_OVERRIDE_FIELDS)
                 )
-            try:
-                overrides[name] = float(raw.pop(key))
-            except ValueError:
-                raise ValueError(f"{key}: expected a number, got {raw[key]!r}") from None
+            overrides[name] = take(key, float)
     if raw:
         raise ValueError(f"unknown key: {', '.join(sorted(raw))}")
-
-    # mode-required fields
-    if mode is RunMode.MONTE_CARLO:
-        if seed_val is None:
-            raise ValueError("mode=mc requires key: seed")
-        if n_draws_val is None:
-            raise ValueError("mode=mc requires key: n_draws")
-    if mode is RunMode.SWEEP:
-        if not delta_vals:
-            raise ValueError("mode=sweep requires key: delta_axis")
-        if not gamma_vals:
-            raise ValueError("mode=sweep requires key: gamma_axis")
-    if mode is RunMode.BREAKEVEN and not delta_vals:
-        raise ValueError("mode=breakeven requires key: delta_axis")
-    if mode is RunMode.STRESS and stress_kind is None:
-        raise ValueError("mode=stress requires key: stress_kind")
-    if stress_value is not None:
-        if stress_kind is None:
-            raise ValueError("stress_value given without stress_kind")
-        if stress_kind == "cost_inflation" and stress_value < 1.0:
-            raise ValueError("stress_value: cost_inflation factor must be >= 1")
-        if stress_kind == "accelerated_progression" and not (0.0 < stress_value <= 1.0):
-            raise ValueError("stress_value: progression compression must be in (0, 1]")
 
     config = RunConfig(
         params_file=params_file,
         scenario=scenario,
         mode=mode,
         output_dir=output_dir,
-        seed=seed_val,
-        n_draws=n_draws_val,
-        n_workers=n_workers_val,
-        delta_axis=delta_vals,
-        gamma_axis=gamma_vals,
-        stress_kind=stress_kind,
+        seed=seed,
+        n_draws=n_draws,
+        n_workers=1 if n_workers is None else n_workers,
+        delta_axis=() if delta_axis is None else _parse_axis("delta_axis", delta_axis),
+        gamma_axis=() if gamma_axis is None else _parse_axis("gamma_axis", gamma_axis),
+        stress_kind=None if stress_kind is None else stress_kind.lower(),
         stress_value=stress_value,
         policy_overrides=overrides,
     )
-    config.build_policy()  # surfaces out-of-range override values now
+    validate_run_config(config)
     return config
 
 

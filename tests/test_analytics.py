@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from adhersim.analytics import (
-    RoiGrid,
     baseline_cost,
     breakeven_gamma,
-    frontier,
     monetized_roi,
     payback_time,
     roi,
@@ -204,45 +202,6 @@ class TestSlope:
             gaps.append(abs(central - forward))
         assert gaps[2] <= gaps[0] + 1e-9
         assert gaps[2] < 0.05
-
-
-class TestFrontier:
-    @staticmethod
-    def _grid_from(costs, rois):
-        costs = np.asarray(costs, dtype=float)
-        rois = np.asarray(rois, dtype=float)
-        return RoiGrid(
-            delta_axis=np.arange(costs.shape[0], dtype=float),
-            gamma_axis=np.arange(costs.shape[1], dtype=float),
-            roi_percent=rois,
-            total_cost=costs,
-            breakeven_gamma_per_delta=(None,) * costs.shape[0],
-        )
-
-    def test_single_cell(self):
-        grid = self._grid_from([[100.0]], [[5.0]])
-        assert frontier(grid) == [(100.0, 5.0)]
-
-    def test_dominated_cell_dropped(self):
-        grid = self._grid_from([[100.0, 200.0]], [[5.0, 3.0]])
-        assert frontier(grid) == [(100.0, 5.0)]
-
-    def test_reference_grid_nondominated_by_exhaustive_scan(self, ref_params):
-        deltas = np.arange(0.20, 0.401, 0.05)
-        gammas = np.arange(0.5, 1.51, 0.1)
-        grid = sweep_design_space(ref_params, EARLY, deltas, gammas)
-        pts = frontier(grid)
-        all_pts = list(zip(grid.total_cost.ravel(), grid.roi_percent.ravel()))
-        for c, r in pts:
-            for c2, r2 in all_pts:
-                dominated = (c2 <= c and r2 >= r) and (c2 < c or r2 > r)
-                assert not dominated
-        assert pts == sorted(pts)
-
-    def test_empty_grid_rejected(self):
-        grid = self._grid_from(np.empty((0, 0)), np.empty((0, 0)))
-        with pytest.raises(ValueError):
-            frontier(grid)
 
 
 class TestScenarioOrdering:

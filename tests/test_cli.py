@@ -64,12 +64,11 @@ class TestSweep:
         contours = json.loads((out / "contours.json").read_text())
         assert contours["levels_sign_bands"] == [-5.0, 0.0, 5.0]
         assert contours["levels_design_space"] == [0.0, 50.0, 100.0]
-        assert (out / "frontier.csv").exists()
         assert (out / "breakeven.csv").exists()
 
     def test_reproducible_byte_identical_runs(self, tmp_path):
         out = tmp_path / "a"
-        names = ("roi_grid.csv", "frontier.csv", "contours.json", "breakeven.csv", "manifest.json")
+        names = ("roi_grid.csv", "contours.json", "breakeven.csv", "manifest.json")
         args = ["--out", out, "sweep", "--scenario", "early_adherence",
                 "--delta-axis", "0.25,0.3", "--gamma-axis", "1.0,1.5"]
         assert _run(args) == 0
@@ -188,6 +187,46 @@ class TestConfigFile:
         rc = _run(["--config", cfg, "simulate"])
         assert rc == 2
         assert "exceeds 1" in capsys.readouterr().err
+
+
+class TestInputErrors:
+    """Malformed input ends in 'error: <key>: <reason>' and exit code 2."""
+
+    @staticmethod
+    def _config(tmp_path, mode="simulate", extra=""):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"params_file = {reference_params_path()}\n"
+            "scenario = baseline\n"
+            f"mode = {mode}\n"
+            f"output_dir = {tmp_path / 'out'}\n" + extra
+        )
+        return cfg
+
+    @pytest.mark.parametrize("mode, extra, expected", [
+        ("simulate", "policy.cost_scale_gamma = abc\n", "policy.cost_scale_gamma: expected a number"),
+        ("mc", "seed = 1\nn_draws = 5\nn_workers = two\n", "n_workers: expected an integer"),
+        ("stress", "stress_kind = cost_inflation\nstress_value = big\n", "stress_value: expected a number"),
+    ], ids=["policy_field", "n_workers", "stress_value"])
+    def test_config_value_names_its_key(self, tmp_path, capsys, mode, extra, expected):
+        rc = _run(["--config", self._config(tmp_path, mode, extra), mode])
+        assert rc == 2
+        assert f"error: {expected}" in capsys.readouterr().err
+
+    def test_zero_workers_rejected(self, tmp_path, capsys):
+        rc = _run(["--out", tmp_path / "mc", "--seed", "1", "mc", "--n-draws", "5", "--workers", "0"])
+        assert rc == 2
+        assert "error: n_workers: must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "mc").exists()
+
+    def test_scenario_flag_overrides_config(self, tmp_path, capsys):
+        cfg = self._config(tmp_path)
+        assert _run(["--config", cfg, "simulate", "--scenario", "delayed"]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert "scenario = delayed" in manifest["config_echo"]
+        rc = _run(["--config", cfg, "simulate", "--scenario", "bogus"])
+        assert rc == 2
+        assert "error: scenario: unknown name 'bogus'" in capsys.readouterr().err
 
 
 class TestExportPlots:
