@@ -42,8 +42,8 @@ from .runconfig import (
     RunConfig,
     RunMode,
     _parse_axis,
+    _parse_document,
     effective_stress_value,
-    parse_run_config,
     serialize_run_config,
     validate_run_config,
 )
@@ -283,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.config:
-        config = parse_run_config(Path(args.config).read_text())
+        config = _parse_document(Path(args.config).read_text())
     elif args.out:
         config = RunConfig(
             params_file=str(reference_params_path()),
@@ -325,6 +325,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         if args.command == "export-plots":
+            if args.config:
+                raise ValueError("config: export-plots reads no run configuration")
             export_plots(
                 params_file=args.params or str(reference_params_path()),
                 family=args.family,

@@ -12,10 +12,13 @@ closed-form reduction exact instead of O(h^4)-approximate.  One Simpson step
 (``_logit_steps``) serves the grid, ``disease_severity`` and off-grid times.
 
 Cumulative cost C(t) = C0 + integral_0^t exp(-rho s) c(s) ds is computed by
-composite trapezoid on the same grid.  Integrand jumps (policy starts, nudge
-activations, window closures) sit on grid nodes; each panel uses the right
-limit at its left node and the left limit at its right node, so the rule
-integrates the piecewise-smooth integrand without smearing the jumps.
+composite trapezoid on the same grid.  Every policy event (start, nudge
+activation, window closure) sits on a canonical grid node, so each panel
+[t_i, t_{i+1}] stays on the policy piece in force at its start: adherence is
+read on that piece at the panel's start, midpoint and end, and the spend P is
+constant across it.  Simpson and the trapezoid thus integrate the
+piecewise-smooth integrand without smearing the jumps.  This holds only on
+grids whose steps_per_year is a multiple of STEPS_PER_YEAR.
 
 The engine integrates two channels separately: the rest, alpha*D + beta*A^2,
 and the policy spend P(s) in policy units, giving I_P(t).  gamma enters only
@@ -38,12 +41,9 @@ import numpy as np
 from .numerics import STEPS_PER_YEAR, check_finite, sigmoid, time_grid
 from .params import ModelParams
 from .scenarios import (
-    EMPTY_NUDGE_LOG,
-    NudgeLog,
     PolicyConfig,
-    PolicyKind,
+    _nudge_log,
     adherence_array,
-    compute_nudge_log,
     policy_cost_array,
     validate_pair,
 )
@@ -120,19 +120,18 @@ def _logit_steps(params: ModelParams, compression: float, h, a_start, a_mid, a_e
 def _severity_grid(
     params: ModelParams,
     policy: PolicyConfig,
-    nudges: NudgeLog,
     times: np.ndarray,
-    a_right: np.ndarray,
-    a_left: np.ndarray,
+    a_start: np.ndarray,
+    a_mid: np.ndarray,
+    a_end: np.ndarray,
 ) -> np.ndarray:
-    """Severity on the grid via RK4/Simpson on the logit variable, from the
-    engine's right and left adherence limits at the nodes."""
+    """Severity on the grid via RK4/Simpson on the logit variable, from each
+    panel's adherence at its start, midpoint and end."""
     if params.severity_coupling_eta == 0.0:
         return _logistic_closed_form(params, times, policy.progression_compression)
 
     h = times[1] - times[0]
-    a_mid = adherence_array(params, policy, nudges, times[:-1] + h / 2.0, side="right")
-    increments = _logit_steps(params, policy.progression_compression, h, a_right[:-1], a_mid, a_left[1:])
+    increments = _logit_steps(params, policy.progression_compression, h, a_start, a_mid, a_end)
     z0 = -params.disease_steepness_k * params.disease_midpoint_s0
     z = z0 + np.concatenate(([0.0], np.cumsum(increments)))
     return params.disease_max_Dmax * sigmoid(z)
@@ -195,15 +194,9 @@ def instantaneous_cost(
     )
 
 
-def _nudge_log(params: ModelParams, policy: PolicyConfig) -> NudgeLog:
-    if policy.kind is PolicyKind.ADAPTIVE_NUDGES:
-        return compute_nudge_log(params, policy)
-    return EMPTY_NUDGE_LOG
-
-
-def _discounted_trapezoid(disc: np.ndarray, h: float, f_right: np.ndarray, f_left: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoid of disc * f on the grid, 0 at the first node."""
-    panels = (h / 2.0) * (disc[:-1] * f_right[:-1] + disc[1:] * f_left[1:])
+def _discounted_trapezoid(disc: np.ndarray, h: float, f_start: np.ndarray, f_end: np.ndarray) -> np.ndarray:
+    """Cumulative trapezoid of disc * f from each panel's start and end values, 0 at the first node."""
+    panels = (h / 2.0) * (disc[:-1] * f_start + disc[1:] * f_end)
     return np.concatenate(([0.0], np.cumsum(panels)))
 
 
@@ -213,33 +206,46 @@ def simulate_trajectory(
     steps_per_year: int = STEPS_PER_YEAR,
 ) -> Trajectory:
     """Simulate one policy arm on the fixed grid."""
+    if steps_per_year < 1 or steps_per_year % STEPS_PER_YEAR:
+        # Only refinements of the canonical grid keep every policy event on a node.
+        raise ValueError(
+            f"steps_per_year must be a positive multiple of {STEPS_PER_YEAR}, got {steps_per_year}"
+        )
     validate_pair(params, policy)
     nudges = _nudge_log(params, policy)
     times = time_grid(params.horizon_T, steps_per_year)
     h = 1.0 / steps_per_year
+    n = len(times)
 
-    a_right = adherence_array(params, policy, nudges, times, side="right")
-    a_left = adherence_array(params, policy, nudges, times, side="left")
-    p_right = policy_cost_array(policy, nudges, times, side="right")
-    p_left = policy_cost_array(policy, nudges, times, side="left")
-    severity = _severity_grid(params, policy, nudges, times, a_right, a_left)
+    # Nodes, then each panel's midpoint and right end, all read on the piece
+    # in force at the panel's start node.
+    starts = times[:-1]
+    a = adherence_array(
+        params, policy, nudges,
+        np.concatenate((times, starts + h / 2.0, times[1:])),
+        piece_at=np.concatenate((times, starts, starts)),
+    )
+    a_nodes, a_mid, a_end = a[:n], a[n:2 * n - 1], a[2 * n - 1:]
+    p = policy_cost_array(policy, nudges, times)
+    severity = _severity_grid(params, policy, times, a_nodes[:-1], a_mid, a_end)
 
     alpha, beta = params.disease_cost_alpha, params.adherence_cost_beta
     # Health-outcome rate H(s) is zero in the engine; lambda enters only via
     # direct instantaneous_cost calls and the monetized-ROI analysis.
-    rest_right = alpha * severity + beta * a_right**2
-    rest_left = alpha * severity + beta * a_left**2
+    rest_nodes = alpha * severity + beta * a_nodes**2
+    rest_end = alpha * severity[1:] + beta * a_end**2
 
     disc = np.exp(-params.discount_rate_rho * times)
-    rest = params.baseline_cost_C0 + _discounted_trapezoid(disc, h, rest_right, rest_left)
-    spend_integral = _discounted_trapezoid(disc, h, p_right, p_left)
+    rest = params.baseline_cost_C0 + _discounted_trapezoid(disc, h, rest_nodes[:-1], rest_end)
+    # P is constant on each panel: its value at the end is the one at the start.
+    spend_integral = _discounted_trapezoid(disc, h, p[:-1], p[:-1])
 
     return Trajectory(
         times=times,
-        adherence=a_right,
+        adherence=a_nodes,
         severity=severity,
-        policy_cost=p_right,
-        instantaneous_cost=total_cost(params, policy, rest_right, p_right),
+        policy_cost=p,
+        instantaneous_cost=total_cost(params, policy, rest_nodes, p),
         cumulative_cost=total_cost(params, policy, rest, spend_integral),
         rest_cost=float(rest[-1]),
         spend_integral=float(spend_integral[-1]),
@@ -265,41 +271,25 @@ def cumulative_cost(
     i_full = int(np.floor(t * steps_per_year + 1e-9))
     base = float(traj.cumulative_cost[i_full])
     t0 = times[i_full]
-    # Partial panel [t0, t] lies strictly inside a smooth piece.
+    # Partial panel [t0, t] lies strictly inside a smooth piece; severity
+    # continues the logit integral from t0 by one partial Simpson step.
+    rest = t - t0
     nudges = _nudge_log(params, policy)
-    a = float(adherence_array(params, policy, nudges, np.array([t]))[0])
+    a = adherence_array(params, policy, nudges, np.array([t0, t0 + rest / 2.0, t]))
     p = float(policy_cost_array(policy, nudges, np.array([t]))[0])
+    d = float(traj.severity[i_full])
     if params.severity_coupling_eta == 0.0:
         d = float(_logistic_closed_form(params, np.array(t), policy.progression_compression))
-    else:
-        d = _severity_between(params, policy, nudges, traj, t)
+    elif rest > 1e-12:
+        dmax = params.disease_max_Dmax
+        z = float(np.log(d / (dmax - d))) + _logit_steps(params, policy.progression_compression, rest, *a)
+        d = float(dmax * sigmoid(np.array(z)))
+    a_t = float(a[2])
     c_t = total_cost(
-        params, policy, params.disease_cost_alpha * d + params.adherence_cost_beta * a * a, p
+        params, policy, params.disease_cost_alpha * d + params.adherence_cost_beta * a_t * a_t, p
     )
 
     rho = params.discount_rate_rho
     f0 = np.exp(-rho * t0) * float(traj.instantaneous_cost[i_full])
     f1 = np.exp(-rho * t) * c_t
     return base + (t - t0) / 2.0 * (f0 + f1)
-
-
-def _severity_between(
-    params: ModelParams,
-    policy: PolicyConfig,
-    nudges: NudgeLog,
-    traj: Trajectory,
-    u: float,
-) -> float:
-    """Severity at an off-grid time: continue the logit integral one partial step."""
-    spy = round(1.0 / (traj.times[1] - traj.times[0]))
-    i0 = int(np.floor(u * spy + 1e-9))
-    t0 = traj.times[i0]
-    d0 = float(traj.severity[i0])
-    rest = u - t0
-    if rest <= 1e-12:
-        return d0
-    dmax = params.disease_max_Dmax
-    z0 = float(np.log(d0 / (dmax - d0)))
-    a = adherence_array(params, policy, nudges, np.array([t0, t0 + rest / 2.0, u]))
-    z = z0 + _logit_steps(params, policy.progression_compression, rest, *a)
-    return float(dmax * sigmoid(np.array(z)))

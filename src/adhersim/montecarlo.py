@@ -175,7 +175,9 @@ def run_monte_carlo(
     validated but changes neither the execution nor the output.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError("n_draws: must be >= 1")
+    if master_seed < 0:
+        raise ValueError("seed: must be >= 0")
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
     c_base = baseline_cost(params)

@@ -6,8 +6,8 @@ import numpy as np
 
 # Canonical simulation resolution: 100 steps per year (0.01-year step).
 # Event times (policy starts, nudge activations, window ends) are snapped to
-# this grid, and the nudge state machine always sweeps it, so that refining
-# the quadrature grid never moves a discontinuity.
+# this grid, and the nudge rule always runs on it.  Only quadrature grids
+# whose steps_per_year is a multiple of this keep every event on a node.
 STEPS_PER_YEAR = 100
 
 
@@ -27,10 +27,9 @@ def time_grid(horizon: float, steps_per_year: int = STEPS_PER_YEAR) -> np.ndarra
     return np.arange(n + 1) / steps_per_year
 
 
-def snap_up(t: float, steps_per_year: int = STEPS_PER_YEAR) -> float:
-    """Smallest grid node >= t (grid nodes are multiples of 1/steps_per_year)."""
-    i = int(np.ceil(t * steps_per_year - 1e-9))
-    return max(i, 0) / steps_per_year
+def snap_up(t: np.ndarray | float, steps_per_year: int = STEPS_PER_YEAR) -> np.ndarray | float:
+    """Smallest grid node >= t, elementwise (nodes are multiples of 1/steps_per_year)."""
+    return np.ceil(np.maximum(np.asarray(t, dtype=float) * steps_per_year - 1e-9, 0.0)) / steps_per_year
 
 
 def sigmoid(z: np.ndarray | float) -> np.ndarray | float:

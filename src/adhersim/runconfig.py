@@ -89,14 +89,16 @@ def _parse_axis(key: str, raw: str) -> tuple[float, ...]:
 def validate_run_config(config: RunConfig) -> None:
     """Range and mode-requirement rules of a run configuration.
 
-    Checked once a document is parsed, and again by the CLI after its flags
-    have overridden the document's keys.  Every message names the key.
+    Checked once a document is parsed, or by the CLI once its flags have
+    overridden the document's keys.  Every message names the key.
     """
     valid_scenarios = PRESET_NAMES + ("custom",)
     if config.scenario not in valid_scenarios:
         raise ValueError(
             f"scenario: unknown name {config.scenario!r}; valid: {', '.join(valid_scenarios)}"
         )
+    if config.seed is not None and config.seed < 0:
+        raise ValueError("seed: must be >= 0")
     if config.n_draws is not None and config.n_draws < 1:
         raise ValueError("n_draws: must be >= 1")
     if config.n_workers < 1:
@@ -134,6 +136,14 @@ def validate_run_config(config: RunConfig) -> None:
 
 def parse_run_config(text: str) -> RunConfig:
     """Parse and fully validate a run-configuration document."""
+    config = _parse_document(text)
+    validate_run_config(config)
+    return config
+
+
+def _parse_document(text: str) -> RunConfig:
+    """Parse a run-configuration document; the mode and range rules are left
+    to ``validate_run_config``."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -195,7 +205,7 @@ def parse_run_config(text: str) -> RunConfig:
     if raw:
         raise ValueError(f"unknown key: {', '.join(sorted(raw))}")
 
-    config = RunConfig(
+    return RunConfig(
         params_file=params_file,
         scenario=scenario,
         mode=mode,
@@ -209,8 +219,6 @@ def parse_run_config(text: str) -> RunConfig:
         stress_value=stress_value,
         policy_overrides=overrides,
     )
-    validate_run_config(config)
-    return config
 
 
 def effective_stress_value(config: RunConfig) -> float:

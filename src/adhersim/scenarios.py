@@ -1,18 +1,19 @@
 """Policy scenario definitions: adherence trajectories, expenditure functions,
-the adaptive-nudge feedback sweep, and the stress transforms.
+the adaptive-nudge feedback rule, and the stress transforms.
 
 All adherence and expenditure functions are right-continuous in time; a policy
-active from time tau contributes from s = tau onward.  Event times are snapped
-up to the canonical 0.01-year grid so every discontinuity sits on a grid node.
-The integrator also needs left limits at jump nodes, which every evaluator
-here exposes through a ``side`` argument ("right" default, "left" for the
-limit from below).
+active from time tau contributes from s = tau onward.  Every policy event (the
+snapped start, each nudge activation and each window closure) sits on a node
+of the canonical 0.01-year grid, so between two nodes the policy stays on the
+piece in force at the earlier one.  ``adherence_array`` takes the time at
+which to read the piece (``piece_at``), which lets the integrator evaluate a
+panel's interior and right end on the piece its start node set; spend is
+constant on a panel, so it needs no such argument.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -48,9 +49,10 @@ class StressKind(enum.Enum):
 class PolicyConfig:
     """One policy design.
 
-    Fields not used by a given kind are ignored by the evaluators but still
-    range-validated.  ``inflation_factor`` and ``progression_compression`` are
-    stress multipliers applied by :func:`apply_stress`.
+    Fields not used by a given kind (see ``_gain_law``) are ignored by the
+    evaluators but still range-validated.  ``inflation_factor`` and
+    ``progression_compression`` are stress multipliers applied by
+    :func:`apply_stress`.
     """
 
     kind: PolicyKind
@@ -94,7 +96,7 @@ class PolicyConfig:
 
     @property
     def tau_snapped(self) -> float:
-        return snap_up(self.start_tau)
+        return float(snap_up(self.start_tau))
 
 
 @dataclass(frozen=True)
@@ -178,16 +180,6 @@ def validate_authored_pair(params: ModelParams, policy: PolicyConfig) -> None:
         )
 
 
-def _indicator(x: np.ndarray, side: str) -> np.ndarray:
-    # Right-continuous Heaviside: active for x >= 0.  The left limit at the
-    # jump itself is the pre-jump value, hence strict inequality.
-    if side == "right":
-        return x >= 0.0
-    if side == "left":
-        return x > 0.0
-    raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-
-
 def _base_component(params: ModelParams, policy: PolicyConfig, s: np.ndarray) -> np.ndarray:
     a0 = params.adherence_baseline_A0
     if policy.baseline_decay is not None:
@@ -195,16 +187,26 @@ def _base_component(params: ModelParams, policy: PolicyConfig, s: np.ndarray) ->
     return np.full_like(s, a0, dtype=float)
 
 
-def _last_boost_times(policy: PolicyConfig, nudges: NudgeLog, s: np.ndarray, side: str) -> np.ndarray:
-    """Most recent boost (policy start or activation) at or before each s."""
-    boosts = np.array((policy.tau_snapped,) + nudges.activation_times)
-    idx = (
-        np.searchsorted(boosts, s, side="right")
-        if side == "right"
-        else np.searchsorted(boosts, s, side="left")
-    )
-    idx = np.maximum(idx - 1, 0)
-    return boosts[idx]
+def _gain_law(policy: PolicyConfig) -> tuple[float, float]:
+    """(delta, theta) of the gain delta * exp(-theta * (s - last boost)) from tau on.
+
+    The one place that says which fields each kind ignores: BASELINE has no
+    gain, the step kinds (EARLY_ADHERENCE, DELAYED, LOW_IMPACT) ignore
+    ``decay_theta``, and REGRESSIVE, CUSTOM and ADAPTIVE_NUDGES use both.
+    """
+    kind = policy.kind
+    if kind is PolicyKind.BASELINE:
+        return 0.0, 0.0
+    if kind in (PolicyKind.EARLY_ADHERENCE, PolicyKind.DELAYED, PolicyKind.LOW_IMPACT):
+        return policy.adherence_gain_delta, 0.0
+    return policy.adherence_gain_delta, policy.decay_theta
+
+
+def _nudge_log(params: ModelParams, policy: PolicyConfig) -> NudgeLog:
+    """The policy's activation log: computed for ADAPTIVE_NUDGES, empty otherwise."""
+    if policy.kind is PolicyKind.ADAPTIVE_NUDGES:
+        return compute_nudge_log(params, policy)
+    return EMPTY_NUDGE_LOG
 
 
 def adherence_array(
@@ -212,51 +214,45 @@ def adherence_array(
     policy: PolicyConfig,
     nudges: NudgeLog,
     s: np.ndarray,
-    side: str = "right",
+    piece_at: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Vectorized adherence trajectory A(s), clamped to [0, 1]."""
+    """Vectorized adherence A(s), clamped to [0, 1], on the piece in force at ``piece_at``.
+
+    ``nudges`` is the policy's own log (``_nudge_log``).  A piece starts at
+    each boost (the snapped start tau and every activation); ``piece_at``
+    defaults to ``s``, which gives the right-continuous trajectory.
+    """
     s = np.asarray(s, dtype=float)
+    piece_at = s if piece_at is None else np.asarray(piece_at, dtype=float)
     tau = policy.tau_snapped
-    delta = policy.adherence_gain_delta
-    active = _indicator(s - tau, side)
-    base = _base_component(params, policy, s)
-
-    kind = policy.kind
-    if kind is PolicyKind.BASELINE:
-        gain = np.zeros_like(s)
-    elif kind in (PolicyKind.EARLY_ADHERENCE, PolicyKind.DELAYED, PolicyKind.LOW_IMPACT):
+    delta, theta = _gain_law(policy)
+    active = piece_at >= tau
+    if theta == 0.0:
         gain = delta * active
-    elif kind is PolicyKind.REGRESSIVE or (kind is PolicyKind.CUSTOM and policy.decay_theta > 0):
-        gain = delta * np.exp(-policy.decay_theta * np.maximum(s - tau, 0.0)) * active
-    elif kind is PolicyKind.CUSTOM:
-        gain = delta * active
-    elif kind is PolicyKind.ADAPTIVE_NUDGES:
-        t_last = _last_boost_times(policy, nudges, s, side)
-        gain = delta * np.exp(-policy.decay_theta * np.maximum(s - t_last, 0.0)) * active
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled policy kind {kind}")
-    return np.clip(base + gain, 0.0, 1.0)
+    else:
+        boosts = np.array((tau,) + nudges.activation_times)
+        t_last = boosts[np.maximum(np.searchsorted(boosts, piece_at, side="right") - 1, 0)]
+        gain = delta * np.exp(-theta * np.maximum(s - t_last, 0.0)) * active
+    return np.clip(_base_component(params, policy, s) + gain, 0.0, 1.0)
 
 
-def policy_cost_array(
-    policy: PolicyConfig,
-    nudges: NudgeLog,
-    s: np.ndarray,
-    side: str = "right",
-) -> np.ndarray:
+def policy_cost_array(policy: PolicyConfig, nudges: NudgeLog, s: np.ndarray) -> np.ndarray:
     """Vectorized expenditure function P(s), in policy units (scaled to dollars
-    by the model's policy_unit_cost inside the cost integrand)."""
+    by the model's policy_unit_cost inside the cost integrand).
+
+    Right-continuous: 1 from tau on, plus ``nudge_unit_cost`` for each window
+    open at s.  A window opens at its activation and closes at the grid node
+    ``snap_up(activation + NUDGE_WINDOW_YEARS)``.
+    """
     s = np.asarray(s, dtype=float)
     if policy.kind is PolicyKind.BASELINE:
         return np.zeros_like(s)
-    p = _indicator(s - policy.tau_snapped, side).astype(float)
-    if policy.kind is PolicyKind.ADAPTIVE_NUDGES:
-        for t_a in nudges.activation_times:
-            window_open = (
-                _indicator(s - t_a, side).astype(float)
-                - _indicator(s - (t_a + NUDGE_WINDOW_YEARS), side).astype(float)
-            )
-            p = p + policy.nudge_unit_cost * window_open
+    p = (s >= policy.tau_snapped).astype(float)
+    if nudges.count:
+        starts = np.array(nudges.activation_times)
+        ends = snap_up(starts + NUDGE_WINDOW_YEARS)
+        n_open = np.searchsorted(starts, s, side="right") - np.searchsorted(ends, s, side="right")
+        p = p + policy.nudge_unit_cost * n_open
     return p
 
 
@@ -265,12 +261,7 @@ def adherence_at(params: ModelParams, policy: PolicyConfig, s: float) -> float:
     if not (0.0 <= s <= params.horizon_T):
         raise ValueError(f"s={s} outside [0, {params.horizon_T}]")
     validate_pair(params, policy)
-    nudges = (
-        compute_nudge_log(params, policy)
-        if policy.kind is PolicyKind.ADAPTIVE_NUDGES
-        else EMPTY_NUDGE_LOG
-    )
-    return float(adherence_array(params, policy, nudges, np.array([s]))[0])
+    return float(adherence_array(params, policy, _nudge_log(params, policy), np.array([s]))[0])
 
 
 def policy_cost_at(policy: PolicyConfig, nudges: NudgeLog, s: float) -> float:
@@ -281,12 +272,15 @@ def policy_cost_at(policy: PolicyConfig, nudges: NudgeLog, s: float) -> float:
 
 
 def compute_nudge_log(params: ModelParams, policy: PolicyConfig) -> NudgeLog:
-    """Deterministic forward sweep of the adaptive re-engagement rule.
+    """Activation times of the adaptive re-engagement rule, in closed form.
 
-    The sweep always runs on the canonical 0.01-year grid: whenever the
-    decaying adherence value falls below the trigger threshold at a node, an
-    activation is recorded there and adherence resets to A0 + delta.  The log
-    is therefore independent of any finer quadrature grid used later.
+    The rule runs on the canonical 0.01-year grid: whenever the decaying
+    value A0 + delta * exp(-theta * elapsed) falls below the trigger threshold
+    at a node, an activation is recorded there and the elapsed time restarts
+    from zero.  Every reset returns the rule to the same state, so the
+    activations fall every m nodes after tau, where m is the first step count
+    whose value is below the threshold.  The log is independent of any finer
+    quadrature grid used later.
     """
     if policy.kind is not PolicyKind.ADAPTIVE_NUDGES:
         raise ValueError("compute_nudge_log requires an adaptive_nudges policy")
@@ -302,16 +296,15 @@ def compute_nudge_log(params: ModelParams, policy: PolicyConfig) -> NudgeLog:
         # never cross below it; the rule stays inert.
         return EMPTY_NUDGE_LOG
 
-    times = time_grid(params.horizon_T, STEPS_PER_YEAR)
+    i_last = len(time_grid(params.horizon_T, STEPS_PER_YEAR)) - 1
     i_start = int(round(policy.tau_snapped * STEPS_PER_YEAR))
-    t_boost = times[i_start]
-    activations: list[float] = []
-    for i in range(i_start + 1, len(times)):
-        value = a0 + delta * math.exp(-theta * (times[i] - t_boost))
-        if value < threshold:
-            t_boost = times[i]
-            activations.append(t_boost)
-    return NudgeLog(tuple(activations))
+    steps = np.arange(1, i_last - i_start + 1)
+    below = a0 + delta * np.exp(-theta * (steps / STEPS_PER_YEAR)) < threshold
+    if not below.any():
+        return EMPTY_NUDGE_LOG
+    period = int(below.argmax()) + 1
+    nodes = np.arange(i_start + period, i_last + 1, period)
+    return NudgeLog(tuple((nodes / STEPS_PER_YEAR).tolist()))
 
 
 def apply_stress(policy: PolicyConfig, stress: StressKind, value: float) -> PolicyConfig:

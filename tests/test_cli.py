@@ -175,6 +175,23 @@ class TestConfigFile:
         assert _run(["--config", cfg, "--out", out_flag, "simulate"]) == 0
         assert out_flag.exists() and not out_cfg.exists()
 
+    @pytest.mark.parametrize("mode, flags, output", [
+        ("mc", ["--seed", "3", "mc", "--n-draws", "5"], "draws.csv"),
+        ("sweep", ["sweep", "--delta-axis", "0.2,0.3", "--gamma-axis", "1.0"], "roi_grid.csv"),
+    ], ids=["mc", "sweep"])
+    def test_flags_complete_config(self, tmp_path, mode, flags, output):
+        # The document lacks keys its mode requires; the flags supply them.
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        cfg.write_text(
+            f"params_file = {reference_params_path()}\n"
+            "scenario = early_adherence\n"
+            f"mode = {mode}\n"
+            f"output_dir = {out}\n"
+        )
+        assert _run(["--config", cfg] + flags) == 0
+        assert (out / output).exists()
+
     def test_authoring_rejects_overfull_adherence(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -212,6 +229,19 @@ class TestInputErrors:
         rc = _run(["--config", self._config(tmp_path, mode, extra), mode])
         assert rc == 2
         assert f"error: {expected}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, expected", [
+        (["--seed", "-5", "mc", "--n-draws", "5"], "seed: must be >= 0"),
+        (["--seed", "1", "export-plots", "--family", "mc", "--n-draws", "0"], "n_draws: must be >= 1"),
+        (["--config", "nonexistent.cfg", "export-plots", "--family", "severity"],
+         "config: export-plots reads no run configuration"),
+    ], ids=["negative_seed", "zero_plot_draws", "plots_with_config"])
+    def test_flag_value_names_its_key(self, tmp_path, capsys, args, expected):
+        out = tmp_path / "out"
+        rc = _run(["--out", out] + args)
+        assert rc == 2
+        assert f"error: {expected}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_workers_rejected(self, tmp_path, capsys):
         rc = _run(["--out", tmp_path / "mc", "--seed", "1", "mc", "--n-draws", "5", "--workers", "0"])

@@ -1,12 +1,14 @@
-"""Property tests over generated step policies on the reference parameters.
+"""Property tests over generated policies on the reference parameters.
 
 Examples are derandomized and have no deadline, so the suite stays
 deterministic and its run time does not depend on the host.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,8 +21,17 @@ from adhersim.analytics import (
     sweep_design_space,
 )
 from adhersim.costmodel import simulate_trajectory
+from adhersim.numerics import STEPS_PER_YEAR, time_grid
 from adhersim.params import reference_params
-from adhersim.scenarios import PolicyConfig, PolicyKind
+from adhersim.scenarios import (
+    NUDGE_WINDOW_YEARS,
+    NudgeLog,
+    PolicyConfig,
+    PolicyKind,
+    build_preset,
+    compute_nudge_log,
+    policy_cost_array,
+)
 
 PARAMS = reference_params()
 C_BASE = baseline_cost(PARAMS)
@@ -96,3 +107,61 @@ def test_breakeven_is_a_root_or_has_none(params, policy, delta):
     else:
         assert g is not None and 0.0 < g <= BREAKEVEN_GAMMA_MAX
         assert abs(roi_at(policy, delta, g, params)) <= 1e-8
+
+
+def nudge_log_oracle(params, policy) -> tuple[float, ...]:
+    """The re-engagement rule stepped node by node on the canonical grid."""
+    a0 = params.adherence_baseline_A0
+    delta, theta = policy.adherence_gain_delta, policy.decay_theta
+    threshold = policy.nudge_threshold
+    if theta == 0.0 or delta == 0.0 or a0 + delta <= threshold:
+        return ()
+    i_reset = round(policy.tau_snapped * STEPS_PER_YEAR)
+    activations = []
+    for i in range(i_reset + 1, round(params.horizon_T * STEPS_PER_YEAR) + 1):
+        if a0 + delta * math.exp(-theta * ((i - i_reset) / STEPS_PER_YEAR)) < threshold:
+            i_reset = i
+            activations.append(i / STEPS_PER_YEAR)
+    return tuple(activations)
+
+
+# The threshold sits at a fraction of the gain above A0; fractions >= 1 leave
+# the rule inert, small ones make it fire rarely or never within the horizon.
+nudge_cases = st.builds(
+    lambda a0, delta, theta, fraction, tau: (
+        replace(PARAMS, adherence_baseline_A0=a0),
+        PolicyConfig(
+            kind=PolicyKind.ADAPTIVE_NUDGES, start_tau=tau, adherence_gain_delta=delta,
+            decay_theta=theta, nudge_threshold=min(a0 + fraction * delta, 1.0),
+        ),
+    ),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 5.0),
+    st.floats(0.0, 1.1),
+    st.floats(0.0, PARAMS.horizon_T),
+)
+
+
+@PROPERTY
+@given(nudge_cases)
+def test_closed_form_nudge_log_equals_stepped_rule(case):
+    params, policy = case
+    times = compute_nudge_log(params, policy).activation_times
+    assert times == nudge_log_oracle(params, policy)
+    assert all(type(t) is float for t in times)
+
+
+def test_every_nudge_window_closes_on_its_grid_node():
+    policy = replace(build_preset("adaptive_nudges"), start_tau=0.0)
+    nodes = time_grid(PARAMS.horizon_T)
+    width = round(NUDGE_WINDOW_YEARS * STEPS_PER_YEAR)
+    for k in range(len(nodes) - width):
+        log = NudgeLog((float(nodes[k]),))
+        spend = policy_cost_array(policy, log, nodes[[k + width - 1, k + width]])
+        assert spend.tolist() == [1.0 + policy.nudge_unit_cost, 1.0], k
+
+
+def test_grid_must_refine_the_canonical_grid():
+    with pytest.raises(ValueError, match="steps_per_year"):
+        simulate_trajectory(PARAMS, build_preset("early_adherence"), steps_per_year=150)

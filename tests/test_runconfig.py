@@ -34,6 +34,12 @@ def test_mc_requires_seed():
         parse_run_config(text)
 
 
+def test_negative_seed_rejected():
+    text = MINIMAL.replace("mode = simulate", "mode = mc") + "seed = -5\nn_draws = 100\n"
+    with pytest.raises(ValueError, match="seed: must be >= 0"):
+        parse_run_config(text)
+
+
 def test_mc_requires_n_draws():
     text = MINIMAL.replace("mode = simulate", "mode = mc") + "seed = 42\n"
     with pytest.raises(ValueError, match="n_draws"):
