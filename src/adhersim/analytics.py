@@ -8,7 +8,9 @@ gamma enters the engine only through the spend channel, so an arm's total
 cost is C(gamma) = R + gamma * inflation * policy_unit_cost * I_P with R
 (C0 plus the rest) and I_P read off one simulated arm (see costmodel).
 Break-even, the per-row sweep and the ROI slope are closed forms on that
-line: one engine arm per (design, delta) instead of one per gamma.
+line: one engine arm per (design, delta) instead of one per gamma, and the
+arms of a sweep's delta axis run through one batched engine call
+(``arm_costs``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .costmodel import Trajectory, simulate_trajectory, total_cost
+from .costmodel import Trajectory, arm_costs, simulate_trajectory, total_cost
 from .numerics import check_finite
 from .params import ModelParams
 from .scenarios import PolicyConfig, build_preset
@@ -41,12 +43,28 @@ class RoiGrid:
     breakeven_gamma_per_delta: tuple[float | None, ...]
 
 
-def roi(cost_baseline: float, cost_policy: float) -> float:
-    """Return on investment in percent; positive iff the policy arm is cheaper."""
+class RejectedCost(ValueError):
+    """``roi`` rejected a policy cost; ``index`` is its flat index in the array given."""
+
+    def __init__(self, message: str, index: int) -> None:
+        super().__init__(message)
+        self.index = index
+
+
+def roi(cost_baseline: float, cost_policy):
+    """Return on investment in percent; positive iff the policy arm is cheaper.
+
+    Elementwise over an array of policy costs.  A cost that is not finite or
+    not > 0 raises ``RejectedCost`` for the first such cost in flat order.
+    """
     check_finite("cost_baseline", cost_baseline)
-    check_finite("cost_policy", cost_policy)
-    if cost_policy <= 0:
-        raise ValueError(f"cost_policy must be > 0, got {cost_policy}")
+    costs = np.asarray(cost_policy, dtype=float)
+    ok = np.isfinite(costs) & (costs > 0.0)
+    if not ok.all():
+        i = int(ok.argmin())
+        bad = float(costs.flat[i])
+        rule = "be > 0" if np.isfinite(bad) else "be finite"
+        raise RejectedCost(f"cost_policy must {rule}, got {bad}", i)
     return (cost_baseline - cost_policy) / cost_policy * 100.0
 
 
@@ -86,20 +104,22 @@ def baseline_cost(params: ModelParams) -> float:
     return simulate_trajectory(params, build_preset("baseline")).final_cost
 
 
-def _spend_per_gamma(params: ModelParams, policy: PolicyConfig, arm: Trajectory) -> float:
+def _spend_per_gamma(params: ModelParams, policy: PolicyConfig, spend_integral):
     """dC/dgamma = inflation * policy_unit_cost * I_P."""
-    return policy.inflation_factor * params.policy_unit_cost * arm.spend_integral
+    return policy.inflation_factor * params.policy_unit_cost * spend_integral
 
 
-def _breakeven_on_arm(params: ModelParams, policy: PolicyConfig, arm: Trajectory, c_base: float) -> float | None:
+def _breakeven(
+    params: ModelParams, policy: PolicyConfig, c_base: float, rest: float, spend_integral: float
+) -> float | None:
     """gamma* on the cost line of one arm; see ``breakeven_gamma``."""
-    r0 = roi(c_base, arm.rest_cost)
+    r0 = roi(c_base, rest)
     if abs(r0) < BREAKEVEN_ROI_TOL:
         return 0.0
-    spend_per_gamma = _spend_per_gamma(params, policy, arm)
+    spend_per_gamma = _spend_per_gamma(params, policy, spend_integral)
     if r0 < 0 or spend_per_gamma <= 0:
         return None
-    root = (c_base - arm.rest_cost) / spend_per_gamma
+    root = (c_base - rest) / spend_per_gamma
     return root if root <= BREAKEVEN_GAMMA_MAX else None
 
 
@@ -121,7 +141,8 @@ def breakeven_gamma(
         raise ValueError("delta must be in [0, 1]")
     policy = replace(policy_template, adherence_gain_delta=delta)
     c_base = baseline_cost(params)
-    return _breakeven_on_arm(params, policy, simulate_trajectory(params, policy), c_base)
+    arm = simulate_trajectory(params, policy)
+    return _breakeven(params, policy, c_base, arm.rest_cost, arm.spend_integral)
 
 
 def sweep_design_space(
@@ -132,8 +153,9 @@ def sweep_design_space(
 ) -> RoiGrid:
     """Evaluate ROI and total cost over the (delta, gamma) design space.
 
-    One arm per delta row: every gamma cell re-prices that arm's cost split
-    with ``total_cost``, which equals a direct run at that gamma bit for bit.
+    One arm per delta row, all from one batched engine call: every gamma cell
+    re-prices its row's cost split with ``total_cost``, which equals a direct
+    run at that gamma bit for bit.
     """
     delta_axis = np.asarray(delta_axis, dtype=float)
     gamma_axis = np.asarray(gamma_axis, dtype=float)
@@ -142,35 +164,29 @@ def sweep_design_space(
             raise ValueError(f"{name} must be nonempty")
         if axis.size > 1 and not np.all(np.diff(axis) > 0):
             raise ValueError(f"{name} must be strictly increasing")
-    # Cells re-price one arm instead of building a policy per gamma, so the
-    # range check PolicyConfig would make on cost_scale_gamma is made here.
+    # Rows and cells re-price arms instead of building a policy each, so the
+    # range checks PolicyConfig would make are made here.
+    if not np.all((delta_axis >= 0.0) & (delta_axis <= 1.0)):
+        raise ValueError("delta_axis values must be in [0, 1]")
     if not (np.all(np.isfinite(gamma_axis)) and gamma_axis[0] >= 0):
         raise ValueError("gamma_axis values must be finite and >= 0")
 
     c_base = baseline_cost(params)
-    roi_grid = np.empty((delta_axis.size, gamma_axis.size))
-    cost_grid = np.empty_like(roi_grid)
-    breakevens = []
-    for i, delta in enumerate(delta_axis):
-        j = 0
-        try:
-            policy = replace(template, adherence_gain_delta=float(delta))
-            arm = simulate_trajectory(params, policy)
-            cost_grid[i] = total_cost(params, policy, arm.rest_cost, arm.spend_integral, gamma_axis)
-            for j in range(gamma_axis.size):
-                roi_grid[i, j] = roi(c_base, cost_grid[i, j])
-        except ValueError as exc:
-            raise ValueError(
-                f"sweep cell (delta={delta}, gamma={gamma_axis[j]}) failed: {exc}"
-            ) from exc
-        breakevens.append(_breakeven_on_arm(params, policy, arm, c_base))
-
+    rest, spend = arm_costs(params, template, delta_axis)
+    cost_grid = total_cost(params, template, rest[:, None], spend[:, None], gamma_axis)
+    try:
+        roi_grid = roi(c_base, cost_grid)
+    except RejectedCost as exc:
+        i, j = divmod(exc.index, gamma_axis.size)
+        raise ValueError(f"sweep cell (delta={delta_axis[i]}, gamma={gamma_axis[j]}) failed: {exc}") from exc
     return RoiGrid(
         delta_axis=delta_axis,
         gamma_axis=gamma_axis,
         roi_percent=roi_grid,
         total_cost=cost_grid,
-        breakeven_gamma_per_delta=tuple(breakevens),
+        breakeven_gamma_per_delta=tuple(
+            _breakeven(params, template, c_base, r, i_p) for r, i_p in zip(rest.tolist(), spend.tolist())
+        ),
     )
 
 
@@ -193,7 +209,7 @@ def roi_slope(
     cost = arm.final_cost
     if cost <= 0:
         raise ValueError(f"cost_policy must be > 0, got {cost}")
-    return -100.0 * c_base * _spend_per_gamma(params, policy, arm) / (cost * cost)
+    return -100.0 * c_base * _spend_per_gamma(params, policy, arm.spend_integral) / (cost * cost)
 
 
 def scenario_roi_table(params: ModelParams, preset_names: tuple[str, ...] | None = None) -> dict[str, float]:

@@ -205,13 +205,17 @@ def export_plots(
     path = Path(params_file)
     if not path.exists():
         raise ValueError(f"params_file: {path} does not exist")
+    if seed is not None and seed < 0:
+        raise ValueError("seed: must be >= 0")
+    if family == "mc" and seed is None:
+        raise ValueError("seed: the mc family requires a seed")
+    if family == "mc" and n_draws is None:
+        raise ValueError("n_draws: the mc family requires a draw count")
     params = load_params(path)
 
     mc_results = None
     stress_rois = None
     if family == "mc":
-        if seed is None or n_draws is None:
-            raise ValueError("mc family requires seed and n_draws")
         mc_results = {}
         for name in PRESET_NAMES:
             if name == "baseline":
@@ -271,7 +275,9 @@ def _build_parser() -> argparse.ArgumentParser:
     brk.add_argument("--delta-axis", required=False, help="comma-separated increasing deltas")
     mc = next(p for p in sub.choices.values() if p.prog.endswith(" mc"))
     mc.add_argument("--n-draws", type=int, help="number of Monte Carlo draws")
-    mc.add_argument("--workers", type=int, help="accepted for compatibility; draws run in order")
+    mc.add_argument("--workers", type=int,
+                    help="accepted and checked (>= 1); draws run in fixed-size batches in one "
+                         "thread, so the count changes nothing")
     stress = next(p for p in sub.choices.values() if p.prog.endswith(" stress"))
     stress.add_argument("--kind", choices=["cost_inflation", "accelerated_progression"])
     stress.add_argument("--value", type=float, help="stress multiplier (default 1.2 / 0.85)")

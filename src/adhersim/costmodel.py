@@ -29,6 +29,12 @@ the spend channel, so
 is exactly linear in gamma.  ``total_cost`` is the one place this sum is
 formed: the trajectory's columns and every analytics result that re-prices
 an arm at another gamma go through it, so they agree bit for bit.
+
+The kernel (``_arms``) evaluates B arms of one policy that differ only in the
+adherence gain delta, on (B, n) node arrays.  Every reduction along the grid
+is a row-wise cumulative sum, so each row equals the one-arm run bit for bit:
+``simulate_trajectory`` is the B = 1 case, and ``arm_costs`` runs many gains
+in chunks of ``_CHUNK_ARMS``.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from .params import ModelParams
 from .scenarios import (
     PolicyConfig,
     _nudge_log,
+    _nudge_logs,
     adherence_array,
     policy_cost_array,
     validate_pair,
@@ -95,6 +102,12 @@ def total_cost(params: ModelParams, policy: PolicyConfig, rest, spend_units, gam
     return rest + spend * spend_units
 
 
+# Arms per kernel call.  An arm reads adherence at 3n - 2 points (3 001 on
+# the 10-year canonical grid); a budget of about 25 000 points per call keeps
+# the kernel's (B, 3n - 2) temporaries, and with them peak memory, small.
+_CHUNK_ARMS = 25_000 // 3_001
+
+
 def _effective_curve(params: ModelParams, compression: float) -> tuple[float, float]:
     """Disease-curve parameters after time compression (k/c, c*s0)."""
     return params.disease_steepness_k / compression, params.disease_midpoint_s0 * compression
@@ -125,16 +138,16 @@ def _severity_grid(
     a_mid: np.ndarray,
     a_end: np.ndarray,
 ) -> np.ndarray:
-    """Severity on the grid via RK4/Simpson on the logit variable, from each
-    panel's adherence at its start, midpoint and end."""
+    """Severity on the grid, one row per arm, via RK4/Simpson on the logit
+    variable from each panel's adherence at its start, midpoint and end."""
     if params.severity_coupling_eta == 0.0:
-        return _logistic_closed_form(params, times, policy.progression_compression)
+        closed = _logistic_closed_form(params, times, policy.progression_compression)
+        return np.tile(closed, (len(a_start), 1))
 
     h = times[1] - times[0]
     increments = _logit_steps(params, policy.progression_compression, h, a_start, a_mid, a_end)
     z0 = -params.disease_steepness_k * params.disease_midpoint_s0
-    z = z0 + np.concatenate(([0.0], np.cumsum(increments)))
-    return params.disease_max_Dmax * sigmoid(z)
+    return params.disease_max_Dmax * sigmoid(z0 + _cumsum_from_zero(increments))
 
 
 def disease_severity(
@@ -194,25 +207,32 @@ def instantaneous_cost(
     )
 
 
+def _cumsum_from_zero(panels: np.ndarray) -> np.ndarray:
+    """Row-wise running sum of the panels, 0 at the first node."""
+    out = np.zeros(panels.shape[:-1] + (panels.shape[-1] + 1,))
+    np.cumsum(panels, axis=-1, out=out[..., 1:])
+    return out
+
+
 def _discounted_trapezoid(disc: np.ndarray, h: float, f_start: np.ndarray, f_end: np.ndarray) -> np.ndarray:
     """Cumulative trapezoid of disc * f from each panel's start and end values, 0 at the first node."""
-    panels = (h / 2.0) * (disc[:-1] * f_start + disc[1:] * f_end)
-    return np.concatenate(([0.0], np.cumsum(panels)))
+    return _cumsum_from_zero((h / 2.0) * (disc[:-1] * f_start + disc[1:] * f_end))
 
 
-def simulate_trajectory(
-    params: ModelParams,
-    policy: PolicyConfig,
-    steps_per_year: int = STEPS_PER_YEAR,
-) -> Trajectory:
-    """Simulate one policy arm on the fixed grid."""
+def _arms(params: ModelParams, policy: PolicyConfig, deltas, steps_per_year: int):
+    """The engine on one arm of ``policy`` per adherence gain in ``deltas``.
+
+    Returns the grid and, with one row per arm, adherence, severity and P at
+    the nodes, the rest rate at the nodes, and the cumulative rest and spend
+    channels.
+    """
     if steps_per_year < 1 or steps_per_year % STEPS_PER_YEAR:
         # Only refinements of the canonical grid keep every policy event on a node.
         raise ValueError(
             f"steps_per_year must be a positive multiple of {STEPS_PER_YEAR}, got {steps_per_year}"
         )
     validate_pair(params, policy)
-    nudges = _nudge_log(params, policy)
+    nudges = _nudge_logs(params, policy, deltas)
     times = time_grid(params.horizon_T, steps_per_year)
     h = 1.0 / steps_per_year
     n = len(times)
@@ -221,35 +241,63 @@ def simulate_trajectory(
     # in force at the panel's start node.
     starts = times[:-1]
     a = adherence_array(
-        params, policy, nudges,
+        params, policy, deltas, nudges,
         np.concatenate((times, starts + h / 2.0, times[1:])),
         piece_at=np.concatenate((times, starts, starts)),
     )
-    a_nodes, a_mid, a_end = a[:n], a[n:2 * n - 1], a[2 * n - 1:]
-    p = policy_cost_array(policy, nudges, times)
-    severity = _severity_grid(params, policy, times, a_nodes[:-1], a_mid, a_end)
+    a_nodes, a_mid, a_end = a[:, :n], a[:, n:2 * n - 1], a[:, 2 * n - 1:]
+    spend_of = {log: policy_cost_array(policy, log, times) for log in set(nudges)}
+    p = np.array([spend_of[log] for log in nudges])
+    severity = _severity_grid(params, policy, times, a_nodes[:, :-1], a_mid, a_end)
 
     alpha, beta = params.disease_cost_alpha, params.adherence_cost_beta
     # Health-outcome rate H(s) is zero in the engine; lambda enters only via
     # direct instantaneous_cost calls and the monetized-ROI analysis.
     rest_nodes = alpha * severity + beta * a_nodes**2
-    rest_end = alpha * severity[1:] + beta * a_end**2
+    rest_end = alpha * severity[:, 1:] + beta * a_end**2
 
     disc = np.exp(-params.discount_rate_rho * times)
-    rest = params.baseline_cost_C0 + _discounted_trapezoid(disc, h, rest_nodes[:-1], rest_end)
+    rest = params.baseline_cost_C0 + _discounted_trapezoid(disc, h, rest_nodes[:, :-1], rest_end)
     # P is constant on each panel: its value at the end is the one at the start.
-    spend_integral = _discounted_trapezoid(disc, h, p[:-1], p[:-1])
+    spend = _discounted_trapezoid(disc, h, p[:, :-1], p[:, :-1])
+    return times, a_nodes, severity, p, rest_nodes, rest, spend
 
+
+def simulate_trajectory(
+    params: ModelParams,
+    policy: PolicyConfig,
+    steps_per_year: int = STEPS_PER_YEAR,
+) -> Trajectory:
+    """Simulate one policy arm on the fixed grid."""
+    times, *rows = _arms(params, policy, [policy.adherence_gain_delta], steps_per_year)
+    adherence, severity, p, rest_nodes, rest, spend = (row[0] for row in rows)
     return Trajectory(
         times=times,
-        adherence=a_nodes,
+        adherence=adherence,
         severity=severity,
         policy_cost=p,
         instantaneous_cost=total_cost(params, policy, rest_nodes, p),
-        cumulative_cost=total_cost(params, policy, rest, spend_integral),
+        cumulative_cost=total_cost(params, policy, rest, spend),
         rest_cost=float(rest[-1]),
-        spend_integral=float(spend_integral[-1]),
+        spend_integral=float(spend[-1]),
     )
+
+
+def arm_costs(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[np.ndarray, np.ndarray]:
+    """Rest cost and spend integral at the horizon of one arm per gain in ``deltas``.
+
+    Row i equals ``simulate_trajectory`` of ``policy`` with gain ``deltas[i]``
+    bit for bit: ``total_cost`` of the pair is that run's ``final_cost``.  The
+    gains are taken as given (the caller checks they lie in [0, 1]) and are
+    run ``_CHUNK_ARMS`` at a time.
+    """
+    deltas = np.asarray(deltas, dtype=float)
+    rest, spend = np.empty(deltas.size), np.empty(deltas.size)
+    for lo in range(0, deltas.size, _CHUNK_ARMS):
+        chunk = slice(lo, lo + _CHUNK_ARMS)
+        *_, rest_rows, spend_rows = _arms(params, policy, deltas[chunk], STEPS_PER_YEAR)
+        rest[chunk], spend[chunk] = rest_rows[:, -1], spend_rows[:, -1]
+    return rest, spend
 
 
 def cumulative_cost(
@@ -275,7 +323,9 @@ def cumulative_cost(
     # continues the logit integral from t0 by one partial Simpson step.
     rest = t - t0
     nudges = _nudge_log(params, policy)
-    a = adherence_array(params, policy, nudges, np.array([t0, t0 + rest / 2.0, t]))
+    a = adherence_array(
+        params, policy, [policy.adherence_gain_delta], (nudges,), np.array([t0, t0 + rest / 2.0, t])
+    )[0]
     p = float(policy_cost_array(policy, nudges, np.array([t]))[0])
     d = float(traj.severity[i_full])
     if params.severity_coupling_eta == 0.0:

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import baseline_cost, roi
-from .costmodel import simulate_trajectory
+from .analytics import RejectedCost, baseline_cost, roi
+from .costmodel import arm_costs, total_cost
 from .numerics import check_finite
 from .params import ModelParams
 from .scenarios import PolicyConfig
@@ -170,9 +170,12 @@ def run_monte_carlo(
 
     Returns the summary plus the raw per-draw records as a structured array
     with fields (draw_index, delta, total_cost, roi_percent), in draw-index
-    order.  Draws run in order in the calling thread, since each is a few
-    small numpy calls that hold the interpreter lock; ``n_workers`` is
-    validated but changes neither the execution nor the output.
+    order.  Each draw is sampled from its own substream; the engine then
+    evaluates the draws in fixed-size chunks (see ``costmodel.arm_costs``),
+    each row of which equals a one-arm run bit for bit, so the output does
+    not depend on the chunk size.  A failure names the first failing draw.
+    ``n_workers`` is validated but changes neither the execution nor the
+    output.
     """
     if n < 1:
         raise ValueError("n_draws: must be >= 1")
@@ -181,18 +184,8 @@ def run_monte_carlo(
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
     c_base = baseline_cost(params)
-
-    def one_draw(i: int) -> tuple[int, float, float, float]:
-        delta = sample_delta(spec, substream(master_seed, i))
-        try:
-            policy = replace(policy_template, adherence_gain_delta=delta)
-            cost = simulate_trajectory(params, policy).final_cost
-            return i, delta, cost, roi(c_base, cost)
-        except ValueError as exc:
-            raise ValueError(f"draw {i} (delta={delta:.6f}) failed: {exc}") from exc
-
-    draws = np.array(
-        [one_draw(i) for i in range(n)],
+    draws = np.empty(
+        n,
         dtype=[
             ("draw_index", np.int64),
             ("delta", np.float64),
@@ -200,8 +193,23 @@ def run_monte_carlo(
             ("roi_percent", np.float64),
         ],
     )
-    rois = draws["roi_percent"]
-    costs = draws["total_cost"]
+    draws["draw_index"] = np.arange(n)
+    deltas = draws["delta"]
+    deltas[:] = [sample_delta(spec, substream(master_seed, i)) for i in range(n)]
+
+    def name(i: int) -> str:
+        return f"draw {i} (delta={deltas[i]:.6f})"
+
+    in_range = (deltas >= 0.0) & (deltas <= 1.0)
+    if not in_range.all():
+        raise ValueError(f"{name(int(in_range.argmin()))} failed: adherence_gain_delta must be in [0, 1]")
+    rest, spend = arm_costs(params, policy_template, deltas)
+    costs = total_cost(params, policy_template, rest, spend)
+    try:
+        rois = roi(c_base, costs)
+    except RejectedCost as exc:
+        raise ValueError(f"{name(exc.index)} failed: {exc}") from exc
+    draws["total_cost"], draws["roi_percent"] = costs, rois
     summary = McSummary(
         n_draws=n,
         master_seed=master_seed,

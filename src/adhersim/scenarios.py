@@ -9,6 +9,11 @@ piece in force at the earlier one.  ``adherence_array`` takes the time at
 which to read the piece (``piece_at``), which lets the integrator evaluate a
 panel's interior and right end on the piece its start node set; spend is
 constant on a panel, so it needs no such argument.
+
+The engine evaluates B arms of one policy that differ only in the adherence
+gain delta at once: ``_nudge_logs`` gives one activation log per gain, and
+``adherence_array`` takes the gains with their logs and returns one row per
+arm.
 """
 
 from __future__ import annotations
@@ -187,8 +192,9 @@ def _base_component(params: ModelParams, policy: PolicyConfig, s: np.ndarray) ->
     return np.full_like(s, a0, dtype=float)
 
 
-def _gain_law(policy: PolicyConfig) -> tuple[float, float]:
-    """(delta, theta) of the gain delta * exp(-theta * (s - last boost)) from tau on.
+def _gain_law(policy: PolicyConfig, delta: np.ndarray) -> tuple[np.ndarray, float]:
+    """(delta, theta) of the gain delta * exp(-theta * (s - last boost)) from tau on,
+    for an array of gains ``delta`` that replace the policy's.
 
     The one place that says which fields each kind ignores: BASELINE has no
     gain, the step kinds (EARLY_ADHERENCE, DELAYED, LOW_IMPACT) ignore
@@ -196,42 +202,76 @@ def _gain_law(policy: PolicyConfig) -> tuple[float, float]:
     """
     kind = policy.kind
     if kind is PolicyKind.BASELINE:
-        return 0.0, 0.0
+        return 0.0 * delta, 0.0
     if kind in (PolicyKind.EARLY_ADHERENCE, PolicyKind.DELAYED, PolicyKind.LOW_IMPACT):
-        return policy.adherence_gain_delta, 0.0
-    return policy.adherence_gain_delta, policy.decay_theta
+        return delta, 0.0
+    return delta, policy.decay_theta
+
+
+def _nudge_logs(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[NudgeLog, ...]:
+    """One activation log per gain in ``deltas``: the closed form of
+    ``compute_nudge_log`` for ADAPTIVE_NUDGES, empty for every other kind."""
+    deltas = np.asarray(deltas, dtype=float)
+    if policy.kind is not PolicyKind.ADAPTIVE_NUDGES:
+        return (EMPTY_NUDGE_LOG,) * deltas.size
+    i_last = len(time_grid(params.horizon_T, STEPS_PER_YEAR)) - 1
+    i_start = int(round(policy.tau_snapped * STEPS_PER_YEAR))
+    if i_start == i_last:
+        return (EMPTY_NUDGE_LOG,) * deltas.size
+    a0 = params.adherence_baseline_A0
+    theta = policy.decay_theta
+    threshold = policy.nudge_threshold
+    steps = np.arange(1, i_last - i_start + 1)
+    below = a0 + deltas[:, None] * np.exp(-theta * (steps / STEPS_PER_YEAR)) < threshold
+    # The rule stays inert when the boosted level never reaches the trigger
+    # band, so adherence can never cross below it; this also covers a zero
+    # gain or decay, under which no value falls below the threshold.
+    fires = below.any(axis=1) & (a0 + deltas > threshold)
+    periods = below.argmax(axis=1) + 1
+    return tuple(
+        NudgeLog(tuple((np.arange(i_start + m, i_last + 1, m) / STEPS_PER_YEAR).tolist()))
+        if fire else EMPTY_NUDGE_LOG
+        for m, fire in zip(periods.tolist(), fires.tolist())
+    )
 
 
 def _nudge_log(params: ModelParams, policy: PolicyConfig) -> NudgeLog:
     """The policy's activation log: computed for ADAPTIVE_NUDGES, empty otherwise."""
-    if policy.kind is PolicyKind.ADAPTIVE_NUDGES:
-        return compute_nudge_log(params, policy)
-    return EMPTY_NUDGE_LOG
+    return _nudge_logs(params, policy, [policy.adherence_gain_delta])[0]
+
+
+def _last_boost(tau: float, nudges: NudgeLog, piece_at: np.ndarray) -> np.ndarray:
+    """The last boost (tau or an activation) at or before each ``piece_at``."""
+    boosts = np.array((tau,) + nudges.activation_times)
+    return boosts[np.maximum(np.searchsorted(boosts, piece_at, side="right") - 1, 0)]
 
 
 def adherence_array(
     params: ModelParams,
     policy: PolicyConfig,
-    nudges: NudgeLog,
+    deltas,
+    nudges: tuple[NudgeLog, ...],
     s: np.ndarray,
     piece_at: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Vectorized adherence A(s), clamped to [0, 1], on the piece in force at ``piece_at``.
+    """Vectorized adherence A(s), clamped to [0, 1], on the piece in force at
+    ``piece_at``: one row per gain in ``deltas``, each replacing the policy's.
 
-    ``nudges`` is the policy's own log (``_nudge_log``).  A piece starts at
-    each boost (the snapped start tau and every activation); ``piece_at``
-    defaults to ``s``, which gives the right-continuous trajectory.
+    ``nudges`` holds each gain's activation log (``_nudge_logs``).  A piece
+    starts at each boost (the snapped start tau and every activation);
+    ``piece_at`` defaults to ``s``, which gives the right-continuous
+    trajectory.
     """
     s = np.asarray(s, dtype=float)
     piece_at = s if piece_at is None else np.asarray(piece_at, dtype=float)
     tau = policy.tau_snapped
-    delta, theta = _gain_law(policy)
+    delta, theta = _gain_law(policy, np.asarray(deltas, dtype=float)[:, None])
     active = piece_at >= tau
     if theta == 0.0:
         gain = delta * active
     else:
-        boosts = np.array((tau,) + nudges.activation_times)
-        t_last = boosts[np.maximum(np.searchsorted(boosts, piece_at, side="right") - 1, 0)]
+        last = {log: _last_boost(tau, log, piece_at) for log in set(nudges)}
+        t_last = np.array([last[log] for log in nudges])
         gain = delta * np.exp(-theta * np.maximum(s - t_last, 0.0)) * active
     return np.clip(_base_component(params, policy, s) + gain, 0.0, 1.0)
 
@@ -261,7 +301,8 @@ def adherence_at(params: ModelParams, policy: PolicyConfig, s: float) -> float:
     if not (0.0 <= s <= params.horizon_T):
         raise ValueError(f"s={s} outside [0, {params.horizon_T}]")
     validate_pair(params, policy)
-    return float(adherence_array(params, policy, _nudge_log(params, policy), np.array([s]))[0])
+    log = _nudge_log(params, policy)
+    return float(adherence_array(params, policy, [policy.adherence_gain_delta], (log,), np.array([s]))[0, 0])
 
 
 def policy_cost_at(policy: PolicyConfig, nudges: NudgeLog, s: float) -> float:
@@ -285,26 +326,7 @@ def compute_nudge_log(params: ModelParams, policy: PolicyConfig) -> NudgeLog:
     if policy.kind is not PolicyKind.ADAPTIVE_NUDGES:
         raise ValueError("compute_nudge_log requires an adaptive_nudges policy")
     validate_pair(params, policy)
-    a0 = params.adherence_baseline_A0
-    delta = policy.adherence_gain_delta
-    theta = policy.decay_theta
-    threshold = policy.nudge_threshold
-    if theta == 0.0 or delta == 0.0:
-        return EMPTY_NUDGE_LOG
-    if a0 + delta <= threshold:
-        # The boosted level never reaches the trigger band, so adherence can
-        # never cross below it; the rule stays inert.
-        return EMPTY_NUDGE_LOG
-
-    i_last = len(time_grid(params.horizon_T, STEPS_PER_YEAR)) - 1
-    i_start = int(round(policy.tau_snapped * STEPS_PER_YEAR))
-    steps = np.arange(1, i_last - i_start + 1)
-    below = a0 + delta * np.exp(-theta * (steps / STEPS_PER_YEAR)) < threshold
-    if not below.any():
-        return EMPTY_NUDGE_LOG
-    period = int(below.argmax()) + 1
-    nodes = np.arange(i_start + period, i_last + 1, period)
-    return NudgeLog(tuple((nodes / STEPS_PER_YEAR).tolist()))
+    return _nudge_log(params, policy)
 
 
 def apply_stress(policy: PolicyConfig, stress: StressKind, value: float) -> PolicyConfig:

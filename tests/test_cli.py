@@ -235,7 +235,11 @@ class TestInputErrors:
         (["--seed", "1", "export-plots", "--family", "mc", "--n-draws", "0"], "n_draws: must be >= 1"),
         (["--config", "nonexistent.cfg", "export-plots", "--family", "severity"],
          "config: export-plots reads no run configuration"),
-    ], ids=["negative_seed", "zero_plot_draws", "plots_with_config"])
+        (["--seed", "-5", "export-plots", "--family", "severity"], "seed: must be >= 0"),
+        (["export-plots", "--family", "mc", "--n-draws", "5"], "seed: the mc family requires a seed"),
+        (["--seed", "1", "export-plots", "--family", "mc"], "n_draws: the mc family requires a draw count"),
+    ], ids=["negative_seed", "zero_plot_draws", "plots_with_config",
+            "plots_negative_seed", "plots_mc_without_seed", "plots_mc_without_draws"])
     def test_flag_value_names_its_key(self, tmp_path, capsys, args, expected):
         out = tmp_path / "out"
         rc = _run(["--out", out] + args)

@@ -188,6 +188,12 @@ class TestSimulateTrajectory:
         for field in ("times", "adherence", "severity", "policy_cost", "instantaneous_cost", "cumulative_cost"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
 
+    def test_columns_are_writable(self):
+        # With eta = 0 every arm of an engine batch shares the closed-form severity.
+        traj = simulate_trajectory(make_params(severity_coupling_eta=0.0), EARLY)
+        for field in ("times", "adherence", "severity", "policy_cost", "instantaneous_cost", "cumulative_cost"):
+            assert getattr(traj, field).flags.writeable, field
+
     def test_severity_non_decreasing_without_adherence_gain(self, ref_params):
         # decaying-baseline counterfactual keeps adherence below A0 forever,
         # so the one-sided coupling leaves the pure logistic in place

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from adhersim import costmodel
 from adhersim.analytics import baseline_cost, roi
 from adhersim.costmodel import simulate_trajectory
 from adhersim.exports import draws_csv
@@ -188,6 +189,19 @@ class TestRunMonteCarlo:
         spec = DistributionSpec.binary(0.9, 0.9, 1.0)
         with pytest.raises(ValueError, match=r"draw 0 \(delta=0\.9"):
             run_monte_carlo(p, EARLY, spec, 4, master_seed=1)
+
+    def test_first_failing_draw_inside_a_chunk_is_named(self):
+        # On the same parameters delta = 0 keeps the cost positive, so the
+        # first failure is the first 0.9 draw: draw 4 for seed 6, which is
+        # neither draw 0 nor the first draw of an engine chunk.
+        p = make_params(baseline_cost_C0=100.0, disease_cost_alpha=0.0,
+                        adherence_cost_beta=-500.0, adherence_baseline_A0=0.1)
+        spec = DistributionSpec.binary(0.9, 0.0, 0.5)
+        deltas = [sample_delta(spec, substream(6, i)) for i in range(16)]
+        assert deltas.index(0.9) == 4
+        assert 4 % costmodel._CHUNK_ARMS != 0
+        with pytest.raises(ValueError, match=r"draw 4 \(delta=0\.900000\) failed: cost_policy must be > 0"):
+            run_monte_carlo(p, EARLY, spec, 16, master_seed=6)
 
     def test_n_must_be_positive(self, ref_params):
         with pytest.raises(ValueError):

@@ -20,11 +20,14 @@ from adhersim.analytics import (
     roi,
     sweep_design_space,
 )
-from adhersim.costmodel import simulate_trajectory
+from adhersim import costmodel
+from adhersim.costmodel import arm_costs, simulate_trajectory, total_cost
+from adhersim.montecarlo import DistributionSpec, run_monte_carlo
 from adhersim.numerics import STEPS_PER_YEAR, time_grid
 from adhersim.params import reference_params
 from adhersim.scenarios import (
     NUDGE_WINDOW_YEARS,
+    PRESET_NAMES,
     NudgeLog,
     PolicyConfig,
     PolicyKind,
@@ -165,3 +168,47 @@ def test_every_nudge_window_closes_on_its_grid_node():
 def test_grid_must_refine_the_canonical_grid():
     with pytest.raises(ValueError, match="steps_per_year"):
         simulate_trajectory(PARAMS, build_preset("early_adherence"), steps_per_year=150)
+
+
+# Gains over all of [0, 1] (the engine clamps adherence), with theta, tau
+# and a trigger threshold above A0 = 0.55 free, for the two kinds that read
+# them: within one batch, gains above the threshold's margin fire at
+# different periods and the rest never fire.
+decaying_policies = st.builds(
+    PolicyConfig,
+    kind=st.sampled_from((PolicyKind.CUSTOM, PolicyKind.ADAPTIVE_NUDGES)),
+    start_tau=st.floats(0.0, PARAMS.horizon_T),
+    cost_scale_gamma=gammas,
+    decay_theta=st.floats(0.0, 5.0),
+    nudge_threshold=st.floats(PARAMS.adherence_baseline_A0, 1.0),
+)
+
+
+@PROPERTY
+@given(decaying_policies, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2 * costmodel._CHUNK_ARMS + 1))
+def test_batched_rows_equal_direct_runs(policy, deltas):
+    rest, spend = arm_costs(PARAMS, policy, deltas)
+    costs = total_cost(PARAMS, policy, rest, spend)
+    for delta, cost in zip(deltas, costs):
+        assert cost == simulate_trajectory(PARAMS, replace(policy, adherence_gain_delta=delta)).final_cost
+
+
+MC_SPECS = {
+    "beta": DistributionSpec.beta(6.0, 14.0),
+    "trunc_normal": DistributionSpec.trunc_normal(0.3, 0.1),
+    "binary": DistributionSpec.binary(0.4, 0.1, 0.5),
+}
+
+
+@pytest.mark.parametrize("spec", MC_SPECS.values(), ids=MC_SPECS.keys())
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+@settings(PROPERTY, max_examples=4)
+@given(st.integers(1, 20), st.integers(0, 2**31))
+def test_monte_carlo_output_does_not_depend_on_chunk_size(preset, spec, n, seed):
+    outputs = []
+    for chunk in (1, 3, 8, n):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(costmodel, "_CHUNK_ARMS", chunk)
+            summary, draws = run_monte_carlo(PARAMS, build_preset(preset), spec, n, seed)
+        outputs.append((summary, draws.tobytes()))
+    assert all(out == outputs[0] for out in outputs[1:])
