@@ -10,6 +10,7 @@ prints a one-line summary.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -152,7 +153,7 @@ def run(config: RunConfig) -> list[str]:
                 "cost_unstressed",
                 "cost_stressed",
             ],
-            [[config.stress_kind, value, roi_un, roi_st, cost_un, cost_st]],
+            [[config.stress_kind], [value], [roi_un], [roi_st], [cost_un], [cost_st]],
         )
         summary = (
             f"stress {config.scenario} {config.stress_kind}={value:g}: "
@@ -245,7 +246,9 @@ def export_plots(
     return written
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="adhersim",
         description="ROI simulation for adherence-enhancing chronic-disease policies",

@@ -1,9 +1,11 @@
 """CSV / JSON result files and the run manifest.
 
-Numbers are written with 6 significant digits (round-half-even, the float
-formatting default) so golden files stay stable across platforms.  A run
-stages every payload, then renames into place and writes the manifest last,
-so a failed run leaves the output directory unchanged.
+A table is written column by column with one ``%`` format over all its
+cells, the spec chosen by each column's dtype: floats get 6 significant
+digits (``%.6g``, round-half-even, so golden files stay stable across
+platforms), integers are written exactly (``%d``), anything else as text
+(``%s``).  A run stages every payload, then renames into place and writes
+the manifest last, so a failed run leaves the output directory unchanged.
 """
 
 from __future__ import annotations
@@ -24,41 +26,47 @@ from .scenarios import DEFAULT_BASELINE_DECAY, PRESET_NAMES, build_preset
 
 PLOT_FAMILIES = ("severity", "adherence", "cost", "mc", "stress")
 
-
-def fmt(x: float) -> str:
-    """6 significant digits, round-half-even."""
-    return format(float(x), ".6g")
+# %-spec per numpy dtype kind; every other kind is written as text.
+_SPECS = {"f": "%.6g", "i": "%d", "u": "%d"}
 
 
-def csv_bytes(header: list[str], rows: list[list]) -> bytes:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) if isinstance(v, (int, float, np.floating)) and not isinstance(v, bool) else str(v) for v in row))
-    return ("\n".join(lines) + "\n").encode()
+def csv_bytes(header: list[str], columns: list) -> bytes:
+    """Header line, then row i holding element i of every column.
+
+    The columns must have equal lengths.  Text columns are taken element by
+    element as given, so a list of strings is written unchanged.
+    """
+    n, k = len(columns[0]), len(columns)
+    cells: list = [None] * (n * k)
+    specs = []
+    for j, column in enumerate(columns):
+        if len(column) != n:
+            raise ValueError(f"column {header[j]!r} has {len(column)} rows, expected {n}")
+        values = np.asarray(column)
+        spec = _SPECS.get(values.dtype.kind)
+        cells[j::k] = values.tolist() if spec else list(column)
+        specs.append(spec or "%s")
+    row = ",".join(specs) + "\n"
+    return (",".join(header) + "\n" + row * n % tuple(cells)).encode()
 
 
 def trajectory_csv(traj: Trajectory) -> bytes:
     header = ["time", "adherence", "severity", "policy_cost", "instantaneous_cost", "cumulative_cost"]
-    rows = [
-        [traj.times[i], traj.adherence[i], traj.severity[i],
-         traj.policy_cost[i], traj.instantaneous_cost[i], traj.cumulative_cost[i]]
-        for i in range(len(traj.times))
-    ]
-    return csv_bytes(header, rows)
+    return csv_bytes(header, [traj.times, traj.adherence, traj.severity,
+                              traj.policy_cost, traj.instantaneous_cost, traj.cumulative_cost])
 
 
 def roi_grid_csv(grid: RoiGrid) -> bytes:
     """Row-major by delta then gamma: header delta,gamma,roi_percent,total_cost."""
-    rows = []
-    for i, d in enumerate(grid.delta_axis):
-        for j, g in enumerate(grid.gamma_axis):
-            rows.append([d, g, grid.roi_percent[i, j], grid.total_cost[i, j]])
-    return csv_bytes(["delta", "gamma", "roi_percent", "total_cost"], rows)
+    delta, gamma = np.meshgrid(grid.delta_axis, grid.gamma_axis, indexing="ij")
+    return csv_bytes(["delta", "gamma", "roi_percent", "total_cost"],
+                     [delta.ravel(), gamma.ravel(), grid.roi_percent.ravel(), grid.total_cost.ravel()])
 
 
 def breakeven_csv(deltas, gammas) -> bytes:
-    rows = [[d, "" if g is None else fmt(g)] for d, g in zip(deltas, gammas)]
-    return csv_bytes(["delta", "gamma_star"], rows)
+    """One row per delta; gamma_star is empty where no break-even exists."""
+    gamma_star = ["" if g is None else "%.6g" % g for g in gammas]
+    return csv_bytes(["delta", "gamma_star"], [deltas, gamma_star])
 
 
 def contours_json() -> bytes:
@@ -76,18 +84,17 @@ def mc_summary_json(summary: McSummary) -> bytes:
 
 
 def draws_csv(draws: np.ndarray) -> bytes:
-    rows = [[int(r["draw_index"]), r["delta"], r["total_cost"], r["roi_percent"]] for r in draws]
-    return csv_bytes(["draw_index", "delta", "total_cost", "roi_percent"], rows)
+    names = ["draw_index", "delta", "total_cost", "roi_percent"]
+    return csv_bytes(names, [draws[name] for name in names])
 
 
 def histogram_csv(values: np.ndarray, n_bins: int = 40) -> bytes:
     counts, edges = np.histogram(np.asarray(values, dtype=float), bins=n_bins)
-    rows = [[edges[i], edges[i + 1], int(counts[i])] for i in range(len(counts))]
-    return csv_bytes(["bin_left", "bin_right", "count"], rows)
+    return csv_bytes(["bin_left", "bin_right", "count"], [edges[:-1], edges[1:], counts])
 
 
 def _curve_csv(times: np.ndarray, values: np.ndarray) -> bytes:
-    return csv_bytes(["time", "value"], [[times[i], values[i]] for i in range(len(times))])
+    return csv_bytes(["time", "value"], [times, values])
 
 
 def plot_family_files(
@@ -140,13 +147,11 @@ def plot_family_files(
     else:  # stress
         if not stress_rois:
             raise ValueError("stress family requires stressed ROI results")
+        kinds = ["cost_inflation", "accelerated_progression"]
         for name, pair in stress_rois.items():
-            rows = [
-                [kind, pair["unstressed"], pair[kind]]
-                for kind in ("cost_inflation", "accelerated_progression")
-            ]
             files[f"stress_{name}.csv"] = csv_bytes(
-                ["stress_kind", "roi_unstressed_percent", "roi_stressed_percent"], rows
+                ["stress_kind", "roi_unstressed_percent", "roi_stressed_percent"],
+                [kinds, [pair["unstressed"]] * len(kinds), [pair[kind] for kind in kinds]],
             )
         meta = {
             "family": "stress",
@@ -192,10 +197,7 @@ def write_run_outputs(output_dir: str | Path, files: dict[str, bytes], config_ec
 
 
 def _data_rows(payload: bytes) -> int:
-    text = payload.decode()
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines:
+    """Lines after the header of a CSV payload; JSON payloads carry no row count."""
+    if payload.startswith((b"{", b"[")):
         return 0
-    if lines[0].startswith(("{", "[")):
-        return 0  # JSON payloads carry no row count
-    return max(len(lines) - 1, 0)
+    return max(payload.count(b"\n") - 1, 0)

@@ -12,7 +12,9 @@ Example::
 
 Unknown keys, missing mode-required keys, and out-of-range values are
 rejected with the offending key named.  ``serialize_run_config`` emits a
-canonical document that parses back to an equal configuration.
+canonical document that parses back to an equal configuration; so that it
+can, ``params_file`` and ``output_dir`` must be one line with no ``#`` and no
+surrounding whitespace.
 """
 
 from __future__ import annotations
@@ -86,12 +88,24 @@ def _parse_axis(key: str, raw: str) -> tuple[float, ...]:
     return values
 
 
+def _check_document_value(key: str, value: str) -> None:
+    """Reject a value that a ``key = value`` line would not carry back unchanged."""
+    if value.splitlines() != [value]:
+        raise ValueError(f"{key}: must be one non-empty line")
+    if "#" in value:
+        raise ValueError(f"{key}: must not contain '#', which starts a comment")
+    if value != value.strip():
+        raise ValueError(f"{key}: must not begin or end with whitespace")
+
+
 def validate_run_config(config: RunConfig) -> None:
     """Range and mode-requirement rules of a run configuration.
 
     Checked once a document is parsed, or by the CLI once its flags have
     overridden the document's keys.  Every message names the key.
     """
+    for key in ("params_file", "output_dir"):
+        _check_document_value(key, getattr(config, key))
     valid_scenarios = PRESET_NAMES + ("custom",)
     if config.scenario not in valid_scenarios:
         raise ValueError(

@@ -253,6 +253,21 @@ class TestInputErrors:
         assert "error: n_workers: must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "mc").exists()
 
+    @pytest.mark.parametrize("flag, value, expected", [
+        ("--out", "run#3", "output_dir: must not contain '#'"),
+        ("--out", "run ", "output_dir: must not begin or end with whitespace"),
+        ("--out", " run", "output_dir: must not begin or end with whitespace"),
+        ("--params", "ref#1.txt", "params_file: must not contain '#'"),
+        ("--params", "ref\nscenario = delayed", "params_file: must be one non-empty line"),
+    ], ids=["out_hash", "out_trailing_space", "out_leading_space", "params_hash", "params_newline"])
+    def test_path_a_config_line_cannot_carry(self, tmp_path, capsys, monkeypatch, flag, value, expected):
+        monkeypatch.chdir(tmp_path)
+        args = ["--out", "out", "simulate"] if flag == "--params" else ["simulate"]
+        rc = _run([flag, value] + args)
+        assert rc == 2
+        assert f"error: {expected}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_scenario_flag_overrides_config(self, tmp_path, capsys):
         cfg = self._config(tmp_path)
         assert _run(["--config", cfg, "simulate", "--scenario", "delayed"]) == 0
@@ -261,6 +276,24 @@ class TestInputErrors:
         rc = _run(["--config", cfg, "simulate", "--scenario", "bogus"])
         assert rc == 2
         assert "error: scenario: unknown name 'bogus'" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """One parser serves every call in a process and keeps nothing between them."""
+
+    def test_seed_of_one_call_does_not_reach_the_next(self, tmp_path, capsys):
+        assert _run(["--out", tmp_path / "a", "--seed", "5", "mc", "--n-draws", "5"]) == 0
+        capsys.readouterr()
+        assert _run(["--out", tmp_path / "b", "mc", "--n-draws", "5"]) == 2
+        assert "error: mode=mc requires key: seed" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    def test_argument_error_leaves_the_parser_usable(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            _run(["--out", tmp_path / "a", "stress", "--kind", "bogus"])
+        assert exc.value.code == 2
+        assert _run(["--out", tmp_path / "b", "stress", "--kind", "cost_inflation"]) == 0
+        assert (tmp_path / "b" / "stress_summary.csv").exists()
 
 
 class TestExportPlots:

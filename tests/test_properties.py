@@ -22,9 +22,18 @@ from adhersim.analytics import (
 )
 from adhersim import costmodel
 from adhersim.costmodel import arm_costs, simulate_trajectory, total_cost
+from adhersim.exports import csv_bytes
 from adhersim.montecarlo import DistributionSpec, run_monte_carlo
 from adhersim.numerics import STEPS_PER_YEAR, time_grid
 from adhersim.params import reference_params
+from adhersim.runconfig import (
+    _POLICY_OVERRIDE_FIELDS,
+    RunConfig,
+    RunMode,
+    parse_run_config,
+    serialize_run_config,
+    validate_run_config,
+)
 from adhersim.scenarios import (
     NUDGE_WINDOW_YEARS,
     PRESET_NAMES,
@@ -212,3 +221,107 @@ def test_monte_carlo_output_does_not_depend_on_chunk_size(preset, spec, n, seed)
             summary, draws = run_monte_carlo(PARAMS, build_preset(preset), spec, n, seed)
         outputs.append((summary, draws.tobytes()))
     assert all(out == outputs[0] for out in outputs[1:])
+
+
+def rowwise_csv(header, rows) -> bytes:
+    """The per-cell formatter the table writers replaced, kept as an oracle."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(format(float(v), ".6g") if isinstance(v, float) else str(v) for v in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+# Signed zeros, subnormals, the extremes of the exponent range, and values
+# exactly half-way between two 6-digit decimals (round-half-even decides).
+EDGE_FLOATS = (
+    0.0, -0.0, 5e-324, -2.5e-323, 2.2250738585072014e-308, math.inf, -math.inf, math.nan,
+    1e300, -1e-300, 1.7976931348623157e308, 1234565.0, 1234575.0, 9999995.0, 123456.5,
+    12345.25, -1234.125, 0.5, 100000.0, 999999.5,
+)
+cell_floats = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+
+
+@st.composite
+def tables(draw):
+    """Header, float columns with one text column at index ``at``, and ``at``."""
+    n, k = draw(st.integers(0, 12)), draw(st.integers(1, 4))
+    columns = [draw(st.lists(cell_floats, min_size=n, max_size=n)) for _ in range(k)]
+    at = draw(st.integers(0, k))
+    columns.insert(at, draw(st.lists(st.text(max_size=6), min_size=n, max_size=n)))
+    return [f"c{j}" for j in range(k + 1)], columns, at
+
+
+@PROPERTY
+@given(tables())
+def test_table_format_equals_per_cell_format(table):
+    header, columns, at = table
+    expected = rowwise_csv(header, [list(row) for row in zip(*columns)])
+    assert csv_bytes(header, columns) == expected
+    arrays = [c if j == at else np.array(c, dtype=float) for j, c in enumerate(columns)]
+    assert csv_bytes(header, arrays) == expected
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+OVERRIDE_RANGES = {
+    "start_tau": st.floats(0.0, 1e6),
+    "adherence_gain_delta": st.floats(0.0, 1.0),
+    "cost_scale_gamma": st.floats(0.0, 1e6),
+    "decay_theta": st.floats(0.0, 1e3),
+    "nudge_threshold": st.floats(0.0, 1.0),
+    "nudge_unit_cost": st.floats(0.0, 1e6),
+    "baseline_decay": st.floats(0.0, 10.0),
+    "inflation_factor": st.floats(1.0, 1e3),
+    "progression_compression": st.floats(0.0, 1.0, exclude_min=True),
+}
+OVERRIDE_VALUES = {name: OVERRIDE_RANGES[name] for name in _POLICY_OVERRIDE_FIELDS}
+STRESS_VALUES = {
+    "cost_inflation": st.floats(1.0, 1e6),
+    "accelerated_progression": st.floats(0.0, 1.0, exclude_min=True),
+}
+# Mostly ordinary paths; arbitrary text also brings '#', line breaks and
+# surrounding whitespace, which a document line cannot carry.
+paths = st.one_of(st.from_regex(r"[A-Za-z0-9_./][A-Za-z0-9_./ =-]{0,12}[A-Za-z0-9_.]", fullmatch=True),
+                  st.text(min_size=1, max_size=8))
+
+
+@st.composite
+def run_configs(draw):
+    """Configurations whose every key but the two paths is valid for its mode."""
+    mode = draw(st.sampled_from(RunMode))
+
+    def maybe(strategy, required: bool):
+        return draw(strategy if required else st.none() | strategy)
+
+    axis = st.lists(finite, min_size=1, max_size=4, unique=True).map(lambda v: tuple(sorted(v)))
+    stress_kind = maybe(st.sampled_from(sorted(STRESS_VALUES)), mode is RunMode.STRESS)
+    return RunConfig(
+        params_file=draw(paths),
+        scenario=draw(st.sampled_from(PRESET_NAMES + ("custom",))),
+        mode=mode,
+        output_dir=draw(paths),
+        seed=maybe(st.integers(0, 2**63), mode is RunMode.MONTE_CARLO),
+        n_draws=maybe(st.integers(1, 10**9), mode is RunMode.MONTE_CARLO),
+        n_workers=draw(st.integers(1, 64)),
+        delta_axis=maybe(axis, mode in (RunMode.SWEEP, RunMode.BREAKEVEN)) or (),
+        gamma_axis=maybe(axis, mode is RunMode.SWEEP) or (),
+        stress_kind=stress_kind,
+        stress_value=None if stress_kind is None else maybe(STRESS_VALUES[stress_kind], False),
+        policy_overrides=draw(st.fixed_dictionaries({}, optional=OVERRIDE_VALUES)),
+    )
+
+
+@PROPERTY
+@given(run_configs())
+def test_run_config_round_trips_or_is_rejected(config):
+    text = serialize_run_config(config)
+    try:
+        validate_run_config(config)
+    except ValueError as exc:
+        # Only a path is rejected, and only one the document would not carry back.
+        assert str(exc).startswith(("params_file:", "output_dir:"))
+        try:
+            assert parse_run_config(text) != config
+        except ValueError:
+            pass  # the document does not parse at all
+        return
+    assert parse_run_config(text) == config
