@@ -167,9 +167,9 @@ def sweep_design_space(
     # Rows and cells re-price arms instead of building a policy each, so the
     # range checks PolicyConfig would make are made here.
     if not np.all((delta_axis >= 0.0) & (delta_axis <= 1.0)):
-        raise ValueError("delta_axis values must be in [0, 1]")
+        raise ValueError("delta_axis: values must be in [0, 1]")
     if not (np.all(np.isfinite(gamma_axis)) and gamma_axis[0] >= 0):
-        raise ValueError("gamma_axis values must be finite and >= 0")
+        raise ValueError("gamma_axis: values must be finite and >= 0")
 
     c_base = baseline_cost(params)
     rest, spend = arm_costs(params, template, delta_axis)

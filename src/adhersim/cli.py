@@ -64,6 +64,8 @@ def _authoring_checks(params: ModelParams, config: RunConfig) -> None:
     from .scenarios import validate_authored_pair
 
     validate_authored_pair(params, config.build_policy())
+    if not all(0.0 <= delta <= 1.0 for delta in config.delta_axis):
+        raise ValueError("delta_axis: values must be in [0, 1]")
 
 
 def run(config: RunConfig) -> list[str]:

@@ -30,15 +30,20 @@ is exactly linear in gamma.  ``total_cost`` is the one place this sum is
 formed: the trajectory's columns and every analytics result that re-prices
 an arm at another gamma go through it, so they agree bit for bit.
 
-The kernel (``_arms``) evaluates B arms of one policy that differ only in the
-adherence gain delta, on (B, n) node arrays.  Every reduction along the grid
-is a row-wise cumulative sum, so each row equals the one-arm run bit for bit:
-``simulate_trajectory`` is the B = 1 case, and ``arm_costs`` runs many gains
-in chunks of ``_CHUNK_ARMS``.
+The kernel evaluates B arms of one policy that differ only in the adherence
+gain delta, on (B, n) node arrays.  What no gain changes is set up once per
+call: the grid arrays (``_grid``, cached) with their discount factors.  The
+nudge logs enter as integers, a period per gain (``scenarios._nudge_periods``);
+the spend channel depends on a gain only through it, so ``arm_costs`` runs it
+once per distinct period, and runs the rest channel (adherence, severity,
+alpha*D + beta*A^2) in chunks of ``_CHUNK_ARMS`` gains.  Every reduction
+along the grid is a row-wise cumulative sum, so each row equals the one-arm
+run bit for bit: ``simulate_trajectory`` is the B = 1 case.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,10 +53,9 @@ from .numerics import STEPS_PER_YEAR, check_finite, sigmoid, time_grid
 from .params import ModelParams
 from .scenarios import (
     PolicyConfig,
-    _nudge_log,
-    _nudge_logs,
+    _nudge_periods,
+    _spend_at_nodes,
     adherence_array,
-    policy_cost_array,
     validate_pair,
 )
 
@@ -219,35 +223,35 @@ def _discounted_trapezoid(disc: np.ndarray, h: float, f_start: np.ndarray, f_end
     return _cumsum_from_zero((h / 2.0) * (disc[:-1] * f_start + disc[1:] * f_end))
 
 
-def _arms(params: ModelParams, policy: PolicyConfig, deltas, steps_per_year: int):
-    """The engine on one arm of ``policy`` per adherence gain in ``deltas``.
-
-    Returns the grid and, with one row per arm, adherence, severity and P at
-    the nodes, the rest rate at the nodes, and the cumulative rest and spend
-    channels.
-    """
+@functools.lru_cache(maxsize=8)
+def _grid(horizon: float, steps_per_year: int, rho: float) -> tuple[np.ndarray, ...]:
+    """The part of a kernel call that no gain changes, as read-only arrays: the
+    nodes, their discount factors and canonical nodes, and the 3n - 2 points
+    adherence is read at (the nodes, then each panel's midpoint and right end)
+    with the canonical node of the piece read at each: its panel's start."""
     if steps_per_year < 1 or steps_per_year % STEPS_PER_YEAR:
         # Only refinements of the canonical grid keep every policy event on a node.
-        raise ValueError(
-            f"steps_per_year must be a positive multiple of {STEPS_PER_YEAR}, got {steps_per_year}"
-        )
-    validate_pair(params, policy)
-    nudges = _nudge_logs(params, policy, deltas)
-    times = time_grid(params.horizon_T, steps_per_year)
-    h = 1.0 / steps_per_year
-    n = len(times)
-
-    # Nodes, then each panel's midpoint and right end, all read on the piece
-    # in force at the panel's start node.
-    starts = times[:-1]
-    a = adherence_array(
-        params, policy, deltas, nudges,
-        np.concatenate((times, starts + h / 2.0, times[1:])),
-        piece_at=np.concatenate((times, starts, starts)),
+        raise ValueError(f"steps_per_year must be a positive multiple of {STEPS_PER_YEAR}, "
+                         f"got {steps_per_year}")
+    times = time_grid(horizon, steps_per_year)
+    nodes = np.arange(len(times)) // (steps_per_year // STEPS_PER_YEAR)
+    grid = (
+        times, np.exp(-rho * times), nodes,
+        np.concatenate((times, times[:-1] + times[1] / 2.0, times[1:])),
+        np.concatenate((nodes, nodes[:-1], nodes[:-1])),
     )
+    for array in grid:
+        array.setflags(write=False)
+    return grid
+
+
+def _rest_rows(params: ModelParams, policy: PolicyConfig, grid, deltas, nudges, out=None):
+    """Adherence, severity and the rest rate at the nodes, and the cumulative
+    rest channel, one row per gain; adherence is read into ``out`` if given."""
+    times, disc, _, points, pieces = grid
+    n = len(times)
+    a = adherence_array(params, policy, deltas, nudges, points, pieces, out)
     a_nodes, a_mid, a_end = a[:, :n], a[:, n:2 * n - 1], a[:, 2 * n - 1:]
-    spend_of = {log: policy_cost_array(policy, log, times) for log in set(nudges)}
-    p = np.array([spend_of[log] for log in nudges])
     severity = _severity_grid(params, policy, times, a_nodes[:, :-1], a_mid, a_end)
 
     alpha, beta = params.disease_cost_alpha, params.adherence_cost_beta
@@ -255,12 +259,16 @@ def _arms(params: ModelParams, policy: PolicyConfig, deltas, steps_per_year: int
     # direct instantaneous_cost calls and the monetized-ROI analysis.
     rest_nodes = alpha * severity + beta * a_nodes**2
     rest_end = alpha * severity[:, 1:] + beta * a_end**2
+    rest = params.baseline_cost_C0 + _discounted_trapezoid(disc, times[1], rest_nodes[:, :-1], rest_end)
+    return a_nodes, severity, rest_nodes, rest
 
-    disc = np.exp(-params.discount_rate_rho * times)
-    rest = params.baseline_cost_C0 + _discounted_trapezoid(disc, h, rest_nodes[:, :-1], rest_end)
+
+def _spend_rows(policy: PolicyConfig, grid, nudges):
+    """P at the nodes and the cumulative spend channel, one row per log."""
+    times, disc, nodes = grid[:3]
+    p = _spend_at_nodes(policy, nudges, nodes)
     # P is constant on each panel: its value at the end is the one at the start.
-    spend = _discounted_trapezoid(disc, h, p[:, :-1], p[:, :-1])
-    return times, a_nodes, severity, p, rest_nodes, rest, spend
+    return p, _discounted_trapezoid(disc, times[1], p[:, :-1], p[:, :-1])
 
 
 def simulate_trajectory(
@@ -269,10 +277,14 @@ def simulate_trajectory(
     steps_per_year: int = STEPS_PER_YEAR,
 ) -> Trajectory:
     """Simulate one policy arm on the fixed grid."""
-    times, *rows = _arms(params, policy, [policy.adherence_gain_delta], steps_per_year)
-    adherence, severity, p, rest_nodes, rest, spend = (row[0] for row in rows)
+    grid = _grid(params.horizon_T, steps_per_year, params.discount_rate_rho)
+    validate_pair(params, policy)
+    deltas = [policy.adherence_gain_delta]
+    nudges = _nudge_periods(params, policy, deltas)
+    rows = _rest_rows(params, policy, grid, deltas, nudges) + _spend_rows(policy, grid, nudges)
+    adherence, severity, rest_nodes, rest, p, spend = (row[0] for row in rows)
     return Trajectory(
-        times=times,
+        times=grid[0].copy(),
         adherence=adherence,
         severity=severity,
         policy_cost=p,
@@ -288,16 +300,25 @@ def arm_costs(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[np.nda
 
     Row i equals ``simulate_trajectory`` of ``policy`` with gain ``deltas[i]``
     bit for bit: ``total_cost`` of the pair is that run's ``final_cost``.  The
-    gains are taken as given (the caller checks they lie in [0, 1]) and are
-    run ``_CHUNK_ARMS`` at a time.
+    gains are taken as given (the caller checks they lie in [0, 1]).  Every
+    chunk reads adherence into one buffer, so that its pages are not handed
+    back to the system and faulted in again from chunk to chunk.
     """
     deltas = np.asarray(deltas, dtype=float)
-    rest, spend = np.empty(deltas.size), np.empty(deltas.size)
+    grid = _grid(params.horizon_T, STEPS_PER_YEAR, params.discount_rate_rho)
+    validate_pair(params, policy)
+    rest, periods = np.empty(deltas.size), np.empty(deltas.size, dtype=np.int64)
+    a = np.empty((_CHUNK_ARMS, len(grid[3])))
     for lo in range(0, deltas.size, _CHUNK_ARMS):
         chunk = slice(lo, lo + _CHUNK_ARMS)
-        *_, rest_rows, spend_rows = _arms(params, policy, deltas[chunk], STEPS_PER_YEAR)
-        rest[chunk], spend[chunk] = rest_rows[:, -1], spend_rows[:, -1]
-    return rest, spend
+        i0, periods[chunk] = nudges = _nudge_periods(params, policy, deltas[chunk])
+        rest[chunk] = _rest_rows(params, policy, grid, deltas[chunk], nudges, a[:len(nudges[1])])[-1][:, -1]
+    distinct, which = np.unique(periods, return_inverse=True)
+    spend = np.empty(distinct.size)
+    for lo in range(0, distinct.size, _CHUNK_ARMS):
+        block = slice(lo, lo + _CHUNK_ARMS)
+        spend[block] = _spend_rows(policy, grid, (i0, distinct[block]))[1][:, -1]
+    return rest, spend[which]
 
 
 def cumulative_cost(
@@ -322,11 +343,10 @@ def cumulative_cost(
     # Partial panel [t0, t] lies strictly inside a smooth piece; severity
     # continues the logit integral from t0 by one partial Simpson step.
     rest = t - t0
-    nudges = _nudge_log(params, policy)
-    a = adherence_array(
-        params, policy, [policy.adherence_gain_delta], (nudges,), np.array([t0, t0 + rest / 2.0, t])
-    )[0]
-    p = float(policy_cost_array(policy, nudges, np.array([t]))[0])
+    deltas = [policy.adherence_gain_delta]
+    nudges = _nudge_periods(params, policy, deltas)
+    a = adherence_array(params, policy, deltas, nudges, np.array([t0, t0 + rest / 2.0, t]))[0]
+    p = float(traj.policy_cost[i_full])  # no policy event falls inside a panel
     d = float(traj.severity[i_full])
     if params.severity_coupling_eta == 0.0:
         d = float(_logistic_closed_form(params, np.array(t), policy.progression_compression))

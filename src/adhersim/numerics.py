@@ -35,11 +35,9 @@ def snap_up(t: np.ndarray | float, steps_per_year: int = STEPS_PER_YEAR) -> np.n
 def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
     """Numerically stable logistic function 1 / (1 + exp(-z))."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    # exp(-|z|) never overflows: 1 / (1 + exp(-z)) for z >= 0, exp(z) / (1 + exp(z)) below.
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
     if out.ndim == 0:
         return float(out)
     return out

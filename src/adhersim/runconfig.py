@@ -83,6 +83,8 @@ def _parse_axis(key: str, raw: str) -> tuple[float, ...]:
         raise ValueError(f"{key}: expected a list of numbers, got {raw!r}") from None
     if not values:
         raise ValueError(f"{key}: must contain at least one value")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{key}: values must be finite")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError(f"{key}: values must be strictly increasing")
     return values

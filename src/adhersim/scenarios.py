@@ -5,15 +5,17 @@ All adherence and expenditure functions are right-continuous in time; a policy
 active from time tau contributes from s = tau onward.  Every policy event (the
 snapped start, each nudge activation and each window closure) sits on a node
 of the canonical 0.01-year grid, so between two nodes the policy stays on the
-piece in force at the earlier one.  ``adherence_array`` takes the time at
-which to read the piece (``piece_at``), which lets the integrator evaluate a
-panel's interior and right end on the piece its start node set; spend is
-constant on a panel, so it needs no such argument.
+piece in force at the earlier one.  ``adherence_array`` takes the canonical
+node whose piece to read, which lets the integrator evaluate a panel's
+interior and right end on the piece its start node set; spend is constant on
+a panel.
 
-The engine evaluates B arms of one policy that differ only in the adherence
-gain delta at once: ``_nudge_logs`` gives one activation log per gain, and
-``adherence_array`` takes the gains with their logs and returns one row per
-arm.
+The engine keeps nudge logs in period form: the adaptive rule fires every m
+canonical nodes after tau's node i0 (``_nudge_periods``; m = 0 never fires).
+With N(x) = floor(max(x - i0, 0) / m) activations by node x, the last boost
+at or before node j is node i0 + m * N(j), and N(j) - N(j - W) windows of W
+nodes are open there, all in integer node arithmetic over a (B, n) batch of
+gains.  ``NudgeLog`` tuples of times are built only for public callers.
 """
 
 from __future__ import annotations
@@ -208,72 +210,83 @@ def _gain_law(policy: PolicyConfig, delta: np.ndarray) -> tuple[np.ndarray, floa
     return delta, policy.decay_theta
 
 
-def _nudge_logs(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[NudgeLog, ...]:
-    """One activation log per gain in ``deltas``: the closed form of
-    ``compute_nudge_log`` for ADAPTIVE_NUDGES, empty for every other kind."""
+def _nudge_periods(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[int, np.ndarray]:
+    """Tau's canonical node i0 and, per gain in ``deltas``, the period m of
+    ``compute_nudge_log``'s activations at nodes i0 + m, i0 + 2m, ... (m = 0:
+    none).  It holds a (gains, nodes) array: pass the gains in bounded blocks."""
     deltas = np.asarray(deltas, dtype=float)
-    if policy.kind is not PolicyKind.ADAPTIVE_NUDGES:
-        return (EMPTY_NUDGE_LOG,) * deltas.size
+    i0 = round(policy.tau_snapped * STEPS_PER_YEAR)
     i_last = len(time_grid(params.horizon_T, STEPS_PER_YEAR)) - 1
-    i_start = int(round(policy.tau_snapped * STEPS_PER_YEAR))
-    if i_start == i_last:
-        return (EMPTY_NUDGE_LOG,) * deltas.size
+    if policy.kind is not PolicyKind.ADAPTIVE_NUDGES or i0 == i_last:
+        return i0, np.zeros(deltas.size, dtype=np.int64)
     a0 = params.adherence_baseline_A0
-    theta = policy.decay_theta
     threshold = policy.nudge_threshold
-    steps = np.arange(1, i_last - i_start + 1)
-    below = a0 + deltas[:, None] * np.exp(-theta * (steps / STEPS_PER_YEAR)) < threshold
+    steps = np.arange(1, i_last - i0 + 1)
+    below = a0 + deltas[:, None] * np.exp(-policy.decay_theta * (steps / STEPS_PER_YEAR)) < threshold
     # The rule stays inert when the boosted level never reaches the trigger
     # band, so adherence can never cross below it; this also covers a zero
     # gain or decay, under which no value falls below the threshold.
     fires = below.any(axis=1) & (a0 + deltas > threshold)
-    periods = below.argmax(axis=1) + 1
-    return tuple(
-        NudgeLog(tuple((np.arange(i_start + m, i_last + 1, m) / STEPS_PER_YEAR).tolist()))
-        if fire else EMPTY_NUDGE_LOG
-        for m, fire in zip(periods.tolist(), fires.tolist())
-    )
+    return i0, np.where(fires, below.argmax(axis=1) + 1, 0)
 
 
-def _nudge_log(params: ModelParams, policy: PolicyConfig) -> NudgeLog:
-    """The policy's activation log: computed for ADAPTIVE_NUDGES, empty otherwise."""
-    return _nudge_logs(params, policy, [policy.adherence_gain_delta])[0]
-
-
-def _last_boost(tau: float, nudges: NudgeLog, piece_at: np.ndarray) -> np.ndarray:
-    """The last boost (tau or an activation) at or before each ``piece_at``."""
-    boosts = np.array((tau,) + nudges.activation_times)
-    return boosts[np.maximum(np.searchsorted(boosts, piece_at, side="right") - 1, 0)]
+def _activations_by(nudges: tuple[int, np.ndarray], nodes: np.ndarray, out=None):
+    """Each log's period m as a column, and N at each canonical node (into ``out``)."""
+    i0, periods = nudges
+    # A log that never fires gets a period that no node offset reaches.
+    m = np.where(periods > 0, periods, np.iinfo(np.int64).max)[:, None]
+    return m, np.floor_divide(np.maximum(nodes - i0, 0), m, out=out)
 
 
 def adherence_array(
     params: ModelParams,
     policy: PolicyConfig,
     deltas,
-    nudges: tuple[NudgeLog, ...],
+    nudges: tuple[int, np.ndarray],
     s: np.ndarray,
-    piece_at: np.ndarray | None = None,
+    piece: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Vectorized adherence A(s), clamped to [0, 1], on the piece in force at
-    ``piece_at``: one row per gain in ``deltas``, each replacing the policy's.
+    """Vectorized adherence A(s), clamped to [0, 1]: one row per gain in
+    ``deltas``, each replacing the policy's, written to ``out`` if given.
 
-    ``nudges`` holds each gain's activation log (``_nudge_logs``).  A piece
-    starts at each boost (the snapped start tau and every activation);
-    ``piece_at`` defaults to ``s``, which gives the right-continuous
-    trajectory.
+    ``nudges`` holds the gains' logs (``_nudge_periods``).  ``piece`` gives,
+    per s, the canonical node whose piece is read: by default the last node at
+    or before s, which gives the right-continuous trajectory.
     """
     s = np.asarray(s, dtype=float)
-    piece_at = s if piece_at is None else np.asarray(piece_at, dtype=float)
-    tau = policy.tau_snapped
+    if piece is None:
+        piece = np.searchsorted(time_grid(params.horizon_T, STEPS_PER_YEAR), s, side="right") - 1
+    i0, periods = nudges
     delta, theta = _gain_law(policy, np.asarray(deltas, dtype=float)[:, None])
-    active = piece_at >= tau
+    gain = np.empty((len(delta), s.size)) if out is None else out
+    active = piece >= i0
     if theta == 0.0:
-        gain = delta * active
+        np.multiply(delta, active, out=gain)
     else:
-        last = {log: _last_boost(tau, log, piece_at) for log in set(nudges)}
-        t_last = np.array([last[log] for log in nudges])
-        gain = delta * np.exp(-theta * np.maximum(s - t_last, 0.0)) * active
-    return np.clip(_base_component(params, policy, s) + gain, 0.0, 1.0)
+        if periods.any():
+            # The last boost's node i0 + m * N, in integers held in gain's own bytes.
+            m, last = _activations_by(nudges, piece, out=gain.view(np.int64))
+            last *= m
+            last += i0
+            elapsed = np.subtract(s, np.divide(last, STEPS_PER_YEAR, out=gain), out=gain)
+        else:
+            elapsed = s - i0 / STEPS_PER_YEAR
+        np.maximum(elapsed, 0.0, out=elapsed)
+        elapsed *= -theta
+        np.multiply(delta, np.exp(elapsed, out=elapsed), out=gain)
+        gain *= active
+    gain += _base_component(params, policy, s)
+    return np.clip(gain, 0.0, 1.0, out=gain)
+
+
+def _spend_at_nodes(policy: PolicyConfig, nudges: tuple[int, np.ndarray], nodes: np.ndarray) -> np.ndarray:
+    """``policy_cost_array`` at canonical nodes, one row per log in period form."""
+    if policy.kind is PolicyKind.BASELINE:
+        return np.zeros((len(nudges[1]), len(nodes)))
+    _, opened = _activations_by(nudges, nodes)
+    _, closed = _activations_by(nudges, nodes - round(NUDGE_WINDOW_YEARS * STEPS_PER_YEAR))
+    return (nodes >= nudges[0]).astype(float) + policy.nudge_unit_cost * (opened - closed)
 
 
 def policy_cost_array(policy: PolicyConfig, nudges: NudgeLog, s: np.ndarray) -> np.ndarray:
@@ -301,8 +314,9 @@ def adherence_at(params: ModelParams, policy: PolicyConfig, s: float) -> float:
     if not (0.0 <= s <= params.horizon_T):
         raise ValueError(f"s={s} outside [0, {params.horizon_T}]")
     validate_pair(params, policy)
-    log = _nudge_log(params, policy)
-    return float(adherence_array(params, policy, [policy.adherence_gain_delta], (log,), np.array([s]))[0, 0])
+    deltas = [policy.adherence_gain_delta]
+    nudges = _nudge_periods(params, policy, deltas)
+    return float(adherence_array(params, policy, deltas, nudges, np.array([s]))[0, 0])
 
 
 def policy_cost_at(policy: PolicyConfig, nudges: NudgeLog, s: float) -> float:
@@ -326,7 +340,11 @@ def compute_nudge_log(params: ModelParams, policy: PolicyConfig) -> NudgeLog:
     if policy.kind is not PolicyKind.ADAPTIVE_NUDGES:
         raise ValueError("compute_nudge_log requires an adaptive_nudges policy")
     validate_pair(params, policy)
-    return _nudge_log(params, policy)
+    i0, (m,) = _nudge_periods(params, policy, [policy.adherence_gain_delta])
+    if not m:
+        return EMPTY_NUDGE_LOG
+    i_last = len(time_grid(params.horizon_T, STEPS_PER_YEAR)) - 1
+    return NudgeLog(tuple((np.arange(i0 + m, i_last + 1, m) / STEPS_PER_YEAR).tolist()))
 
 
 def apply_stress(policy: PolicyConfig, stress: StressKind, value: float) -> PolicyConfig:

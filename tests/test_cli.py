@@ -238,8 +238,16 @@ class TestInputErrors:
         (["--seed", "-5", "export-plots", "--family", "severity"], "seed: must be >= 0"),
         (["export-plots", "--family", "mc", "--n-draws", "5"], "seed: the mc family requires a seed"),
         (["--seed", "1", "export-plots", "--family", "mc"], "n_draws: the mc family requires a draw count"),
+        (["breakeven", "--delta-axis", "nan"], "delta_axis: values must be finite"),
+        (["breakeven", "--delta-axis", "inf"], "delta_axis: values must be finite"),
+        (["breakeven", "--delta-axis", "0.1,nan"], "delta_axis: values must be finite"),
+        (["breakeven", "--delta-axis", "1.5"], "delta_axis: values must be in [0, 1]"),
+        (["sweep", "--delta-axis", "0.2,1.5", "--gamma-axis", "1.0"], "delta_axis: values must be in [0, 1]"),
+        (["sweep", "--delta-axis", "0.2", "--gamma-axis", "1.0,nan"], "gamma_axis: values must be finite"),
     ], ids=["negative_seed", "zero_plot_draws", "plots_with_config",
-            "plots_negative_seed", "plots_mc_without_seed", "plots_mc_without_draws"])
+            "plots_negative_seed", "plots_mc_without_seed", "plots_mc_without_draws",
+            "breakeven_nan_delta", "breakeven_inf_delta", "breakeven_trailing_nan_delta",
+            "breakeven_delta_above_one", "sweep_delta_above_one", "sweep_nan_gamma"])
     def test_flag_value_names_its_key(self, tmp_path, capsys, args, expected):
         out = tmp_path / "out"
         rc = _run(["--out", out] + args)

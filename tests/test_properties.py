@@ -24,7 +24,7 @@ from adhersim import costmodel
 from adhersim.costmodel import arm_costs, simulate_trajectory, total_cost
 from adhersim.exports import csv_bytes
 from adhersim.montecarlo import DistributionSpec, run_monte_carlo
-from adhersim.numerics import STEPS_PER_YEAR, time_grid
+from adhersim.numerics import STEPS_PER_YEAR, sigmoid, time_grid
 from adhersim.params import reference_params
 from adhersim.runconfig import (
     _POLICY_OVERRIDE_FIELDS,
@@ -40,6 +40,8 @@ from adhersim.scenarios import (
     NudgeLog,
     PolicyConfig,
     PolicyKind,
+    _nudge_periods,
+    adherence_array,
     build_preset,
     compute_nudge_log,
     policy_cost_array,
@@ -200,6 +202,89 @@ def test_batched_rows_equal_direct_runs(policy, deltas):
     costs = total_cost(PARAMS, policy, rest, spend)
     for delta, cost in zip(deltas, costs):
         assert cost == simulate_trajectory(PARAMS, replace(policy, adherence_gain_delta=delta)).final_cost
+
+
+def period_form_oracle(params, policy, delta, activations, s, piece_at):
+    """Adherence at s on the piece in force at piece_at, and P at piece_at,
+    from an activation log as times, searched as floats."""
+    tau = policy.tau_snapped
+    boosts = np.array((tau,) + activations)
+    t_last = boosts[np.maximum(np.searchsorted(boosts, piece_at, side="right") - 1, 0)]
+    active = piece_at >= tau
+    if policy.decay_theta == 0.0:
+        gain = delta * active
+    else:
+        gain = delta * np.exp(-policy.decay_theta * np.maximum(s - t_last, 0.0)) * active
+    adherence = np.clip(np.full_like(s, params.adherence_baseline_A0) + gain, 0.0, 1.0)
+    starts = np.array(activations)
+    ends = np.ceil(np.maximum((starts + NUDGE_WINDOW_YEARS) * STEPS_PER_YEAR - 1e-9, 0.0)) / STEPS_PER_YEAR
+    n_open = np.searchsorted(starts, piece_at, side="right") - np.searchsorted(ends, piece_at, side="right")
+    return adherence, active.astype(float) + policy.nudge_unit_cost * n_open
+
+
+@PROPERTY
+@given(nudge_cases, st.lists(st.floats(0.0, 3.0), min_size=2, max_size=2 * costmodel._CHUNK_ARMS))
+def test_period_form_equals_activation_times(case, multiples):
+    # Multiples of the design's gain below the trigger margin never fire; the
+    # others fire with periods that shrink as the gain falls towards it.
+    params, policy = case
+    gains = [min(policy.adherence_gain_delta * k, 1.0) for k in multiples]
+    for steps_per_year in (STEPS_PER_YEAR, 2 * STEPS_PER_YEAR):
+        grid = costmodel._grid(params.horizon_T, steps_per_year, params.discount_rate_rho)
+        times, _, _, points, pieces = grid
+        nudges = _nudge_periods(params, policy, gains)
+        adherence = adherence_array(params, policy, gains, nudges, points, pieces)
+        spend = costmodel._spend_rows(policy, grid, nudges)[0]
+        piece_at = np.concatenate((times, times[:-1], times[:-1]))
+        for row, gain in enumerate(gains):
+            activations = nudge_log_oracle(params, replace(policy, adherence_gain_delta=gain))
+            a, _ = period_form_oracle(params, policy, gain, activations, points, piece_at)
+            _, p = period_form_oracle(params, policy, gain, activations, times, times)
+            assert adherence[row].tobytes() == a.tobytes(), (steps_per_year, gain)
+            assert spend[row].tobytes() == p.tobytes(), (steps_per_year, gain)
+
+
+def sigmoid_oracle(z):
+    """The two-branch logistic: exp(-z) for z >= 0, exp(z) below."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+SIGMOID_EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 709.8, -709.8,
+                 745.2, -745.2, 1e308, -1e308, math.inf, -math.inf)
+
+
+@PROPERTY
+@given(st.lists(st.one_of(st.floats(allow_nan=False), st.sampled_from(SIGMOID_EDGES)), max_size=30))
+def test_sigmoid_equals_two_branch_form(values):
+    z = np.array(values, dtype=float)
+    assert sigmoid(z).tobytes() == sigmoid_oracle(z).tobytes()
+    for v in values:
+        assert np.float64(sigmoid(v)).tobytes() == sigmoid_oracle(np.array([v]))[0].tobytes()
+
+
+refinable_designs = st.builds(
+    PolicyConfig,
+    kind=st.sampled_from((PolicyKind.CUSTOM, PolicyKind.ADAPTIVE_NUDGES, PolicyKind.EARLY_ADHERENCE)),
+    start_tau=st.floats(0.0, PARAMS.horizon_T),
+    adherence_gain_delta=deltas,
+    cost_scale_gamma=gammas,
+    decay_theta=st.floats(0.0, 5.0),
+    nudge_threshold=st.floats(PARAMS.adherence_baseline_A0, 1.0),
+)
+
+
+@PROPERTY
+@given(refinable_designs)
+def test_grid_refinement_converges_at_second_order(policy):
+    # Every policy event on a node keeps the trapezoid and Simpson errors at
+    # O(h^2): halving h quarters the change.  An event off its node breaks this.
+    c100, c200, c400 = (simulate_trajectory(PARAMS, policy, k * STEPS_PER_YEAR).final_cost for k in (1, 2, 4))
+    assert 3.5 <= (c100 - c200) / (c200 - c400) <= 4.5
 
 
 MC_SPECS = {
