@@ -23,7 +23,6 @@ from .montecarlo import (
     DistributionKind,
     DistributionSpec,
     McSummary,
-    positive_roi_rate,
     run_monte_carlo,
     sample_delta,
     substream,

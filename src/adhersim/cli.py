@@ -48,7 +48,14 @@ from .runconfig import (
     serialize_run_config,
     validate_run_config,
 )
-from .scenarios import PRESET_NAMES, PolicyConfig, StressKind, apply_stress, build_preset
+from .scenarios import (
+    PRESET_NAMES,
+    PolicyConfig,
+    StressKind,
+    apply_stress,
+    build_preset,
+    validate_authored_pair,
+)
 
 import json
 
@@ -60,19 +67,11 @@ def _load_validated_params(config: RunConfig) -> ModelParams:
     return load_params(path)
 
 
-def _authoring_checks(params: ModelParams, config: RunConfig) -> None:
-    from .scenarios import validate_authored_pair
-
-    validate_authored_pair(params, config.build_policy())
-    if not all(0.0 <= delta <= 1.0 for delta in config.delta_axis):
-        raise ValueError("delta_axis: values must be in [0, 1]")
-
-
 def run(config: RunConfig) -> list[str]:
     """Execute one run; returns the files written (relative names)."""
     params = _load_validated_params(config)
-    _authoring_checks(params, config)
     policy = config.build_policy()
+    validate_authored_pair(params, policy)
     echo = serialize_run_config(config)
     files: dict[str, bytes] = {}
 

@@ -5,12 +5,21 @@ Sub-stream derivation is counter-based and pinned: draw i uses
 ``numpy.random.default_rng(numpy.random.SeedSequence(master_seed,
 spawn_key=(i,)))``.  Draws are therefore independent of execution order,
 and summaries are bit-identical across reruns.
+
+That construction is unchanged, but ``run_monte_carlo`` does not build it
+once per draw.  It computes every draw's seed words in one vectorised pass
+of ``SeedSequence``'s hash over the draw index, turns each into the PCG64
+state that seeding would produce, and sets that state on one generator
+reused for every draw.  ``substream`` stays the reference construction;
+each draw equals ``sample_delta(spec, substream(master_seed, i))``.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +32,18 @@ from .scenarios import PolicyConfig
 
 QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
 DEFAULT_DELTA_SD = 0.05
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), kept as Python
+# ints below 2**32 so that no numpy scalar arithmetic can overflow.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64).
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 class DistributionKind(enum.Enum):
@@ -108,6 +129,9 @@ class McSummary:
     prob_roi_positive: float
     cost_mean: float
     cost_sd: float
+    # Monte Carlo standard errors: sd/sqrt(n) and sqrt(p(1-p)/n).
+    roi_mean_se: float
+    prob_roi_positive_se: float
 
     def as_dict(self) -> dict:
         return {
@@ -119,12 +143,82 @@ class McSummary:
             "prob_roi_positive": self.prob_roi_positive,
             "cost_mean": self.cost_mean,
             "cost_sd": self.cost_sd,
+            "roi_mean_se": self.roi_mean_se,
+            "prob_roi_positive_se": self.prob_roi_positive_se,
         }
 
 
 def substream(master_seed: int, draw_index: int) -> np.random.Generator:
     """Independent generator for one draw; pinned construction, see module doc."""
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(draw_index,)))
+
+
+def _hashmix(value, hash_const: list[int]):
+    """One word of SeedSequence's hashmix; ``value`` is an int or a uint32 array."""
+    value = value ^ hash_const[0]
+    hash_const[0] = (hash_const[0] * _MULT_A) & _MASK32
+    value = (value * hash_const[0]) & _MASK32
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x, y):
+    result = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
+    return result ^ (result >> _XSHIFT)
+
+
+def _spawn_seed_words(master_seed: int, n: int) -> np.ndarray:
+    """Row i is ``SeedSequence(master_seed, spawn_key=(i,)).generate_state(4, np.uint64)``.
+
+    The master seed's words fill the pool (zero-padded to its size, as
+    numpy does whenever a spawn key is given) and are mixed as Python ints,
+    the same for every draw.  Only the spawn-key word, mixed in last,
+    differs, so that step and the output hash run on uint32 arrays over all
+    n draws at once.
+    """
+    master_seed = operator.index(master_seed)  # a numpy integer would overflow below
+    run_words = [master_seed & _MASK32]
+    while master_seed >> 32:
+        master_seed >>= 32
+        run_words.append(master_seed & _MASK32)
+    run_words += [0] * (_POOL_SIZE - len(run_words))
+    hash_const = [_INIT_A]
+    mixer = [_hashmix(word, hash_const) for word in run_words[:_POOL_SIZE]]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                mixer[i_dst] = _mix(mixer[i_dst], _hashmix(mixer[i_src], hash_const))
+    for word in run_words[_POOL_SIZE:] + [np.arange(n, dtype=np.uint32)]:
+        for i_dst in range(_POOL_SIZE):
+            mixer[i_dst] = _mix(mixer[i_dst], _hashmix(word, hash_const))
+    hash_const = _INIT_B
+    state = np.empty((n, 2 * _POOL_SIZE), dtype=np.uint32)
+    for i_dst in range(2 * _POOL_SIZE):
+        value = mixer[i_dst % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = (value * hash_const) & _MASK32
+        state[:, i_dst] = value ^ (value >> _XSHIFT)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _draw_streams(master_seed: int, n: int) -> Iterator[np.random.Generator]:
+    """For i in range(n), one reused generator in the state ``substream(master_seed, i)`` starts in.
+
+    PCG64 seeds from the words (initstate hi, lo, initseq hi, lo) as
+    ``inc = 2 initseq + 1`` and ``state = (inc + initstate) MULT + inc``,
+    mod 2**128.  Each yielded stream is valid until the next is taken.
+    """
+    bit_generator = np.random.PCG64(0)
+    stream = np.random.Generator(bit_generator)
+    for state_hi, state_lo, seq_hi, seq_lo in _spawn_seed_words(master_seed, n).tolist():
+        inc = ((seq_hi << 65) | (seq_lo << 1) | 1) & _MASK128
+        state = ((inc + ((state_hi << 64) | state_lo)) * _PCG64_MULT + inc) & _MASK128
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield stream
 
 
 def sample_delta(spec: DistributionSpec, stream: np.random.Generator) -> float:
@@ -170,10 +264,11 @@ def run_monte_carlo(
 
     Returns the summary plus the raw per-draw records as a structured array
     with fields (draw_index, delta, total_cost, roi_percent), in draw-index
-    order.  Each draw is sampled from its own substream; the engine then
-    evaluates the draws in fixed-size chunks (see ``costmodel.arm_costs``),
-    each row of which equals a one-arm run bit for bit, so the output does
-    not depend on the chunk size.  A failure names the first failing draw.
+    order.  Each draw is sampled from its own substream, reproduced on one
+    reused generator (see module doc); the engine then evaluates the draws
+    in fixed-size chunks (see ``costmodel.arm_costs``), each row of which
+    equals a one-arm run bit for bit, so the output does not depend on the
+    chunk size.  A failure names the first failing draw.
     ``n_workers`` is validated but changes neither the execution nor the
     output.
     """
@@ -195,7 +290,7 @@ def run_monte_carlo(
     )
     draws["draw_index"] = np.arange(n)
     deltas = draws["delta"]
-    deltas[:] = [sample_delta(spec, substream(master_seed, i)) for i in range(n)]
+    deltas[:] = [sample_delta(spec, stream) for stream in _draw_streams(master_seed, n)]
 
     def name(i: int) -> str:
         return f"draw {i} (delta={deltas[i]:.6f})"
@@ -210,19 +305,18 @@ def run_monte_carlo(
     except RejectedCost as exc:
         raise ValueError(f"{name(exc.index)} failed: {exc}") from exc
     draws["total_cost"], draws["roi_percent"] = costs, rois
+    roi_sd = float(np.std(rois, ddof=0))
+    p_positive = positive_rate(rois)
     summary = McSummary(
         n_draws=n,
         master_seed=master_seed,
         roi_mean=float(np.mean(rois)),
-        roi_sd=float(np.std(rois, ddof=0)),
+        roi_sd=roi_sd,
         roi_quantiles=_nearest_rank_quantiles(np.sort(rois)),
-        prob_roi_positive=positive_rate(rois),
+        prob_roi_positive=p_positive,
         cost_mean=float(np.mean(costs)),
         cost_sd=float(np.std(costs, ddof=0)),
+        roi_mean_se=roi_sd / math.sqrt(n),
+        prob_roi_positive_se=math.sqrt(p_positive * (1.0 - p_positive) / n),
     )
     return summary, draws
-
-
-def positive_roi_rate(summary: McSummary) -> float:
-    """Empirical fraction of draws with ROI strictly greater than zero."""
-    return summary.prob_roi_positive

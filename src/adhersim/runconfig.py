@@ -119,6 +119,8 @@ def validate_run_config(config: RunConfig) -> None:
         raise ValueError("n_draws: must be >= 1")
     if config.n_workers < 1:
         raise ValueError("n_workers: must be >= 1")
+    if not all(0.0 <= delta <= 1.0 for delta in config.delta_axis):
+        raise ValueError("delta_axis: values must be in [0, 1]")
     if config.stress_kind is not None and config.stress_kind not in _STRESS_KINDS:
         raise ValueError(
             f"stress_kind: unknown kind {config.stress_kind!r}; valid: {', '.join(_STRESS_KINDS)}"

@@ -12,7 +12,6 @@ from adhersim.montecarlo import (
     DistributionKind,
     DistributionSpec,
     positive_rate,
-    positive_roi_rate,
     run_monte_carlo,
     sample_delta,
     substream,
@@ -148,7 +147,20 @@ class TestRunMonteCarlo:
         spec = DistributionSpec.beta_from_mean(0.3)
         summary, draws = run_monte_carlo(ref_params, EARLY, spec, 200, master_seed=12)
         assert summary.prob_roi_positive == np.mean(draws["roi_percent"] > 0)
-        assert positive_roi_rate(summary) == summary.prob_roi_positive
+
+    def test_standard_errors_match_numpy(self, ref_params):
+        # delta = 0.2 puts the design near break-even, so 0 < P(ROI>0) < 1.
+        design = replace(EARLY, adherence_gain_delta=0.2)
+        spec = DistributionSpec.beta_from_mean(0.2)
+        summary, draws = run_monte_carlo(ref_params, design, spec, 300, master_seed=17)
+        rois = draws["roi_percent"]
+        p = np.mean(rois > 0)
+        assert 0.0 < p < 1.0
+        assert summary.roi_mean_se == pytest.approx(np.std(rois) / np.sqrt(300), rel=1e-12)
+        assert summary.prob_roi_positive_se == pytest.approx(np.sqrt(p * (1 - p) / 300), rel=1e-12)
+        record = summary.as_dict()
+        assert record["roi_mean_se"] == summary.roi_mean_se
+        assert record["prob_roi_positive_se"] == summary.prob_roi_positive_se
 
     def test_positive_rate_strict_at_zero(self):
         assert positive_rate(np.array([0.0])) == 0.0

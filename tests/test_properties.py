@@ -23,7 +23,14 @@ from adhersim.analytics import (
 from adhersim import costmodel
 from adhersim.costmodel import arm_costs, simulate_trajectory, total_cost
 from adhersim.exports import csv_bytes
-from adhersim.montecarlo import DistributionSpec, run_monte_carlo
+from adhersim.montecarlo import (
+    DistributionSpec,
+    _draw_streams,
+    _spawn_seed_words,
+    run_monte_carlo,
+    sample_delta,
+    substream,
+)
 from adhersim.numerics import STEPS_PER_YEAR, sigmoid, time_grid
 from adhersim.params import reference_params
 from adhersim.runconfig import (
@@ -308,6 +315,35 @@ def test_monte_carlo_output_does_not_depend_on_chunk_size(preset, spec, n, seed)
     assert all(out == outputs[0] for out in outputs[1:])
 
 
+# One 32-bit word; up to 2**63, as a run configuration allows; and at least
+# 2**128, where the seed fills the hash pool and its upper words mix in late.
+master_seeds = st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**63), st.integers(2**128, 2**160))
+
+
+@PROPERTY
+@given(master_seeds, st.integers(1, 40))
+def test_draw_streams_start_where_substreams_do(master_seed, n):
+    words = _spawn_seed_words(master_seed, n)
+    expected = [np.random.SeedSequence(master_seed, spawn_key=(i,)).generate_state(4, np.uint64) for i in range(n)]
+    assert words.dtype == np.uint64
+    assert np.array_equal(words, expected)
+    states = [stream.bit_generator.state for stream in _draw_streams(master_seed, n)]
+    assert states == [substream(master_seed, i).bit_generator.state for i in range(n)]
+
+
+# Rejects about half its normals, so draws take differing numbers of them.
+REJECTING_TRUNC_NORMAL = DistributionSpec.trunc_normal(0.2, 0.3, 0.0, 0.45)
+
+
+@pytest.mark.parametrize("spec", [*MC_SPECS.values(), REJECTING_TRUNC_NORMAL],
+                         ids=[*MC_SPECS.keys(), "trunc_normal_rejecting"])
+@PROPERTY
+@given(master_seeds, st.integers(1, 24))
+def test_monte_carlo_draws_equal_their_substreams(spec, master_seed, n):
+    _, draws = run_monte_carlo(PARAMS, build_preset("early_adherence"), spec, n, master_seed)
+    assert draws["delta"].tolist() == [sample_delta(spec, substream(master_seed, i)) for i in range(n)]
+
+
 def rowwise_csv(header, rows) -> bytes:
     """The per-cell formatter the table writers replaced, kept as an oracle."""
     lines = [",".join(header)]
@@ -377,7 +413,9 @@ def run_configs(draw):
     def maybe(strategy, required: bool):
         return draw(strategy if required else st.none() | strategy)
 
-    axis = st.lists(finite, min_size=1, max_size=4, unique=True).map(lambda v: tuple(sorted(v)))
+    def config_axis(values):
+        return st.lists(values, min_size=1, max_size=4, unique=True).map(lambda v: tuple(sorted(v)))
+
     stress_kind = maybe(st.sampled_from(sorted(STRESS_VALUES)), mode is RunMode.STRESS)
     return RunConfig(
         params_file=draw(paths),
@@ -387,8 +425,8 @@ def run_configs(draw):
         seed=maybe(st.integers(0, 2**63), mode is RunMode.MONTE_CARLO),
         n_draws=maybe(st.integers(1, 10**9), mode is RunMode.MONTE_CARLO),
         n_workers=draw(st.integers(1, 64)),
-        delta_axis=maybe(axis, mode in (RunMode.SWEEP, RunMode.BREAKEVEN)) or (),
-        gamma_axis=maybe(axis, mode is RunMode.SWEEP) or (),
+        delta_axis=maybe(config_axis(st.floats(0.0, 1.0)), mode in (RunMode.SWEEP, RunMode.BREAKEVEN)) or (),
+        gamma_axis=maybe(config_axis(finite), mode is RunMode.SWEEP) or (),
         stress_kind=stress_kind,
         stress_value=None if stress_kind is None else maybe(STRESS_VALUES[stress_kind], False),
         policy_overrides=draw(st.fixed_dictionaries({}, optional=OVERRIDE_VALUES)),

@@ -52,6 +52,12 @@ def test_sweep_requires_axes():
         parse_run_config(text)
 
 
+def test_delta_axis_outside_unit_interval_rejected():
+    text = MINIMAL.replace("mode = simulate", "mode = breakeven") + "delta_axis = 2.0\n"
+    with pytest.raises(ValueError, match=r"^delta_axis: values must be in \[0, 1\]"):
+        parse_run_config(text)
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ValueError, match="mystery"):
         parse_run_config(MINIMAL + "mystery = 3\n")
