@@ -18,13 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from .analytics import (
-    baseline_cost,
     breakeven_gamma,
     payback_time,
     roi,
     sweep_design_space,
 )
-from .costmodel import simulate_trajectory
+from .costmodel import simulate_trajectory, total_cost
 from .exports import (
     PLOT_FAMILIES,
     breakeven_csv,
@@ -142,9 +141,10 @@ def run(config: RunConfig) -> list[str]:
 
     elif config.mode is RunMode.STRESS:
         value = effective_stress_value(config)
-        kind = StressKind(config.stress_kind)
-        pairs = _stress_pairs(params, baseline_cost(params), policy, ((kind, value),))
-        (roi_un, cost_un), (roi_st, cost_st) = pairs["unstressed"], pairs[kind.value]
+        stresses = ((StressKind(config.stress_kind), value),)
+        base_costs = _stressed_costs(params, build_preset("baseline"), stresses)
+        pairs = _stress_pairs(params, base_costs, policy, stresses)
+        (roi_un, cost_un), (roi_st, cost_st) = pairs["unstressed"], pairs[config.stress_kind]
         files["stress_summary.csv"] = csv_bytes(
             [
                 "stress_kind",
@@ -169,23 +169,43 @@ def run(config: RunConfig) -> list[str]:
     return written
 
 
+def _stressed_costs(
+    params: ModelParams, policy: PolicyConfig, stresses: tuple[tuple[StressKind, float], ...]
+) -> dict[str, float]:
+    """Final cost of one simulated arm of ``policy``, unstressed and under each stress.
+
+    Cost inflation multiplies only gamma's dollar price, which enters the cost
+    in ``total_cost`` alone, so an inflated arm is the unstressed arm's cost
+    split re-priced: bit for bit the ``final_cost`` a new run would give, which
+    forms the same sum at the last node.  An accelerated progression changes
+    the disease curve, so that arm runs again.
+    """
+    arm = simulate_trajectory(params, policy)
+    costs = {"unstressed": arm.final_cost}
+    for kind, value in stresses:
+        stressed = apply_stress(policy, kind, value)
+        if kind is StressKind.COST_INFLATION:
+            costs[kind.value] = total_cost(params, stressed, arm.rest_cost, arm.spend_integral)
+        else:
+            costs[kind.value] = simulate_trajectory(params, stressed).final_cost
+    return costs
+
+
 def _stress_pairs(
     params: ModelParams,
-    c_base: float,
+    base_costs: dict[str, float],
     policy: PolicyConfig,
     stresses: tuple[tuple[StressKind, float], ...],
 ) -> dict[str, tuple[float, float]]:
     """(ROI, cost) of the policy arm unstressed and under each stress.
 
-    A stressed arm is compared against the baseline under the same stress.
+    A stressed arm is compared against the baseline under the same stress:
+    ``base_costs`` is the baseline's ``_stressed_costs`` over the same
+    stresses.  Only a progression stress runs a new arm; cost inflation
+    re-prices the unstressed one.
     """
-    cost = simulate_trajectory(params, policy).final_cost
-    out = {"unstressed": (roi(c_base, cost), cost)}
-    for kind, value in stresses:
-        base_s = simulate_trajectory(params, apply_stress(build_preset("baseline"), kind, value))
-        cost_s = simulate_trajectory(params, apply_stress(policy, kind, value)).final_cost
-        out[kind.value] = (roi(base_s.final_cost, cost_s), cost_s)
-    return out
+    costs = _stressed_costs(params, policy, stresses)
+    return {key: (roi(base_costs[key], cost), cost) for key, cost in costs.items()}
 
 
 def _default_mc_spec(template_delta: float) -> DistributionSpec:
@@ -226,13 +246,13 @@ def export_plots(
             spec = _default_mc_spec(policy.adherence_gain_delta)
             mc_results[name] = run_monte_carlo(params, policy, spec, n_draws, seed)
     elif family == "stress":
-        c_base = baseline_cost(params)
         stresses = ((StressKind.COST_INFLATION, 1.2), (StressKind.ACCELERATED_PROGRESSION, 0.85))
+        base_costs = _stressed_costs(params, build_preset("baseline"), stresses)
         stress_rois = {}
         for name in PRESET_NAMES:
             if name == "baseline":
                 continue
-            pairs = _stress_pairs(params, c_base, build_preset(name), stresses)
+            pairs = _stress_pairs(params, base_costs, build_preset(name), stresses)
             stress_rois[name] = {key: r for key, (r, _) in pairs.items()}
     files, meta = plot_family_files(params, family, mc_results=mc_results, stress_rois=stress_rois)
 

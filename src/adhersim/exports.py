@@ -4,15 +4,24 @@ A table is written column by column with one ``%`` format over all its
 cells, the spec chosen by each column's dtype: floats get 6 significant
 digits (``%.6g``, round-half-even, so golden files stay stable across
 platforms), integers are written exactly (``%d``), anything else as text
-(``%s``).  A run stages every payload, then renames into place and writes
-the manifest last, so a failed run leaves the output directory unchanged.
+(``%s``).  A float column made mostly of runs of one value (a step
+policy's adherence and spend) has each run's value formatted once, and the
+run's cells enter the ``%`` pass as that text; runs are found on the bit
+pattern, so ``0.0`` and ``-0.0`` stay apart.  The grid's time column, the
+same in every trajectory and curve file, is formatted once per grid
+(``_time_cells``, cached by its bytes: the cache holds only this grid
+constant, never a result column).  A run stages every payload, then
+renames into place and writes the manifest last, so a failed run leaves the
+output directory unchanged.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
+from collections.abc import Sequence
 from dataclasses import replace
 from pathlib import Path
 
@@ -33,8 +42,8 @@ _SPECS = {"f": "%.6g", "i": "%d", "u": "%d"}
 def csv_bytes(header: list[str], columns: list) -> bytes:
     """Header line, then row i holding element i of every column.
 
-    The columns must have equal lengths.  Text columns are taken element by
-    element as given, so a list of strings is written unchanged.
+    The columns must have equal lengths.  A column of strings is text, taken
+    element by element as given, so a list of strings is written unchanged.
     """
     n, k = len(columns[0]), len(columns)
     cells: list = [None] * (n * k)
@@ -42,17 +51,40 @@ def csv_bytes(header: list[str], columns: list) -> bytes:
     for j, column in enumerate(columns):
         if len(column) != n:
             raise ValueError(f"column {header[j]!r} has {len(column)} rows, expected {n}")
-        values = np.asarray(column)
-        spec = _SPECS.get(values.dtype.kind)
-        cells[j::k] = values.tolist() if spec else list(column)
-        specs.append(spec or "%s")
+        cells[j::k], spec = _column_cells(column)
+        specs.append(spec)
     row = ",".join(specs) + "\n"
     return (",".join(header) + "\n" + row * n % tuple(cells)).encode()
 
 
+def _column_cells(column: Sequence) -> tuple[Sequence, str]:
+    """A column's cells and the ``%`` spec they are written with."""
+    if len(column) and isinstance(column[0], str):
+        return column, "%s"
+    values = np.asarray(column)
+    spec = _SPECS.get(values.dtype.kind)
+    if spec is None:
+        return column, "%s"
+    if values.dtype == np.float64:
+        bits = values.view(np.int64)
+        starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+        if 2 * (starts.size + 1) <= len(values):
+            # Mostly runs: one formatted string per run, repeated over its rows.
+            starts = np.concatenate(([0], starts))
+            text = np.array([spec % v for v in values[starts].tolist()], dtype=object)
+            return np.repeat(text, np.diff(starts, append=len(values))).tolist(), "%s"
+    return values.tolist(), spec
+
+
+@functools.lru_cache(maxsize=4)
+def _time_cells(raw: bytes) -> tuple[str, ...]:
+    """The ``%.6g`` text of a grid's time column, given as its float64 bytes."""
+    return tuple("%.6g" % t for t in np.frombuffer(raw).tolist())
+
+
 def trajectory_csv(traj: Trajectory) -> bytes:
     header = ["time", "adherence", "severity", "policy_cost", "instantaneous_cost", "cumulative_cost"]
-    return csv_bytes(header, [traj.times, traj.adherence, traj.severity,
+    return csv_bytes(header, [_time_cells(traj.times.tobytes()), traj.adherence, traj.severity,
                               traj.policy_cost, traj.instantaneous_cost, traj.cumulative_cost])
 
 
@@ -94,7 +126,7 @@ def histogram_csv(values: np.ndarray, n_bins: int = 40) -> bytes:
 
 
 def _curve_csv(times: np.ndarray, values: np.ndarray) -> bytes:
-    return csv_bytes(["time", "value"], [times, values])
+    return csv_bytes(["time", "value"], [_time_cells(times.tobytes()), values])
 
 
 def plot_family_files(

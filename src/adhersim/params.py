@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .numerics import check_finite
+from .numerics import STEPS_PER_YEAR, check_finite
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,11 @@ class ModelParams:
             raise ValueError("discount_rate_rho must be >= 0")
         if self.horizon_T <= 0:
             raise ValueError("horizon_T must be > 0")
+        steps = self.horizon_T * STEPS_PER_YEAR
+        if round(steps) < 1 or abs(round(steps) - steps) > 1e-9:
+            # The horizon is the last node of the canonical grid.
+            raise ValueError(f"horizon_T: must be a whole number of 1/{STEPS_PER_YEAR}-year "
+                             f"steps, got {self.horizon_T!r}")
         if not (0.0 < self.disease_max_Dmax <= 1.0):
             raise ValueError("disease_max_Dmax must be in (0, 1]")
         if not (0.0 <= self.adherence_baseline_A0 <= 1.0):

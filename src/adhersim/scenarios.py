@@ -216,7 +216,7 @@ def _nudge_periods(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[i
     none).  It holds a (gains, nodes) array: pass the gains in bounded blocks."""
     deltas = np.asarray(deltas, dtype=float)
     i0 = round(policy.tau_snapped * STEPS_PER_YEAR)
-    i_last = len(time_grid(params.horizon_T, STEPS_PER_YEAR)) - 1
+    i_last = round(params.horizon_T * STEPS_PER_YEAR)
     if policy.kind is not PolicyKind.ADAPTIVE_NUDGES or i0 == i_last:
         return i0, np.zeros(deltas.size, dtype=np.int64)
     a0 = params.adherence_baseline_A0
@@ -284,9 +284,13 @@ def _spend_at_nodes(policy: PolicyConfig, nudges: tuple[int, np.ndarray], nodes:
     """``policy_cost_array`` at canonical nodes, one row per log in period form."""
     if policy.kind is PolicyKind.BASELINE:
         return np.zeros((len(nudges[1]), len(nodes)))
+    step = (nodes >= nudges[0]).astype(float)
+    if not nudges[1].any():
+        # No window ever opens: the nudge term would add nudge_unit_cost * 0 = 0.0.
+        return np.tile(step, (len(nudges[1]), 1))
     _, opened = _activations_by(nudges, nodes)
     _, closed = _activations_by(nudges, nodes - round(NUDGE_WINDOW_YEARS * STEPS_PER_YEAR))
-    return (nodes >= nudges[0]).astype(float) + policy.nudge_unit_cost * (opened - closed)
+    return step + policy.nudge_unit_cost * (opened - closed)
 
 
 def policy_cost_array(policy: PolicyConfig, nudges: NudgeLog, s: np.ndarray) -> np.ndarray:
@@ -343,7 +347,7 @@ def compute_nudge_log(params: ModelParams, policy: PolicyConfig) -> NudgeLog:
     i0, (m,) = _nudge_periods(params, policy, [policy.adherence_gain_delta])
     if not m:
         return EMPTY_NUDGE_LOG
-    i_last = len(time_grid(params.horizon_T, STEPS_PER_YEAR)) - 1
+    i_last = round(params.horizon_T * STEPS_PER_YEAR)
     return NudgeLog(tuple((np.arange(i0 + m, i_last + 1, m) / STEPS_PER_YEAR).tolist()))
 
 

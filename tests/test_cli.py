@@ -4,8 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from adhersim.cli import main
+from adhersim.analytics import roi
+from adhersim.cli import _stress_pairs, _stressed_costs, main
+from adhersim.costmodel import simulate_trajectory
+from adhersim.exports import csv_bytes
 from adhersim.params import reference_params_path
+from adhersim.scenarios import PRESET_NAMES, StressKind, apply_stress, build_preset
+
+POLICY_PRESETS = [name for name in PRESET_NAMES if name != "baseline"]
 
 
 def _read_csv(path: Path):
@@ -144,6 +150,43 @@ class TestStressCommand:
         assert float(row[1]) == 1.2
         assert float(row[3]) < float(row[2])
 
+    @staticmethod
+    def _direct(params, policy, kind, value):
+        """(ROI, cost) from simulating both stressed arms."""
+        base = simulate_trajectory(params, apply_stress(build_preset("baseline"), kind, value))
+        cost = simulate_trajectory(params, apply_stress(policy, kind, value)).final_cost
+        return roi(base.final_cost, cost), cost
+
+    @pytest.mark.parametrize("kind, value", [
+        (StressKind.COST_INFLATION, 1.0), (StressKind.COST_INFLATION, 1.2),
+        (StressKind.COST_INFLATION, 1.37), (StressKind.ACCELERATED_PROGRESSION, 0.7),
+        (StressKind.ACCELERATED_PROGRESSION, 0.85), (StressKind.ACCELERATED_PROGRESSION, 1.0),
+    ])
+    @pytest.mark.parametrize("name", POLICY_PRESETS)
+    def test_stressed_pair_equals_direct_runs(self, ref_params, name, kind, value):
+        policy, stresses = build_preset(name), ((kind, value),)
+        base_costs = _stressed_costs(ref_params, build_preset("baseline"), stresses)
+        pairs = _stress_pairs(ref_params, base_costs, policy, stresses)
+        assert pairs[kind.value] == self._direct(ref_params, policy, kind, value)
+        base = simulate_trajectory(ref_params, build_preset("baseline")).final_cost
+        cost = simulate_trajectory(ref_params, policy).final_cost
+        assert pairs["unstressed"] == (roi(base, cost), cost)
+
+    def test_stress_family_equals_direct_runs(self, ref_params, tmp_path):
+        out = tmp_path / "plots"
+        assert _run(["--out", out, "export-plots", "--family", "stress"]) == 0
+        stresses = ((StressKind.COST_INFLATION, 1.2), (StressKind.ACCELERATED_PROGRESSION, 0.85))
+        unstressed = (StressKind.COST_INFLATION, 1.0)
+        for name in POLICY_PRESETS:
+            policy = build_preset(name)
+            expected = csv_bytes(
+                ["stress_kind", "roi_unstressed_percent", "roi_stressed_percent"],
+                [[kind.value for kind, _ in stresses],
+                 [self._direct(ref_params, policy, *unstressed)[0]] * len(stresses),
+                 [self._direct(ref_params, policy, kind, value)[0] for kind, value in stresses]],
+            )
+            assert (out / f"stress_{name}.csv").read_bytes() == expected
+
     def test_requires_kind(self, tmp_path, capsys):
         rc = _run(["--out", tmp_path / "st", "stress"])
         assert rc == 2
@@ -254,6 +297,14 @@ class TestInputErrors:
         assert rc == 2
         assert f"error: {expected}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_off_grid_horizon_names_its_key(self, tmp_path, capsys):
+        params = tmp_path / "params.txt"
+        params.write_text(reference_params_path().read_text().replace("horizon_T = 10.0", "horizon_T = 10.005"))
+        rc = _run(["--params", params, "--out", tmp_path / "out", "simulate"])
+        assert rc == 2
+        assert "error: horizon_T: must be a whole number of 1/100-year steps, got 10.005" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_zero_workers_rejected(self, tmp_path, capsys):
         rc = _run(["--out", tmp_path / "mc", "--seed", "1", "mc", "--n-draws", "5", "--workers", "0"])

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adhersim.analytics import (
@@ -22,7 +22,7 @@ from adhersim.analytics import (
 )
 from adhersim import costmodel
 from adhersim.costmodel import arm_costs, simulate_trajectory, total_cost
-from adhersim.exports import csv_bytes
+from adhersim.exports import csv_bytes, trajectory_csv
 from adhersim.montecarlo import (
     DistributionSpec,
     _draw_streams,
@@ -380,6 +380,47 @@ def test_table_format_equals_per_cell_format(table):
     assert csv_bytes(header, columns) == expected
     arrays = [c if j == at else np.array(c, dtype=float) for j, c in enumerate(columns)]
     assert csv_bytes(header, arrays) == expected
+
+
+@st.composite
+def run_tables(draw):
+    """Header and float columns made of runs of one value each, on n >= 0 rows.
+
+    Run values come from EDGE_FLOATS, so runs of 0.0 and -0.0, of NaN and of
+    either infinity often meet; a run may be one row long.
+    """
+    n, k = draw(st.integers(0, 60)), draw(st.integers(1, 3))
+    columns = []
+    for _ in range(k):
+        lengths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=n + 1))
+        values = draw(st.lists(st.sampled_from(EDGE_FLOATS), min_size=len(lengths), max_size=len(lengths)))
+        cells = [v for v, length in zip(values, lengths) for _ in range(length)]
+        columns.append((cells * (n // len(cells) + 1))[:n])
+    return [f"c{j}" for j in range(k)], columns
+
+
+@PROPERTY
+@given(run_tables())
+@example((["c0", "c1"], [[0.0, 0.0, -0.0, -0.0, math.nan, math.nan, math.inf, -math.inf, -0.0, 0.0],
+                            [-0.0] * 9 + [0.0]]))
+def test_run_heavy_columns_equal_per_cell_format(table):
+    header, columns = table
+    expected = rowwise_csv(header, [list(row) for row in zip(*columns)])
+    assert csv_bytes(header, columns) == expected
+    assert csv_bytes(header, [np.array(c, dtype=float) for c in columns]) == expected
+
+
+def test_each_grid_gets_its_own_time_cells():
+    """The time column's text is kept per grid: a refined grid never reads the canonical one's."""
+    policy = build_preset("early_adherence")
+    for steps_per_year in (STEPS_PER_YEAR, 2 * STEPS_PER_YEAR, STEPS_PER_YEAR):
+        traj = simulate_trajectory(PARAMS, policy, steps_per_year)
+        columns = [traj.times, traj.adherence, traj.severity, traj.policy_cost,
+                   traj.instantaneous_cost, traj.cumulative_cost]
+        header = ["time", "adherence", "severity", "policy_cost", "instantaneous_cost", "cumulative_cost"]
+        expected = rowwise_csv(header, [[float(v) for v in row] for row in zip(*columns)])
+        assert len(traj.times) == len(time_grid(PARAMS.horizon_T, steps_per_year))
+        assert trajectory_csv(traj) == expected
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
