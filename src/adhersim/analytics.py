@@ -99,9 +99,13 @@ def payback_time(traj_baseline: Trajectory, traj_policy: Trajectory) -> float | 
     return float(t0 + (t1 - t0) * d0 / (d0 - d1))
 
 
+# The no-policy counterfactual; a PolicyConfig is frozen, so one serves every call.
+_BASELINE = build_preset("baseline")
+
+
 def baseline_cost(params: ModelParams) -> float:
     """Cumulative cost of the no-policy counterfactual at the horizon."""
-    return simulate_trajectory(params, build_preset("baseline")).final_cost
+    return simulate_trajectory(params, _BASELINE).final_cost
 
 
 def _spend_per_gamma(params: ModelParams, policy: PolicyConfig, spend_integral):

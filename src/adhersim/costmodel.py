@@ -36,9 +36,13 @@ call: the grid arrays (``_grid``, cached) with their discount factors.  The
 nudge logs enter as integers, a period per gain (``scenarios._nudge_periods``);
 the spend channel depends on a gain only through it, so ``arm_costs`` runs it
 once per distinct period, and runs the rest channel (adherence, severity,
-alpha*D + beta*A^2) in chunks of ``_CHUNK_ARMS`` gains.  Every reduction
-along the grid is a row-wise cumulative sum, so each row equals the one-arm
-run bit for bit: ``simulate_trajectory`` is the B = 1 case.
+alpha*D + beta*A^2) in chunks of ``_CHUNK_ARMS`` gains.  Each quantity is
+written by a few in-place array operations that make the formula's float
+operations in its order (swapping the two operands of one sum or product,
+which leaves its result unchanged); k_eff is evaluated once over all 3n - 2
+adherence points.  Every reduction along the grid is a row-wise
+cumulative sum, so each row equals the one-arm run bit for bit:
+``simulate_trajectory`` is the B = 1 case.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from .numerics import STEPS_PER_YEAR, check_finite, sigmoid, time_grid
 from .params import ModelParams
 from .scenarios import (
     PolicyConfig,
+    PolicyKind,
     _nudge_periods,
     _spend_at_nodes,
     adherence_array,
@@ -93,22 +98,27 @@ class Trajectory:
         return float(self.cumulative_cost[-1])
 
 
-def total_cost(params: ModelParams, policy: PolicyConfig, rest, spend_units, gamma=None):
+def total_cost(params: ModelParams, policy: PolicyConfig, rest, spend_units, gamma=None, out=None):
     """rest + (gamma * inflation) * policy_unit_cost * spend_units.
 
-    Works on rates and on integrals, scalars and arrays alike.  ``gamma``
+    Works on rates and on integrals, scalars and arrays alike, and writes to
+    ``out`` if given (which may be ``spend_units``, not ``rest``).  ``gamma``
     defaults to the policy's ``cost_scale_gamma``; passing another value (or
     an array of them) re-prices the same arm, since nothing else depends on it.
     """
     if gamma is None:
         gamma = policy.cost_scale_gamma
     spend = (gamma * policy.inflation_factor) * params.policy_unit_cost
-    return rest + spend * spend_units
+    if out is None:
+        return rest + spend * spend_units
+    return np.add(rest, np.multiply(spend_units, spend, out=out), out=out)
 
 
 # Arms per kernel call.  An arm reads adherence at 3n - 2 points (3 001 on
-# the 10-year canonical grid); a budget of about 25 000 points per call keeps
-# the kernel's (B, 3n - 2) temporaries, and with them peak memory, small.
+# the 10-year canonical grid), about 25 000 points per call.  A per-chunk
+# allocation of 128 KiB or more is mapped afresh and faulted in again on
+# every chunk, so ``arm_costs`` owns the two (B, 3n - 2) arrays and reuses
+# them, and every other per-chunk array is (B, n) or smaller: 64 KiB here.
 _CHUNK_ARMS = 25_000 // 3_001
 
 
@@ -122,36 +132,48 @@ def _logistic_closed_form(params: ModelParams, s: np.ndarray, compression: float
     return params.disease_max_Dmax * sigmoid(k_c * (np.asarray(s, dtype=float) - s0_c))
 
 
-def _logit_steps(params: ModelParams, compression: float, h, a_start, a_mid, a_end):
-    """Logit increments over steps of width h from adherence at each step's
-    start, midpoint and end: RK4 on z' = k_eff(A), which is Simpson's rule."""
+def _k_eff(params: ModelParams, compression: float, a: np.ndarray, out=None) -> np.ndarray:
+    """k_eff(A) = k_c * (1 - eta * max(0, A - A0)) over an array of adherence
+    values, written to ``out`` (which may be ``a``) if given."""
     k_c, _ = _effective_curve(params, compression)
-    eta, a0 = params.severity_coupling_eta, params.adherence_baseline_A0
+    k = np.subtract(a, params.adherence_baseline_A0, out=out)
+    np.maximum(0.0, k, out=k)
+    k *= params.severity_coupling_eta
+    np.subtract(1.0, k, out=k)
+    k *= k_c
+    return k
 
-    def k_eff(a):
-        return k_c * (1.0 - eta * np.maximum(0.0, a - a0))
 
-    return (h / 6.0) * (k_eff(a_start) + 4.0 * k_eff(a_mid) + k_eff(a_end))
+def _logit_steps(h, k_start, k_mid, k_end):
+    """Logit increments over steps of width h from k_eff at each step's start,
+    midpoint and end: RK4 on z' = k_eff(A), which is Simpson's rule
+    (h/6) * (k_start + 4 * k_mid + k_end)."""
+    steps = np.multiply(k_mid, 4.0)
+    steps += k_start
+    steps += k_end
+    steps *= h / 6.0
+    return steps
 
 
-def _severity_grid(
-    params: ModelParams,
-    policy: PolicyConfig,
-    times: np.ndarray,
-    a_start: np.ndarray,
-    a_mid: np.ndarray,
-    a_end: np.ndarray,
-) -> np.ndarray:
+def _severity_grid(params: ModelParams, policy: PolicyConfig, times: np.ndarray, a: np.ndarray, work: np.ndarray):
     """Severity on the grid, one row per arm, via RK4/Simpson on the logit
-    variable from each panel's adherence at its start, midpoint and end."""
+    variable from each panel's adherence at its start, midpoint and end, read
+    at the grid's points (``a``).  ``work``, shaped like ``a``, is scratch."""
+    n = len(times)
     if params.severity_coupling_eta == 0.0:
-        closed = _logistic_closed_form(params, times, policy.progression_compression)
-        return np.tile(closed, (len(a_start), 1))
+        severity = np.empty((len(a), n))
+        severity[...] = _logistic_closed_form(params, times, policy.progression_compression)
+        return severity
 
-    h = times[1] - times[0]
-    increments = _logit_steps(params, policy.progression_compression, h, a_start, a_mid, a_end)
-    z0 = -params.disease_steepness_k * params.disease_midpoint_s0
-    return params.disease_max_Dmax * sigmoid(z0 + _cumsum_from_zero(increments))
+    k = _k_eff(params, policy.progression_compression, a, out=work)
+    steps = _logit_steps(times[1], k[:, :n - 1], k[:, n:2 * n - 1], k[:, 2 * n - 1:])
+    z = np.empty((len(a), n))
+    z[:, 0] = 0.0
+    np.add.accumulate(steps, axis=-1, out=z[:, 1:])
+    z += -params.disease_steepness_k * params.disease_midpoint_s0
+    severity = sigmoid(z, out=z)
+    severity *= params.disease_max_Dmax
+    return severity
 
 
 def disease_severity(
@@ -170,19 +192,19 @@ def disease_severity(
     if params.severity_coupling_eta == 0.0 or adherence_fn is None:
         return float(_logistic_closed_form(params, np.array(s)))
 
-    def a(u) -> np.ndarray:
-        return np.array([adherence_fn(float(v)) for v in np.atleast_1d(u)])
+    def k(u) -> np.ndarray:
+        return _k_eff(params, 1.0, np.array([adherence_fn(float(v)) for v in u]))
 
     n_full = int(np.floor(s * STEPS_PER_YEAR + 1e-9))
     nodes = np.arange(n_full + 1) / STEPS_PER_YEAR
     z = -params.disease_steepness_k * params.disease_midpoint_s0
     if n_full > 0:
         h = 1.0 / STEPS_PER_YEAR
-        av = a(nodes)
-        z += np.sum(_logit_steps(params, 1.0, h, av[:-1], a(nodes[:-1] + h / 2.0), av[1:]))
+        kv = k(nodes)
+        z += np.sum(_logit_steps(h, kv[:-1], k(nodes[:-1] + h / 2.0), kv[1:]))
     rest = s - nodes[-1]
     if rest > 1e-12:
-        z += _logit_steps(params, 1.0, rest, *a([nodes[-1], nodes[-1] + rest / 2.0, s]))
+        z += _logit_steps(rest, *k([nodes[-1], nodes[-1] + rest / 2.0, s]))
     return float(params.disease_max_Dmax * sigmoid(np.array(z)))
 
 
@@ -211,16 +233,17 @@ def instantaneous_cost(
     )
 
 
-def _cumsum_from_zero(panels: np.ndarray) -> np.ndarray:
-    """Row-wise running sum of the panels, 0 at the first node."""
-    out = np.zeros(panels.shape[:-1] + (panels.shape[-1] + 1,))
-    np.cumsum(panels, axis=-1, out=out[..., 1:])
+def _discounted_trapezoid(disc: np.ndarray, h: float, f_start, f_end, out: np.ndarray, scratch=None) -> np.ndarray:
+    """Cumulative trapezoid of disc * f from each panel's start and end values,
+    0 at the first node, one row per arm, into ``out``.  The end terms
+    disc * f_end go to ``scratch`` (which may be ``f_end``) if given."""
+    panels = out[:, 1:]
+    np.multiply(f_start, disc[:-1], out=panels)
+    panels += np.multiply(f_end, disc[1:], out=scratch)
+    panels *= h / 2.0
+    out[:, 0] = 0.0
+    np.add.accumulate(panels, axis=-1, out=panels)
     return out
-
-
-def _discounted_trapezoid(disc: np.ndarray, h: float, f_start: np.ndarray, f_end: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoid of disc * f from each panel's start and end values, 0 at the first node."""
-    return _cumsum_from_zero((h / 2.0) * (disc[:-1] * f_start + disc[1:] * f_end))
 
 
 @functools.lru_cache(maxsize=8)
@@ -245,30 +268,40 @@ def _grid(horizon: float, steps_per_year: int, rho: float) -> tuple[np.ndarray, 
     return grid
 
 
-def _rest_rows(params: ModelParams, policy: PolicyConfig, grid, deltas, nudges, out=None):
+def _rest_rows(params: ModelParams, policy: PolicyConfig, grid, deltas, nudges, a=None, work=None):
     """Adherence, severity and the rest rate at the nodes, and the cumulative
-    rest channel, one row per gain; adherence is read into ``out`` if given."""
+    rest channel, one row per gain.  Adherence is read into ``a`` and ``work``
+    is scratch, both (gains, 3n - 2) arrays, made here if not given."""
     times, disc, _, points, pieces = grid
     n = len(times)
-    a = adherence_array(params, policy, deltas, nudges, points, pieces, out)
-    a_nodes, a_mid, a_end = a[:, :n], a[:, n:2 * n - 1], a[:, 2 * n - 1:]
-    severity = _severity_grid(params, policy, times, a_nodes[:, :-1], a_mid, a_end)
+    a = adherence_array(params, policy, deltas, nudges, points, pieces, a)
+    if work is None:
+        work = np.empty_like(a)
+    severity = _severity_grid(params, policy, times, a, work)
 
-    alpha, beta = params.disease_cost_alpha, params.adherence_cost_beta
     # Health-outcome rate H(s) is zero in the engine; lambda enters only via
     # direct instantaneous_cost calls and the monetized-ROI analysis.
-    rest_nodes = alpha * severity + beta * a_nodes**2
-    rest_end = alpha * severity[:, 1:] + beta * a_end**2
-    rest = params.baseline_cost_C0 + _discounted_trapezoid(disc, times[1], rest_nodes[:, :-1], rest_end)
-    return a_nodes, severity, rest_nodes, rest
+    # alpha * D + beta * A^2 at the nodes, and at each panel's end.
+    disease = np.multiply(severity, params.disease_cost_alpha)
+    rest_nodes, rest_end = np.square(a[:, :n]), np.square(a[:, 2 * n - 1:])
+    for rate, d in ((rest_nodes, disease), (rest_end, disease[:, 1:])):
+        rate *= params.adherence_cost_beta
+        rate += d
+    # The trapezoid overwrites rest_end, and alpha * D, which it is done with.
+    rest = _discounted_trapezoid(disc, times[1], rest_nodes[:, :-1], rest_end, disease, scratch=rest_end)
+    rest += params.baseline_cost_C0
+    return a[:, :n], severity, rest_nodes, rest
 
 
 def _spend_rows(policy: PolicyConfig, grid, nudges):
     """P at the nodes and the cumulative spend channel, one row per log."""
     times, disc, nodes = grid[:3]
     p = _spend_at_nodes(policy, nudges, nodes)
+    if policy.kind is PolicyKind.BASELINE:
+        # Nothing is spent: the trapezoid of P = 0 is 0.0 at every node.
+        return p, np.zeros(p.shape)
     # P is constant on each panel: its value at the end is the one at the start.
-    return p, _discounted_trapezoid(disc, times[1], p[:, :-1], p[:, :-1])
+    return p, _discounted_trapezoid(disc, times[1], p[:, :-1], p[:, :-1], np.empty_like(p))
 
 
 def simulate_trajectory(
@@ -281,17 +314,20 @@ def simulate_trajectory(
     validate_pair(params, policy)
     deltas = [policy.adherence_gain_delta]
     nudges = _nudge_periods(params, policy, deltas)
-    rows = _rest_rows(params, policy, grid, deltas, nudges) + _spend_rows(policy, grid, nudges)
-    adherence, severity, rest_nodes, rest, p, spend = (row[0] for row in rows)
+    a, severity, rest_nodes, rest = _rest_rows(params, policy, grid, deltas, nudges)
+    p, spend = _spend_rows(policy, grid, nudges)
+    rest, spend = rest[0], spend[0]
+    rest_cost, spend_integral = float(rest[-1]), float(spend[-1])
     return Trajectory(
         times=grid[0].copy(),
-        adherence=adherence,
-        severity=severity,
-        policy_cost=p,
-        instantaneous_cost=total_cost(params, policy, rest_nodes, p),
-        cumulative_cost=total_cost(params, policy, rest, spend),
-        rest_cost=float(rest[-1]),
-        spend_integral=float(spend[-1]),
+        adherence=a[0],
+        severity=severity[0],
+        policy_cost=p[0],
+        instantaneous_cost=total_cost(params, policy, rest_nodes[0], p[0], out=np.empty(len(rest))),
+        # The spend row is read above; the cost is formed in its place.
+        cumulative_cost=total_cost(params, policy, rest, spend, out=spend),
+        rest_cost=rest_cost,
+        spend_integral=spend_integral,
     )
 
 
@@ -301,18 +337,21 @@ def arm_costs(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[np.nda
     Row i equals ``simulate_trajectory`` of ``policy`` with gain ``deltas[i]``
     bit for bit: ``total_cost`` of the pair is that run's ``final_cost``.  The
     gains are taken as given (the caller checks they lie in [0, 1]).  Every
-    chunk reads adherence into one buffer, so that its pages are not handed
-    back to the system and faulted in again from chunk to chunk.
+    chunk reads adherence into one buffer and works in another, so that their
+    pages are not handed back to the system and faulted in again from chunk
+    to chunk.
     """
     deltas = np.asarray(deltas, dtype=float)
     grid = _grid(params.horizon_T, STEPS_PER_YEAR, params.discount_rate_rho)
     validate_pair(params, policy)
     rest, periods = np.empty(deltas.size), np.empty(deltas.size, dtype=np.int64)
-    a = np.empty((_CHUNK_ARMS, len(grid[3])))
+    a = np.empty((min(_CHUNK_ARMS, deltas.size), len(grid[3])))
+    work = np.empty_like(a)
     for lo in range(0, deltas.size, _CHUNK_ARMS):
         chunk = slice(lo, lo + _CHUNK_ARMS)
         i0, periods[chunk] = nudges = _nudge_periods(params, policy, deltas[chunk])
-        rest[chunk] = _rest_rows(params, policy, grid, deltas[chunk], nudges, a[:len(nudges[1])])[-1][:, -1]
+        b = len(nudges[1])
+        rest[chunk] = _rest_rows(params, policy, grid, deltas[chunk], nudges, a[:b], work[:b])[-1][:, -1]
     distinct, which = np.unique(periods, return_inverse=True)
     spend = np.empty(distinct.size)
     for lo in range(0, distinct.size, _CHUNK_ARMS):
@@ -352,7 +391,7 @@ def cumulative_cost(
         d = float(_logistic_closed_form(params, np.array(t), policy.progression_compression))
     elif rest > 1e-12:
         dmax = params.disease_max_Dmax
-        z = float(np.log(d / (dmax - d))) + _logit_steps(params, policy.progression_compression, rest, *a)
+        z = float(np.log(d / (dmax - d))) + _logit_steps(rest, *_k_eff(params, policy.progression_compression, a))
         d = float(dmax * sigmoid(np.array(z)))
     a_t = float(a[2])
     c_t = total_cost(

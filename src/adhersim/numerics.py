@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Canonical simulation resolution: 100 steps per year (0.01-year step).
@@ -32,19 +34,23 @@ def snap_up(t: np.ndarray | float, steps_per_year: int = STEPS_PER_YEAR) -> np.n
     return np.ceil(np.maximum(np.asarray(t, dtype=float) * steps_per_year - 1e-9, 0.0)) / steps_per_year
 
 
-def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
-    """Numerically stable logistic function 1 / (1 + exp(-z))."""
+def sigmoid(z: np.ndarray | float, out: np.ndarray | None = None) -> np.ndarray | float:
+    """Numerically stable logistic function 1 / (1 + exp(-z)), written to
+    ``out`` (an array shaped like z, which may be z) if given."""
     z = np.asarray(z, dtype=float)
+    if z.ndim == 0:
+        return float(sigmoid(z.reshape(1))[0])
     # exp(-|z|) never overflows: 1 / (1 + exp(-z)) for z >= 0, exp(z) / (1 + exp(z)) below.
-    e = np.exp(-np.abs(z))
-    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    # It lies in [0, 1], so the numerator is max(exp(-|z|), 1.0 if z >= 0 else 0.0).
+    numerator = np.greater_equal(z, 0.0, out=np.empty(z.shape))
+    e = np.exp(np.negative(np.abs(z, out=out), out=out), out=out)
+    np.maximum(e, numerator, out=numerator)
+    e += 1.0
+    return np.divide(numerator, e, out=e)
 
 
 def check_finite(name: str, value: float) -> float:
     value = float(value)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value

@@ -149,7 +149,15 @@ def validate_run_config(config: RunConfig) -> None:
         raise ValueError("mode=breakeven requires key: delta_axis")
     if mode is RunMode.STRESS and config.stress_kind is None:
         raise ValueError("mode=stress requires key: stress_kind")
-    config.build_policy()  # surfaces out-of-range override values now
+    try:
+        config.build_policy()
+    except ValueError as exc:
+        # Only an override can be out of range, and PolicyConfig's message
+        # begins with its field: "start_tau must be >= 0".
+        field, _, reason = str(exc).partition(" ")
+        if field not in config.policy_overrides:
+            raise
+        raise ValueError(f"policy.{field}: {reason}") from None
 
 
 def parse_run_config(text: str) -> RunConfig:

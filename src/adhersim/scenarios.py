@@ -21,6 +21,7 @@ gains.  ``NudgeLog`` tuples of times are built only for public callers.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -80,6 +81,8 @@ class PolicyConfig:
         check_finite("decay_theta", self.decay_theta)
         check_finite("nudge_threshold", self.nudge_threshold)
         check_finite("nudge_unit_cost", self.nudge_unit_cost)
+        check_finite("inflation_factor", self.inflation_factor)
+        check_finite("progression_compression", self.progression_compression)
         if self.start_tau < 0:
             raise ValueError("start_tau must be >= 0")
         if not (0.0 <= self.adherence_gain_delta <= 1.0):
@@ -187,13 +190,6 @@ def validate_authored_pair(params: ModelParams, policy: PolicyConfig) -> None:
         )
 
 
-def _base_component(params: ModelParams, policy: PolicyConfig, s: np.ndarray) -> np.ndarray:
-    a0 = params.adherence_baseline_A0
-    if policy.baseline_decay is not None:
-        return a0 * np.exp(-policy.baseline_decay * s)
-    return np.full_like(s, a0, dtype=float)
-
-
 def _gain_law(policy: PolicyConfig, delta: np.ndarray) -> tuple[np.ndarray, float]:
     """(delta, theta) of the gain delta * exp(-theta * (s - last boost)) from tau on,
     for an array of gains ``delta`` that replace the policy's.
@@ -210,15 +206,22 @@ def _gain_law(policy: PolicyConfig, delta: np.ndarray) -> tuple[np.ndarray, floa
     return delta, policy.decay_theta
 
 
+def _tau_node(policy: PolicyConfig) -> int:
+    """Tau's canonical node, round(tau_snapped * STEPS_PER_YEAR), from snap_up's
+    float operations made on Python floats."""
+    tau_snapped = math.ceil(max(policy.start_tau * STEPS_PER_YEAR - 1e-9, 0.0)) / STEPS_PER_YEAR
+    return round(tau_snapped * STEPS_PER_YEAR)
+
+
 def _nudge_periods(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[int, np.ndarray]:
     """Tau's canonical node i0 and, per gain in ``deltas``, the period m of
     ``compute_nudge_log``'s activations at nodes i0 + m, i0 + 2m, ... (m = 0:
     none).  It holds a (gains, nodes) array: pass the gains in bounded blocks."""
-    deltas = np.asarray(deltas, dtype=float)
-    i0 = round(policy.tau_snapped * STEPS_PER_YEAR)
+    i0 = _tau_node(policy)
     i_last = round(params.horizon_T * STEPS_PER_YEAR)
     if policy.kind is not PolicyKind.ADAPTIVE_NUDGES or i0 == i_last:
-        return i0, np.zeros(deltas.size, dtype=np.int64)
+        return i0, np.zeros(len(deltas), dtype=np.int64)
+    deltas = np.asarray(deltas, dtype=float)
     a0 = params.adherence_baseline_A0
     threshold = policy.nudge_threshold
     steps = np.arange(1, i_last - i0 + 1)
@@ -230,11 +233,14 @@ def _nudge_periods(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[i
     return i0, np.where(fires, below.argmax(axis=1) + 1, 0)
 
 
+# The period of a log that never fires: no node offset reaches it.
+_NEVER = np.iinfo(np.int64).max
+
+
 def _activations_by(nudges: tuple[int, np.ndarray], nodes: np.ndarray, out=None):
     """Each log's period m as a column, and N at each canonical node (into ``out``)."""
     i0, periods = nudges
-    # A log that never fires gets a period that no node offset reaches.
-    m = np.where(periods > 0, periods, np.iinfo(np.int64).max)[:, None]
+    m = np.where(periods > 0, periods, _NEVER)[:, None]
     return m, np.floor_divide(np.maximum(nodes - i0, 0), m, out=out)
 
 
@@ -276,21 +282,30 @@ def adherence_array(
         elapsed *= -theta
         np.multiply(delta, np.exp(elapsed, out=elapsed), out=gain)
         gain *= active
-    gain += _base_component(params, policy, s)
-    return np.clip(gain, 0.0, 1.0, out=gain)
+    a0 = params.adherence_baseline_A0
+    if policy.baseline_decay is None:
+        gain += a0
+    else:
+        base = np.multiply(s, -policy.baseline_decay)
+        gain += np.multiply(np.exp(base, out=base), a0, out=base)
+    # np.clip's bounds with the scalar first: -0.0 and NaN pass through as clip leaves them.
+    np.maximum(0.0, gain, out=gain)
+    return np.minimum(gain, 1.0, out=gain)
 
 
 def _spend_at_nodes(policy: PolicyConfig, nudges: tuple[int, np.ndarray], nodes: np.ndarray) -> np.ndarray:
     """``policy_cost_array`` at canonical nodes, one row per log in period form."""
+    shape = (len(nudges[1]), len(nodes))
     if policy.kind is PolicyKind.BASELINE:
-        return np.zeros((len(nudges[1]), len(nodes)))
-    step = (nodes >= nudges[0]).astype(float)
-    if not nudges[1].any():
-        # No window ever opens: the nudge term would add nudge_unit_cost * 0 = 0.0.
-        return np.tile(step, (len(nudges[1]), 1))
-    _, opened = _activations_by(nudges, nodes)
-    _, closed = _activations_by(nudges, nodes - round(NUDGE_WINDOW_YEARS * STEPS_PER_YEAR))
-    return step + policy.nudge_unit_cost * (opened - closed)
+        return np.zeros(shape)
+    # The step, 1.0 from tau's node on, in every row.
+    p = np.greater_equal(nodes, nudges[0], out=np.empty(shape))
+    if nudges[1].any():
+        # Without an open window the nudge term would add nudge_unit_cost * 0 = 0.0.
+        _, opened = _activations_by(nudges, nodes)
+        _, closed = _activations_by(nudges, nodes - round(NUDGE_WINDOW_YEARS * STEPS_PER_YEAR))
+        p += policy.nudge_unit_cost * (opened - closed)
+    return p
 
 
 def policy_cost_array(policy: PolicyConfig, nudges: NudgeLog, s: np.ndarray) -> np.ndarray:

@@ -273,6 +273,18 @@ class TestInputErrors:
         assert rc == 2
         assert f"error: {expected}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, expected", [
+        ("policy.start_tau = -1\n", "policy.start_tau: must be >= 0"),
+        ("policy.adherence_gain_delta = 1.5\n", "policy.adherence_gain_delta: must be in [0, 1]"),
+        ("policy.inflation_factor = nan\n", "policy.inflation_factor: must be finite, got nan"),
+        ("policy.progression_compression = inf\n", "policy.progression_compression: must be finite, got inf"),
+    ], ids=["negative_tau", "gain_above_one", "nan_inflation", "infinite_compression"])
+    def test_out_of_range_override_names_its_key(self, tmp_path, capsys, extra, expected):
+        rc = _run(["--config", self._config(tmp_path, "simulate", extra), "simulate"])
+        assert rc == 2
+        assert f"error: {expected}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("args, expected", [
         (["--seed", "-5", "mc", "--n-draws", "5"], "seed: must be >= 0"),
         (["--seed", "1", "export-plots", "--family", "mc", "--n-draws", "0"], "n_draws: must be >= 1"),

@@ -48,6 +48,7 @@ from adhersim.scenarios import (
     PolicyConfig,
     PolicyKind,
     _nudge_periods,
+    _tau_node,
     adherence_array,
     build_preset,
     compute_nudge_log,
@@ -249,6 +250,135 @@ def test_period_form_equals_activation_times(case, multiples):
             _, p = period_form_oracle(params, policy, gain, activations, times, times)
             assert adherence[row].tobytes() == a.tobytes(), (steps_per_year, gain)
             assert spend[row].tobytes() == p.tobytes(), (steps_per_year, gain)
+
+
+def tau_node_oracle(policy) -> int:
+    return round(policy.tau_snapped * STEPS_PER_YEAR)
+
+
+# Canonical nodes, the floats on either side of them, and times far past any horizon.
+node_times = st.integers(0, 10**7).map(lambda k: k / STEPS_PER_YEAR)
+tau_values = st.one_of(
+    st.floats(0.0, PARAMS.horizon_T), node_times,
+    node_times.map(lambda t: math.nextafter(t, math.inf)), node_times.map(lambda t: math.nextafter(t, 0.0)),
+    st.floats(0.0, 1e300),
+)
+
+
+@PROPERTY
+@given(tau_values)
+def test_tau_node_equals_rounded_snapped_tau(tau):
+    policy = PolicyConfig(kind=PolicyKind.EARLY_ADHERENCE, start_tau=tau)
+    assert _tau_node(policy) == tau_node_oracle(policy)
+
+
+def cumsum_from_zero(panels):
+    out = np.zeros(panels.shape[:-1] + (panels.shape[-1] + 1,))
+    np.cumsum(panels, axis=-1, out=out[..., 1:])
+    return out
+
+
+def adherence_reference(params, policy, delta, activations, s, piece_at):
+    """A(s) on the piece in force at piece_at, from an activation log as times,
+    with each kind's gain law and the baseline's decay."""
+    kind = policy.kind
+    active = piece_at >= policy.tau_snapped
+    if kind is PolicyKind.BASELINE:
+        gain = np.zeros_like(s)
+    elif kind in (PolicyKind.EARLY_ADHERENCE, PolicyKind.DELAYED, PolicyKind.LOW_IMPACT) or policy.decay_theta == 0.0:
+        gain = delta * active
+    else:
+        boosts = np.array((policy.tau_snapped,) + activations)
+        t_last = boosts[np.maximum(np.searchsorted(boosts, piece_at, side="right") - 1, 0)]
+        gain = delta * np.exp(-policy.decay_theta * np.maximum(s - t_last, 0.0)) * active
+    a0 = params.adherence_baseline_A0
+    if policy.baseline_decay is None:
+        base = np.full_like(s, a0)
+    else:
+        base = a0 * np.exp(-policy.baseline_decay * s)
+    return np.clip(gain + base, 0.0, 1.0)
+
+
+def kernel_reference(params, policy, steps_per_year=STEPS_PER_YEAR):
+    """Every column of one arm from plain numpy, one expression per quantity:
+    k_eff on the panels' start, midpoint and end, Simpson on the logit, the
+    two-branch sigmoid, alpha*D + beta*A^2 and the discounted trapezoids."""
+    times = time_grid(params.horizon_T, steps_per_year)
+    starts, mids, ends = times[:-1], times[:-1] + times[1] / 2.0, times[1:]
+    h = times[1] - times[0]
+    delta = policy.adherence_gain_delta
+    activations = nudge_log_oracle(params, policy) if policy.kind is PolicyKind.ADAPTIVE_NUDGES else ()
+    a_nodes = adherence_reference(params, policy, delta, activations, times, times)
+    a_mid = adherence_reference(params, policy, delta, activations, mids, starts)
+    a_end = adherence_reference(params, policy, delta, activations, ends, starts)
+
+    c = policy.progression_compression
+    k_c, s0_c = params.disease_steepness_k / c, params.disease_midpoint_s0 * c
+    eta, a0 = params.severity_coupling_eta, params.adherence_baseline_A0
+    if eta == 0.0:
+        severity = params.disease_max_Dmax * sigmoid_oracle(k_c * (times - s0_c))
+    else:
+        def k_eff(a):
+            return k_c * (1.0 - eta * np.maximum(0.0, a - a0))
+
+        steps = (h / 6.0) * (k_eff(a_nodes[:-1]) + 4.0 * k_eff(a_mid) + k_eff(a_end))
+        z = -params.disease_steepness_k * params.disease_midpoint_s0 + cumsum_from_zero(steps)
+        severity = params.disease_max_Dmax * sigmoid_oracle(z)
+
+    alpha, beta = params.disease_cost_alpha, params.adherence_cost_beta
+    rest_nodes = alpha * severity + beta * a_nodes**2
+    rest_end = alpha * severity[1:] + beta * a_end**2
+    disc = np.exp(-params.discount_rate_rho * times)
+    rest = params.baseline_cost_C0 + cumsum_from_zero((h / 2.0) * (disc[:-1] * rest_nodes[:-1] + disc[1:] * rest_end))
+    if policy.kind is PolicyKind.BASELINE:
+        p = np.zeros_like(times)
+    else:
+        nodes = np.floor_divide(np.arange(len(times)), steps_per_year // STEPS_PER_YEAR) / STEPS_PER_YEAR
+        _, p = period_form_oracle(params, policy, delta, activations, times, nodes)
+    spend = cumsum_from_zero((h / 2.0) * (disc[:-1] * p[:-1] + disc[1:] * p[:-1]))
+    price = (policy.cost_scale_gamma * policy.inflation_factor) * params.policy_unit_cost
+    return {
+        "times": times, "adherence": a_nodes, "severity": severity, "policy_cost": p,
+        "instantaneous_cost": rest_nodes + price * p, "cumulative_cost": rest + price * spend,
+        "rest_cost": rest[-1:], "spend_integral": spend[-1:],
+    }
+
+
+# Every kind, with the fields each one ignores drawn too; gains over all of
+# [0, 1] and thresholds above A0, so nudges fire at many periods or never.
+kernel_policies = st.builds(
+    PolicyConfig,
+    kind=st.sampled_from(PolicyKind),
+    start_tau=st.floats(0.0, PARAMS.horizon_T),
+    adherence_gain_delta=st.floats(0.0, 1.0),
+    cost_scale_gamma=gammas,
+    decay_theta=st.floats(0.0, 5.0),
+    nudge_threshold=st.floats(PARAMS.adherence_baseline_A0, 1.0),
+    baseline_decay=st.none() | st.floats(0.0, 0.5),
+    inflation_factor=st.floats(1.0, 2.0),
+    progression_compression=st.floats(0.5, 1.0) | st.just(1.0),
+)
+kernel_params = st.sampled_from((PARAMS, replace(PARAMS, severity_coupling_eta=0.0)))
+
+
+@PROPERTY
+@given(kernel_params, kernel_policies, st.sampled_from((STEPS_PER_YEAR, 2 * STEPS_PER_YEAR)))
+def test_trajectory_columns_equal_plain_numpy_reference(params, policy, steps_per_year):
+    traj = simulate_trajectory(params, policy, steps_per_year)
+    expected = kernel_reference(params, policy, steps_per_year)
+    for name, column in expected.items():
+        got = np.atleast_1d(np.float64(getattr(traj, name)))
+        assert got.tobytes() == column.tobytes(), name
+
+
+@PROPERTY
+@given(kernel_params, kernel_policies, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2 * costmodel._CHUNK_ARMS + 1))
+def test_batched_rows_equal_plain_numpy_reference(params, policy, deltas):
+    rest, spend = arm_costs(params, policy, deltas)
+    for i, delta in enumerate(deltas):
+        expected = kernel_reference(params, replace(policy, adherence_gain_delta=delta))
+        assert rest[i:i + 1].tobytes() == expected["rest_cost"].tobytes(), delta
+        assert spend[i:i + 1].tobytes() == expected["spend_integral"].tobytes(), delta
 
 
 def sigmoid_oracle(z):
@@ -489,3 +619,126 @@ def test_run_config_round_trips_or_is_rejected(config):
             pass  # the document does not parse at all
         return
     assert parse_run_config(text) == config
+
+
+NUMERIC_KEYS = ("seed", "n_draws", "n_workers", "stress_value", "delta_axis", "gamma_axis") + tuple(
+    "policy." + name for name in _POLICY_OVERRIDE_FIELDS)
+NOT_NUMBERS = ("abc", "", "1.2.3", "one", "--1", "0x1g", "1e", "2 x")
+# Values each field rejects: out of its range, or not finite.
+OUT_OF_RANGE = {
+    "start_tau": st.floats(max_value=0.0, exclude_max=True),
+    "adherence_gain_delta": st.floats(max_value=0.0, exclude_max=True) | st.floats(min_value=1.0, exclude_min=True),
+    "cost_scale_gamma": st.floats(max_value=0.0, exclude_max=True),
+    "decay_theta": st.floats(max_value=0.0, exclude_max=True),
+    "nudge_threshold": st.floats(max_value=0.0, exclude_max=True) | st.floats(min_value=1.0, exclude_min=True),
+    "nudge_unit_cost": st.floats(max_value=0.0, exclude_max=True),
+    "baseline_decay": st.floats(max_value=0.0, exclude_max=True),
+    "inflation_factor": st.floats(max_value=1.0, exclude_max=True),
+    "progression_compression": st.floats(max_value=0.0) | st.floats(min_value=1.0, exclude_min=True),
+}
+NOT_FINITE = st.sampled_from((math.nan, math.inf, -math.inf))
+
+
+@st.composite
+def valid_documents(draw):
+    """A valid run-configuration document as an ordered key -> value dict."""
+    mode = draw(st.sampled_from(RunMode))
+
+    def wanted(required: bool) -> bool:
+        return required or draw(st.booleans())
+
+    def axis_text(values):
+        return ", ".join(repr(v) for v in sorted(set(values)))
+
+    doc = {
+        "params_file": "params/reference_params.txt",
+        "scenario": draw(st.sampled_from(PRESET_NAMES + ("custom",))),
+        "mode": mode.value,
+        "output_dir": "out/run",
+    }
+    if wanted(mode is RunMode.MONTE_CARLO):
+        doc["seed"] = str(draw(st.integers(0, 2**63)))
+    if wanted(mode is RunMode.MONTE_CARLO):
+        doc["n_draws"] = str(draw(st.integers(1, 10**6)))
+    if wanted(False):
+        doc["n_workers"] = str(draw(st.integers(1, 64)))
+    if wanted(mode in (RunMode.SWEEP, RunMode.BREAKEVEN)):
+        doc["delta_axis"] = axis_text(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)))
+    if wanted(mode is RunMode.SWEEP):
+        doc["gamma_axis"] = axis_text(draw(st.lists(finite, min_size=1, max_size=4)))
+    if wanted(mode is RunMode.STRESS):
+        kind = draw(st.sampled_from(sorted(STRESS_VALUES)))
+        doc["stress_kind"] = kind
+        if wanted(False):
+            doc["stress_value"] = repr(draw(STRESS_VALUES[kind]))
+    for name, value in draw(st.fixed_dictionaries({}, optional=OVERRIDE_VALUES)).items():
+        doc["policy." + name] = repr(value)
+    return doc
+
+
+def required_keys(doc) -> tuple[str, ...]:
+    mode = RunMode(doc["mode"])
+    by_mode = {
+        RunMode.MONTE_CARLO: ("seed", "n_draws"),
+        RunMode.SWEEP: ("delta_axis", "gamma_axis"),
+        RunMode.BREAKEVEN: ("delta_axis",),
+        RunMode.STRESS: ("stress_kind",),
+    }
+    return ("params_file", "scenario", "mode", "output_dir") + by_mode.get(mode, ())
+
+
+@st.composite
+def broken_documents(draw):
+    """A valid document, the same document with exactly one key broken, and that key."""
+    doc = draw(valid_documents())
+    broken = dict(doc)
+    breakage = draw(st.sampled_from(("unknown", "missing", "not_a_number", "override", "axis", "stress_value")))
+    if breakage == "unknown":
+        key = draw(st.sampled_from(("bogus", "seeds", "Mode", "policy.kind", "policy.bogus")))
+        broken[key] = "1"
+    elif breakage == "missing":
+        key = draw(st.sampled_from(required_keys(doc)))
+        del broken[key]
+    elif breakage == "not_a_number":
+        key = draw(st.sampled_from(NUMERIC_KEYS))
+        broken[key] = draw(st.sampled_from(NOT_NUMBERS))
+    elif breakage == "override":
+        name = draw(st.sampled_from(_POLICY_OVERRIDE_FIELDS))
+        key = "policy." + name
+        broken[key] = repr(draw(OUT_OF_RANGE[name] | NOT_FINITE))
+    elif breakage == "axis":
+        key = draw(st.sampled_from(("delta_axis", "gamma_axis")))
+        good = draw(st.floats(0.0, 1.0))
+        bad = draw(st.sampled_from((
+            [draw(NOT_FINITE)], [good, draw(NOT_FINITE)], [good, good],
+            [good, draw(st.floats(max_value=good))],
+        )))
+        broken[key] = ", ".join(repr(v) for v in bad)
+    else:
+        key = "stress_value"
+        kind = broken.get("stress_kind")
+        if kind is None:
+            bad = draw(STRESS_VALUES[draw(st.sampled_from(sorted(STRESS_VALUES)))])  # given without a kind
+        elif kind == "cost_inflation":
+            bad = draw(st.floats(max_value=1.0, exclude_max=True) | NOT_FINITE)
+        else:
+            bad = draw(st.floats(max_value=0.0) | st.floats(min_value=1.0, exclude_min=True) | st.just(math.nan))
+        broken[key] = repr(bad)
+    return doc, broken, key
+
+
+def document(doc) -> str:
+    return "".join(f"{key} = {value}\n" for key, value in doc.items())
+
+
+@settings(PROPERTY, max_examples=300)
+@given(broken_documents())
+@example(({"params_file": "p.txt", "scenario": "early_adherence", "mode": "simulate", "output_dir": "out"},
+          {"params_file": "p.txt", "scenario": "early_adherence", "mode": "simulate", "output_dir": "out",
+           "policy.start_tau": "-1.0"}, "policy.start_tau"))
+def test_malformed_config_names_its_key(case):
+    doc, broken, key = case
+    parse_run_config(document(doc))
+    with pytest.raises(ValueError) as exc:
+        parse_run_config(document(broken))
+    assert key in str(exc.value)
