@@ -7,10 +7,9 @@ the denominator (not incremental policy spend).
 gamma enters the engine only through the spend channel, so an arm's total
 cost is C(gamma) = R + gamma * inflation * policy_unit_cost * I_P with R
 (C0 plus the rest) and I_P read off one simulated arm (see costmodel).
-Break-even, the per-row sweep and the ROI slope are closed forms on that
-line: one engine arm per (design, delta) instead of one per gamma, and the
-arms of a sweep's delta axis run through one batched engine call
-(``arm_costs``).
+Break-even and the per-row sweep are closed forms on that line: one engine
+arm per (design, delta) instead of one per gamma, and the arms of a sweep's
+delta axis run through one batched engine call (``arm_costs``).
 """
 
 from __future__ import annotations
@@ -68,14 +67,6 @@ def roi(cost_baseline: float, cost_policy):
     return (cost_baseline - cost_policy) / cost_policy * 100.0
 
 
-def monetized_roi(cost_baseline: float, cost_policy: float, health_benefit: float) -> float:
-    """ROI with a monetized health benefit credited as additional savings."""
-    check_finite("health_benefit", health_benefit)
-    if cost_policy <= 0:
-        raise ValueError(f"cost_policy must be > 0, got {cost_policy}")
-    return (cost_baseline - cost_policy + health_benefit) / cost_policy * 100.0
-
-
 def payback_time(traj_baseline: Trajectory, traj_policy: Trajectory) -> float | None:
     """First time the policy arm's cumulative cost drops below the baseline's.
 
@@ -108,11 +99,6 @@ def baseline_cost(params: ModelParams) -> float:
     return simulate_trajectory(params, _BASELINE).final_cost
 
 
-def _spend_per_gamma(params: ModelParams, policy: PolicyConfig, spend_integral):
-    """dC/dgamma = inflation * policy_unit_cost * I_P."""
-    return policy.inflation_factor * params.policy_unit_cost * spend_integral
-
-
 def _breakeven(
     params: ModelParams, policy: PolicyConfig, c_base: float, rest: float, spend_integral: float
 ) -> float | None:
@@ -120,7 +106,8 @@ def _breakeven(
     r0 = roi(c_base, rest)
     if abs(r0) < BREAKEVEN_ROI_TOL:
         return 0.0
-    spend_per_gamma = _spend_per_gamma(params, policy, spend_integral)
+    # dC/dgamma = inflation * policy_unit_cost * I_P.
+    spend_per_gamma = policy.inflation_factor * params.policy_unit_cost * spend_integral
     if r0 < 0 or spend_per_gamma <= 0:
         return None
     root = (c_base - rest) / spend_per_gamma
@@ -192,37 +179,3 @@ def sweep_design_space(
             _breakeven(params, template, c_base, r, i_p) for r, i_p in zip(rest.tolist(), spend.tolist())
         ),
     )
-
-
-def roi_slope(
-    params: ModelParams,
-    template: PolicyConfig,
-    delta: float,
-    gamma: float,
-) -> float:
-    """dROI/dgamma = -100 * C_base * inflation * policy_unit_cost * I_P / C(gamma)^2.
-
-    Exact, since ROI = 100 * (C_base / C - 1) and C is linear in gamma.
-    """
-    check_finite("gamma", gamma)
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    policy = replace(template, adherence_gain_delta=delta, cost_scale_gamma=gamma)
-    c_base = baseline_cost(params)
-    arm = simulate_trajectory(params, policy)
-    cost = arm.final_cost
-    if cost <= 0:
-        raise ValueError(f"cost_policy must be > 0, got {cost}")
-    return -100.0 * c_base * _spend_per_gamma(params, policy, arm.spend_integral) / (cost * cost)
-
-
-def scenario_roi_table(params: ModelParams, preset_names: tuple[str, ...] | None = None) -> dict[str, float]:
-    """ROI per preset against the shared baseline (the Figure 4/5 comparison)."""
-    from .scenarios import PRESET_NAMES
-
-    names = preset_names or tuple(n for n in PRESET_NAMES if n != "baseline")
-    c_base = baseline_cost(params)
-    out: dict[str, float] = {}
-    for name in names:
-        out[name] = roi(c_base, simulate_trajectory(params, build_preset(name)).final_cost)
-    return out

@@ -129,9 +129,7 @@ def run(config: RunConfig) -> list[str]:
 
     elif config.mode is RunMode.MONTE_CARLO:
         spec = _default_mc_spec(policy.adherence_gain_delta)
-        mc_summary, draws = run_monte_carlo(
-            params, policy, spec, config.n_draws, config.seed, n_workers=config.n_workers
-        )
+        mc_summary, draws = run_monte_carlo(params, policy, spec, config.n_draws, config.seed)
         files["mc_summary.json"] = mc_summary_json(mc_summary)
         files["draws.csv"] = draws_csv(draws)
         summary = (
@@ -233,6 +231,8 @@ def export_plots(
         raise ValueError("seed: the mc family requires a seed")
     if family == "mc" and n_draws is None:
         raise ValueError("n_draws: the mc family requires a draw count")
+    if n_draws is not None and n_draws < 1:
+        raise ValueError("n_draws: must be >= 1")
     params = load_params(path)
 
     mc_results = None

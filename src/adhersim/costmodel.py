@@ -8,8 +8,7 @@ Dmax / (1 + exp(-k (s - s0))) is recovered exactly.  The ODE is integrated
 with fixed-step fourth-order Runge-Kutta on the logit z = ln(D / (Dmax - D)),
 where the right-hand side reduces to z' = k_eff(s); for a state-independent
 right-hand side the RK4 stage sum is Simpson's rule, which keeps the
-closed-form reduction exact instead of O(h^4)-approximate.  One Simpson step
-(``_logit_steps``) serves the grid, ``disease_severity`` and off-grid times.
+closed-form reduction exact instead of O(h^4)-approximate (``_logit_steps``).
 
 Cumulative cost C(t) = C0 + integral_0^t exp(-rho s) c(s) ds is computed by
 composite trapezoid on the same grid.  Every policy event (start, nudge
@@ -49,11 +48,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .numerics import STEPS_PER_YEAR, check_finite, sigmoid, time_grid
+from .numerics import STEPS_PER_YEAR, sigmoid, time_grid
 from .params import ModelParams
 from .scenarios import (
     PolicyConfig,
@@ -70,9 +68,9 @@ class Trajectory:
     """Aligned time series produced by one simulation run.
 
     ``policy_cost`` holds the scenario expenditure function P(s) in policy
-    units, matching ``policy_cost_at`` pointwise; the dollar conversion
-    (gamma * inflation * policy_unit_cost) only enters ``instantaneous_cost``
-    and ``cumulative_cost``.  ``rest_cost`` (C0 plus the discounted
+    units at the nodes; the dollar conversion (gamma * inflation *
+    policy_unit_cost) only enters ``instantaneous_cost`` and
+    ``cumulative_cost``.  ``rest_cost`` (C0 plus the discounted
     alpha*D + beta*A^2 integral) and ``spend_integral`` (the discounted
     integral of P) are the two channels at the horizon; ``total_cost`` of the
     pair is ``final_cost``.
@@ -127,14 +125,14 @@ def _effective_curve(params: ModelParams, compression: float) -> tuple[float, fl
     return params.disease_steepness_k / compression, params.disease_midpoint_s0 * compression
 
 
-def _logistic_closed_form(params: ModelParams, s: np.ndarray, compression: float = 1.0) -> np.ndarray:
+def _logistic_closed_form(params: ModelParams, s: np.ndarray, compression: float) -> np.ndarray:
     k_c, s0_c = _effective_curve(params, compression)
-    return params.disease_max_Dmax * sigmoid(k_c * (np.asarray(s, dtype=float) - s0_c))
+    return params.disease_max_Dmax * sigmoid(k_c * (s - s0_c))
 
 
-def _k_eff(params: ModelParams, compression: float, a: np.ndarray, out=None) -> np.ndarray:
+def _k_eff(params: ModelParams, compression: float, a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """k_eff(A) = k_c * (1 - eta * max(0, A - A0)) over an array of adherence
-    values, written to ``out`` (which may be ``a``) if given."""
+    values, written to ``out``."""
     k_c, _ = _effective_curve(params, compression)
     k = np.subtract(a, params.adherence_baseline_A0, out=out)
     np.maximum(0.0, k, out=k)
@@ -174,63 +172,6 @@ def _severity_grid(params: ModelParams, policy: PolicyConfig, times: np.ndarray,
     severity = sigmoid(z, out=z)
     severity *= params.disease_max_Dmax
     return severity
-
-
-def disease_severity(
-    params: ModelParams,
-    adherence_fn: Callable[[float], float] | None,
-    s: float,
-) -> float:
-    """Disease severity at time s under an arbitrary adherence trajectory.
-
-    ``adherence_fn`` may be None for the exogenous curve.  Discontinuities in
-    the supplied function are assumed to sit on canonical grid nodes.
-    """
-    check_finite("s", s)
-    if not (0.0 <= s <= params.horizon_T):
-        raise ValueError(f"s={s} outside [0, {params.horizon_T}]")
-    if params.severity_coupling_eta == 0.0 or adherence_fn is None:
-        return float(_logistic_closed_form(params, np.array(s)))
-
-    def k(u) -> np.ndarray:
-        return _k_eff(params, 1.0, np.array([adherence_fn(float(v)) for v in u]))
-
-    n_full = int(np.floor(s * STEPS_PER_YEAR + 1e-9))
-    nodes = np.arange(n_full + 1) / STEPS_PER_YEAR
-    z = -params.disease_steepness_k * params.disease_midpoint_s0
-    if n_full > 0:
-        h = 1.0 / STEPS_PER_YEAR
-        kv = k(nodes)
-        z += np.sum(_logit_steps(h, kv[:-1], k(nodes[:-1] + h / 2.0), kv[1:]))
-    rest = s - nodes[-1]
-    if rest > 1e-12:
-        z += _logit_steps(rest, *k([nodes[-1], nodes[-1] + rest / 2.0, s]))
-    return float(params.disease_max_Dmax * sigmoid(np.array(z)))
-
-
-def instantaneous_cost(
-    params: ModelParams,
-    A: float,
-    P: float,
-    H: float,
-    D: float,
-    gamma: float,
-) -> float:
-    """Four-term cost rate alpha*D + beta*A^2 + gamma*P + lambda*H.
-
-    P is the expenditure rate in dollars per year as seen by the integrand;
-    the engine performs the policy-unit conversion before calling this.
-    """
-    for name, value in (("A", A), ("P", P), ("H", H), ("D", D), ("gamma", gamma)):
-        check_finite(name, value)
-    if not (0.0 <= A <= 1.0):
-        raise ValueError(f"A={A} outside [0, 1]")
-    return (
-        params.disease_cost_alpha * D
-        + params.adherence_cost_beta * A * A
-        + gamma * P
-        + params.health_weight_lambda * H
-    )
 
 
 def _discounted_trapezoid(disc: np.ndarray, h: float, f_start, f_end, out: np.ndarray, scratch=None) -> np.ndarray:
@@ -279,8 +220,7 @@ def _rest_rows(params: ModelParams, policy: PolicyConfig, grid, deltas, nudges, 
         work = np.empty_like(a)
     severity = _severity_grid(params, policy, times, a, work)
 
-    # Health-outcome rate H(s) is zero in the engine; lambda enters only via
-    # direct instantaneous_cost calls and the monetized-ROI analysis.
+    # The engine has no health-outcome term: lambda * H is zero.
     # alpha * D + beta * A^2 at the nodes, and at each panel's end.
     disease = np.multiply(severity, params.disease_cost_alpha)
     rest_nodes, rest_end = np.square(a[:, :n]), np.square(a[:, 2 * n - 1:])
@@ -359,46 +299,3 @@ def arm_costs(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[np.nda
         spend[block] = _spend_rows(policy, grid, (i0, distinct[block]))[1][:, -1]
     return rest, spend[which]
 
-
-def cumulative_cost(
-    params: ModelParams,
-    policy: PolicyConfig,
-    t: float,
-    steps_per_year: int = STEPS_PER_YEAR,
-) -> float:
-    """Discounted cumulative cost C(t) = C0 + integral_0^t exp(-rho s) c(s) ds."""
-    check_finite("t", t)
-    if not (0.0 <= t <= params.horizon_T):
-        raise ValueError(f"t={t} outside [0, {params.horizon_T}]")
-    traj = simulate_trajectory(params, policy, steps_per_year)
-    times = traj.times
-    i_near = int(round(t * steps_per_year))
-    if i_near < len(times) and abs(t - times[i_near]) < 1e-12:
-        return float(traj.cumulative_cost[i_near])
-
-    i_full = int(np.floor(t * steps_per_year + 1e-9))
-    base = float(traj.cumulative_cost[i_full])
-    t0 = times[i_full]
-    # Partial panel [t0, t] lies strictly inside a smooth piece; severity
-    # continues the logit integral from t0 by one partial Simpson step.
-    rest = t - t0
-    deltas = [policy.adherence_gain_delta]
-    nudges = _nudge_periods(params, policy, deltas)
-    a = adherence_array(params, policy, deltas, nudges, np.array([t0, t0 + rest / 2.0, t]))[0]
-    p = float(traj.policy_cost[i_full])  # no policy event falls inside a panel
-    d = float(traj.severity[i_full])
-    if params.severity_coupling_eta == 0.0:
-        d = float(_logistic_closed_form(params, np.array(t), policy.progression_compression))
-    elif rest > 1e-12:
-        dmax = params.disease_max_Dmax
-        z = float(np.log(d / (dmax - d))) + _logit_steps(rest, *_k_eff(params, policy.progression_compression, a))
-        d = float(dmax * sigmoid(np.array(z)))
-    a_t = float(a[2])
-    c_t = total_cost(
-        params, policy, params.disease_cost_alpha * d + params.adherence_cost_beta * a_t * a_t, p
-    )
-
-    rho = params.discount_rate_rho
-    f0 = np.exp(-rho * t0) * float(traj.instantaneous_cost[i_full])
-    f1 = np.exp(-rho * t) * c_t
-    return base + (t - t0) / 2.0 * (f0 + f1)

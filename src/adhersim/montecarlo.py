@@ -258,7 +258,6 @@ def run_monte_carlo(
     spec: DistributionSpec,
     n: int,
     master_seed: int,
-    n_workers: int = 1,
 ) -> tuple[McSummary, np.ndarray]:
     """Propagate n adherence-gain draws through the deterministic engine.
 
@@ -269,15 +268,11 @@ def run_monte_carlo(
     in fixed-size chunks (see ``costmodel.arm_costs``), each row of which
     equals a one-arm run bit for bit, so the output does not depend on the
     chunk size.  A failure names the first failing draw.
-    ``n_workers`` is validated but changes neither the execution nor the
-    output.
     """
     if n < 1:
         raise ValueError("n_draws: must be >= 1")
     if master_seed < 0:
         raise ValueError("seed: must be >= 0")
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
     c_base = baseline_cost(params)
     draws = np.empty(
         n,

@@ -22,6 +22,8 @@ class ModelParams:
     policy_unit_cost is the dollar value (per year) of one unit of the policy
     expenditure function P(s); the dimensionless intensity gamma multiplies
     gamma * policy_unit_cost * P(s) into the cost integrand.
+    health_weight_lambda is accepted (it must be finite), but no engine term
+    reads it: the engine has no health-outcome channel yet.
     """
 
     baseline_cost_C0: float        # dollars, cumulative cost at t=0

@@ -15,18 +15,18 @@ canonical nodes after tau's node i0 (``_nudge_periods``; m = 0 never fires).
 With N(x) = floor(max(x - i0, 0) / m) activations by node x, the last boost
 at or before node j is node i0 + m * N(j), and N(j) - N(j - W) windows of W
 nodes are open there, all in integer node arithmetic over a (B, n) batch of
-gains.  ``NudgeLog`` tuples of times are built only for public callers.
+gains.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import STEPS_PER_YEAR, check_finite, snap_up, time_grid
+from .numerics import STEPS_PER_YEAR, check_finite, snap_up
 from .params import ModelParams
 
 # Pinned scenario defaults not covered by the reference parameter file.
@@ -109,19 +109,6 @@ class PolicyConfig:
         return float(snap_up(self.start_tau))
 
 
-@dataclass(frozen=True)
-class NudgeLog:
-    """Activation times of the adaptive re-engagement rule."""
-
-    activation_times: tuple[float, ...] = ()
-
-    @property
-    def count(self) -> int:
-        return len(self.activation_times)
-
-
-EMPTY_NUDGE_LOG = NudgeLog()
-
 _PRESETS = {
     "baseline": dict(kind=PolicyKind.BASELINE),
     "early_adherence": dict(
@@ -173,7 +160,7 @@ def validate_pair(params: ModelParams, policy: PolicyConfig) -> None:
     parse time instead (see cli/runconfig).
     """
     if policy.start_tau > params.horizon_T:
-        raise ValueError("start_tau lies beyond horizon_T")
+        raise ValueError(f"start_tau: {policy.start_tau} lies beyond horizon_T {params.horizon_T}")
 
 
 def validate_authored_pair(params: ModelParams, policy: PolicyConfig) -> None:
@@ -214,9 +201,14 @@ def _tau_node(policy: PolicyConfig) -> int:
 
 
 def _nudge_periods(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[int, np.ndarray]:
-    """Tau's canonical node i0 and, per gain in ``deltas``, the period m of
-    ``compute_nudge_log``'s activations at nodes i0 + m, i0 + 2m, ... (m = 0:
-    none).  It holds a (gains, nodes) array: pass the gains in bounded blocks."""
+    """Tau's canonical node i0 and, per gain in ``deltas``, the period m of the
+    adaptive rule's activations at nodes i0 + m, i0 + 2m, ... (m = 0: none).
+
+    The rule runs on the canonical grid: when A0 + delta * exp(-theta * elapsed)
+    falls below the trigger threshold at a node, the rule fires there and the
+    elapsed time restarts from zero.  Every reset returns the rule to the same
+    state, so m is the first step count whose value is below the threshold.
+    It holds a (gains, nodes) array: pass the gains in bounded blocks."""
     i0 = _tau_node(policy)
     i_last = round(params.horizon_T * STEPS_PER_YEAR)
     if policy.kind is not PolicyKind.ADAPTIVE_NUDGES or i0 == i_last:
@@ -250,19 +242,16 @@ def adherence_array(
     deltas,
     nudges: tuple[int, np.ndarray],
     s: np.ndarray,
-    piece: np.ndarray | None = None,
+    piece: np.ndarray,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Vectorized adherence A(s), clamped to [0, 1]: one row per gain in
     ``deltas``, each replacing the policy's, written to ``out`` if given.
 
     ``nudges`` holds the gains' logs (``_nudge_periods``).  ``piece`` gives,
-    per s, the canonical node whose piece is read: by default the last node at
-    or before s, which gives the right-continuous trajectory.
+    per s, the canonical node whose piece is read: the last node at or before
+    s gives the right-continuous trajectory.
     """
-    s = np.asarray(s, dtype=float)
-    if piece is None:
-        piece = np.searchsorted(time_grid(params.horizon_T, STEPS_PER_YEAR), s, side="right") - 1
     i0, periods = nudges
     delta, theta = _gain_law(policy, np.asarray(deltas, dtype=float)[:, None])
     gain = np.empty((len(delta), s.size)) if out is None else out
@@ -294,7 +283,13 @@ def adherence_array(
 
 
 def _spend_at_nodes(policy: PolicyConfig, nudges: tuple[int, np.ndarray], nodes: np.ndarray) -> np.ndarray:
-    """``policy_cost_array`` at canonical nodes, one row per log in period form."""
+    """The expenditure function P, in policy units, at canonical nodes, one row
+    per log in period form.
+
+    P is right-continuous: 1 from tau's node on, plus ``nudge_unit_cost`` for
+    each window open at the node.  A window opens at its activation's node and
+    closes NUDGE_WINDOW_YEARS later, on a node too.
+    """
     shape = (len(nudges[1]), len(nodes))
     if policy.kind is PolicyKind.BASELINE:
         return np.zeros(shape)
@@ -306,64 +301,6 @@ def _spend_at_nodes(policy: PolicyConfig, nudges: tuple[int, np.ndarray], nodes:
         _, closed = _activations_by(nudges, nodes - round(NUDGE_WINDOW_YEARS * STEPS_PER_YEAR))
         p += policy.nudge_unit_cost * (opened - closed)
     return p
-
-
-def policy_cost_array(policy: PolicyConfig, nudges: NudgeLog, s: np.ndarray) -> np.ndarray:
-    """Vectorized expenditure function P(s), in policy units (scaled to dollars
-    by the model's policy_unit_cost inside the cost integrand).
-
-    Right-continuous: 1 from tau on, plus ``nudge_unit_cost`` for each window
-    open at s.  A window opens at its activation and closes at the grid node
-    ``snap_up(activation + NUDGE_WINDOW_YEARS)``.
-    """
-    s = np.asarray(s, dtype=float)
-    if policy.kind is PolicyKind.BASELINE:
-        return np.zeros_like(s)
-    p = (s >= policy.tau_snapped).astype(float)
-    if nudges.count:
-        starts = np.array(nudges.activation_times)
-        ends = snap_up(starts + NUDGE_WINDOW_YEARS)
-        n_open = np.searchsorted(starts, s, side="right") - np.searchsorted(ends, s, side="right")
-        p = p + policy.nudge_unit_cost * n_open
-    return p
-
-
-def adherence_at(params: ModelParams, policy: PolicyConfig, s: float) -> float:
-    """Adherence fraction at time s (right-continuous)."""
-    if not (0.0 <= s <= params.horizon_T):
-        raise ValueError(f"s={s} outside [0, {params.horizon_T}]")
-    validate_pair(params, policy)
-    deltas = [policy.adherence_gain_delta]
-    nudges = _nudge_periods(params, policy, deltas)
-    return float(adherence_array(params, policy, deltas, nudges, np.array([s]))[0, 0])
-
-
-def policy_cost_at(policy: PolicyConfig, nudges: NudgeLog, s: float) -> float:
-    """Policy expenditure P(s) in policy units (right-continuous)."""
-    if s < 0:
-        raise ValueError(f"s={s} must be >= 0")
-    return float(policy_cost_array(policy, nudges, np.array([s]))[0])
-
-
-def compute_nudge_log(params: ModelParams, policy: PolicyConfig) -> NudgeLog:
-    """Activation times of the adaptive re-engagement rule, in closed form.
-
-    The rule runs on the canonical 0.01-year grid: whenever the decaying
-    value A0 + delta * exp(-theta * elapsed) falls below the trigger threshold
-    at a node, an activation is recorded there and the elapsed time restarts
-    from zero.  Every reset returns the rule to the same state, so the
-    activations fall every m nodes after tau, where m is the first step count
-    whose value is below the threshold.  The log is independent of any finer
-    quadrature grid used later.
-    """
-    if policy.kind is not PolicyKind.ADAPTIVE_NUDGES:
-        raise ValueError("compute_nudge_log requires an adaptive_nudges policy")
-    validate_pair(params, policy)
-    i0, (m,) = _nudge_periods(params, policy, [policy.adherence_gain_delta])
-    if not m:
-        return EMPTY_NUDGE_LOG
-    i_last = round(params.horizon_T * STEPS_PER_YEAR)
-    return NudgeLog(tuple((np.arange(i0 + m, i_last + 1, m) / STEPS_PER_YEAR).tolist()))
 
 
 def apply_stress(policy: PolicyConfig, stress: StressKind, value: float) -> PolicyConfig:

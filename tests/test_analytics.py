@@ -6,11 +6,8 @@ import pytest
 from adhersim.analytics import (
     baseline_cost,
     breakeven_gamma,
-    monetized_roi,
     payback_time,
     roi,
-    roi_slope,
-    scenario_roi_table,
     sweep_design_space,
 )
 from adhersim.costmodel import simulate_trajectory
@@ -37,18 +34,6 @@ class TestRoi:
             roi(1000.0, 0.0)
         with pytest.raises(ValueError):
             roi(1000.0, -5.0)
-
-    def test_monetized_reduces_to_plain_roi_without_benefit(self):
-        assert monetized_roi(3953.07, 3602.26, 0.0) == roi(3953.07, 3602.26)
-
-    def test_monetized_headline_value(self):
-        # (350.81 + 2500) / 3602.26 * 100, with the 2500 from 50000 * 0.05
-        benefit = 50000.0 * 0.05
-        assert monetized_roi(3953.07, 3602.26, benefit) == pytest.approx(79.139, abs=1e-3)
-
-    def test_monetized_rejects_nonpositive_denominator(self):
-        with pytest.raises(ValueError):
-            monetized_roi(1000.0, 0.0, 10.0)
 
 
 class TestPayback:
@@ -177,14 +162,6 @@ class TestSweep:
 
 
 class TestSlope:
-    def test_nonpositive_on_reference_grid(self, ref_params):
-        for delta in (0.2, 0.3, 0.4):
-            for gamma in (0.5, 1.0, 1.5):
-                assert roi_slope(ref_params, EARLY, delta, gamma) <= 0.0
-
-    def test_forward_difference_at_zero_gamma(self, ref_params):
-        assert roi_slope(ref_params, EARLY, 0.3, 0.0) <= 0.0
-
     def test_difference_quotients_converge(self, ref_params):
         # Richardson-style check: central and forward quotients agree as the
         # step shrinks (ROI is linear in gamma here, so agreement is tight).
@@ -202,13 +179,3 @@ class TestSlope:
             gaps.append(abs(central - forward))
         assert gaps[2] <= gaps[0] + 1e-9
         assert gaps[2] < 0.05
-
-
-class TestScenarioOrdering:
-    def test_reference_roi_ordering(self, ref_params):
-        table = scenario_roi_table(ref_params)
-        assert table["early_adherence"] >= table["adaptive_nudges"]
-        assert table["adaptive_nudges"] > table["delayed"]
-        assert table["delayed"] > table["regressive"]
-        assert table["regressive"] > table["low_impact"]
-        assert table["low_impact"] < 0.0

@@ -293,6 +293,7 @@ class TestInputErrors:
         (["--seed", "-5", "export-plots", "--family", "severity"], "seed: must be >= 0"),
         (["export-plots", "--family", "mc", "--n-draws", "5"], "seed: the mc family requires a seed"),
         (["--seed", "1", "export-plots", "--family", "mc"], "n_draws: the mc family requires a draw count"),
+        (["export-plots", "--family", "severity", "--n-draws", "0"], "n_draws: must be >= 1"),
         (["breakeven", "--delta-axis", "nan"], "delta_axis: values must be finite"),
         (["breakeven", "--delta-axis", "inf"], "delta_axis: values must be finite"),
         (["breakeven", "--delta-axis", "0.1,nan"], "delta_axis: values must be finite"),
@@ -300,7 +301,7 @@ class TestInputErrors:
         (["sweep", "--delta-axis", "0.2,1.5", "--gamma-axis", "1.0"], "delta_axis: values must be in [0, 1]"),
         (["sweep", "--delta-axis", "0.2", "--gamma-axis", "1.0,nan"], "gamma_axis: values must be finite"),
     ], ids=["negative_seed", "zero_plot_draws", "plots_with_config",
-            "plots_negative_seed", "plots_mc_without_seed", "plots_mc_without_draws",
+            "plots_negative_seed", "plots_mc_without_seed", "plots_mc_without_draws", "plots_zero_draws",
             "breakeven_nan_delta", "breakeven_inf_delta", "breakeven_trailing_nan_delta",
             "breakeven_delta_above_one", "sweep_delta_above_one", "sweep_nan_gamma"])
     def test_flag_value_names_its_key(self, tmp_path, capsys, args, expected):
@@ -316,6 +317,19 @@ class TestInputErrors:
         rc = _run(["--params", params, "--out", tmp_path / "out", "simulate"])
         assert rc == 2
         assert "error: horizon_T: must be a whole number of 1/100-year steps, got 10.005" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--scenario", "delayed"],
+        ["export-plots", "--family", "severity"],
+    ], ids=["simulate", "export_plots"])
+    def test_start_past_horizon_names_its_key(self, tmp_path, capsys, args):
+        params = tmp_path / "params.txt"
+        params.write_text(reference_params_path().read_text().replace("horizon_T = 10.0", "horizon_T = 3.0"))
+        rc = _run(["--params", params, "--out", tmp_path / "out"] + args)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: start_tau: 5.0 lies beyond horizon_T 3.0\n"
         assert not (tmp_path / "out").exists()
 
     def test_zero_workers_rejected(self, tmp_path, capsys):

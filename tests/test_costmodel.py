@@ -1,14 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from adhersim.costmodel import (
-    cumulative_cost,
-    disease_severity,
-    instantaneous_cost,
-    simulate_trajectory,
-)
+from adhersim.costmodel import simulate_trajectory
 from adhersim.scenarios import PRESET_NAMES, PolicyConfig, PolicyKind, build_preset
 
 from conftest import make_params
@@ -21,87 +17,80 @@ GOLDEN_BASELINE_C10 = 3953.070036438873
 GOLDEN_EARLY_C10 = 3602.327065953738
 
 
+def node(s: float) -> int:
+    """The canonical grid node at time s."""
+    return round(s * 100)
+
+
 class TestDiseaseSeverity:
     def test_midpoint_is_half_maximum(self):
         p = make_params()
-        assert disease_severity(p, None, p.disease_midpoint_s0) == pytest.approx(
-            p.disease_max_Dmax / 2, abs=1e-15
-        )
+        traj = simulate_trajectory(p, BASELINE)
+        assert traj.severity[node(p.disease_midpoint_s0)] == pytest.approx(p.disease_max_Dmax / 2, abs=1e-15)
 
     def test_closed_form_value(self):
         # independent scalar computation of Dmax / (1 + exp(-k (s - s0)))
         p = make_params(disease_max_Dmax=0.95, disease_steepness_k=0.5, disease_midpoint_s0=5.0)
         expected = 0.95 / (1.0 + math.exp(-0.5 * (10.0 - 5.0)))
         assert expected == pytest.approx(0.8779347289798186, abs=1e-12)
-        assert disease_severity(p, None, 10.0) == pytest.approx(expected, rel=1e-12)
+        assert simulate_trajectory(p, BASELINE).severity[node(10.0)] == pytest.approx(expected, rel=1e-12)
 
     def test_coupling_vanishes_at_baseline_adherence(self):
         p = make_params(severity_coupling_eta=2.0)
+        traj = simulate_trajectory(p, BASELINE)
+        assert np.all(traj.adherence == p.adherence_baseline_A0)
         for s in (0.0, 1.0, 3.7, 5.0, 10.0):
             closed = p.disease_max_Dmax / (1.0 + math.exp(-p.disease_steepness_k * (s - 5.0)))
-            assert disease_severity(p, lambda _: p.adherence_baseline_A0, s) == pytest.approx(
-                closed, rel=1e-9
-            )
+            assert traj.severity[node(s)] == pytest.approx(closed, rel=1e-9)
 
     def test_eta_zero_ignores_adherence_entirely(self):
         p = make_params(severity_coupling_eta=0.0)
-        wild = lambda s: 0.5 + 0.5 * math.sin(s)
-        for s in (0.0, 2.0, 6.5, 10.0):
-            closed = p.disease_max_Dmax / (1.0 + math.exp(-p.disease_steepness_k * (s - 5.0)))
-            assert disease_severity(p, wild, s) == pytest.approx(closed, rel=1e-12)
+        for name in ("regressive", "adaptive_nudges"):
+            traj = simulate_trajectory(p, build_preset(name))
+            for s in (0.0, 2.0, 6.5, 10.0):
+                closed = p.disease_max_Dmax / (1.0 + math.exp(-p.disease_steepness_k * (s - 5.0)))
+                assert traj.severity[node(s)] == pytest.approx(closed, rel=1e-12), name
 
     def test_raised_adherence_slows_progression(self):
         p = make_params(severity_coupling_eta=1.0)
-        slowed = disease_severity(p, lambda s: 0.8, 8.0)
-        exogenous = disease_severity(p, None, 8.0)
-        assert slowed < exogenous
-
-    def test_domain_errors(self):
-        p = make_params()
-        with pytest.raises(ValueError):
-            disease_severity(p, None, -0.1)
-        with pytest.raises(ValueError):
-            disease_severity(p, None, 10.1)
-        with pytest.raises(ValueError):
-            disease_severity(p, None, float("nan"))
+        raised = PolicyConfig(kind=PolicyKind.CUSTOM, adherence_gain_delta=0.3)
+        slowed = simulate_trajectory(p, raised)
+        exogenous = simulate_trajectory(p, BASELINE)
+        assert np.all(slowed.adherence == 0.8)
+        assert slowed.severity[node(8.0)] < exogenous.severity[node(8.0)]
 
 
 class TestInstantaneousCost:
     def test_all_weights_zero(self):
-        p = make_params(disease_cost_alpha=0.0, adherence_cost_beta=0.0, health_weight_lambda=0.0)
-        assert instantaneous_cost(p, A=0.7, P=3.0, H=1.0, D=0.4, gamma=0.0) == 0.0
+        p = make_params(disease_cost_alpha=0.0, adherence_cost_beta=0.0)
+        traj = simulate_trajectory(p, replace(EARLY, cost_scale_gamma=0.0))
+        assert np.all(traj.instantaneous_cost == 0.0)
 
     def test_four_term_sum(self):
-        # hand arithmetic: 1*0.5 + (-100)*0.64 + 2*50 + 0 = 36.5
-        p = make_params(disease_cost_alpha=1.0, adherence_cost_beta=-100.0, health_weight_lambda=0.0)
-        assert instantaneous_cost(p, A=0.8, P=50.0, H=0.0, D=0.5, gamma=2.0) == pytest.approx(36.5)
-
-    def test_monetized_health_term(self):
-        # a 0.05-unit health outcome valued at 50,000 per unit
-        p = make_params(disease_cost_alpha=0.0, adherence_cost_beta=0.0, health_weight_lambda=50000.0)
-        assert instantaneous_cost(p, A=0.0, P=0.0, H=0.05, D=0.0, gamma=0.0) == pytest.approx(2500.0)
-
-    def test_rejects_non_finite_and_bad_adherence(self):
-        p = make_params()
-        with pytest.raises(ValueError):
-            instantaneous_cost(p, A=float("inf"), P=0.0, H=0.0, D=0.0, gamma=0.0)
-        with pytest.raises(ValueError):
-            instantaneous_cost(p, A=1.2, P=0.0, H=0.0, D=0.0, gamma=0.0)
+        # hand arithmetic at s = s0 = 5, where D = Dmax / 2 = 0.5, A = 0.8 and
+        # P = 1 unit of 50 dollars: 1*0.5 + (-100)*0.64 + 2*50 = 36.5
+        p = make_params(disease_max_Dmax=1.0, disease_cost_alpha=1.0, adherence_cost_beta=-100.0,
+                        policy_unit_cost=50.0)
+        traj = simulate_trajectory(p, replace(EARLY, cost_scale_gamma=2.0))
+        i = node(5.0)
+        assert (traj.severity[i], traj.adherence[i], traj.policy_cost[i]) == (0.5, 0.8, 1.0)
+        assert traj.instantaneous_cost[i] == pytest.approx(36.5)
 
 
 class TestCumulativeCost:
     def test_at_zero_returns_initial_cost(self):
         p = make_params()
-        assert cumulative_cost(p, BASELINE, 0.0) == p.baseline_cost_C0
+        assert simulate_trajectory(p, BASELINE).cumulative_cost[0] == p.baseline_cost_C0
 
     def test_constant_integrand_closed_form(self):
         # alpha = 0 and baseline adherence make c(s) = beta * A0^2 constant;
         # the oracle is C0 + cbar (1 - exp(-rho t)) / rho evaluated directly.
         p = make_params(disease_cost_alpha=0.0, adherence_cost_beta=500.0, adherence_baseline_A0=0.6)
         cbar = 500.0 * 0.36
+        traj = simulate_trajectory(p, BASELINE)
         for t in range(1, 11):
             oracle = p.baseline_cost_C0 + cbar * (1.0 - math.exp(-0.03 * t)) / 0.03
-            got = cumulative_cost(p, BASELINE, float(t))
+            got = traj.cumulative_cost[node(t)]
             assert abs(got - oracle) / abs(oracle) <= 1e-6
 
     def test_undiscounted_logistic_closed_form(self):
@@ -109,30 +98,13 @@ class TestCumulativeCost:
         # (alpha Dmax / k) ln((1 + e^{k(t-s0)}) / (1 + e^{-k s0})).
         p = make_params(discount_rate_rho=0.0, adherence_cost_beta=0.0, disease_cost_alpha=200.0)
         a, dmax, k, s0 = 200.0, 0.95, 0.5, 5.0
+        traj = simulate_trajectory(p, BASELINE)
         for t in range(1, 11):
             oracle = p.baseline_cost_C0 + (a * dmax / k) * (
                 math.log(1.0 + math.exp(k * (t - s0))) - math.log(1.0 + math.exp(-k * s0))
             )
-            got = cumulative_cost(p, BASELINE, float(t))
+            got = traj.cumulative_cost[node(t)]
             assert abs(got - oracle) / abs(oracle) <= 1e-6
-
-    def test_domain_errors(self):
-        p = make_params()
-        with pytest.raises(ValueError):
-            cumulative_cost(p, BASELINE, -0.5)
-        with pytest.raises(ValueError):
-            cumulative_cost(p, BASELINE, 10.5)
-
-    def test_node_values_match_trajectory_exactly(self, ref_params):
-        traj = simulate_trajectory(ref_params, EARLY)
-        for i in (0, 1, 200, 555, 1000):
-            assert cumulative_cost(ref_params, EARLY, float(traj.times[i])) == traj.cumulative_cost[i]
-
-    def test_off_grid_time_brackets_node_values(self, ref_params):
-        lo = cumulative_cost(ref_params, BASELINE, 4.00)
-        mid = cumulative_cost(ref_params, BASELINE, 4.004)
-        hi = cumulative_cost(ref_params, BASELINE, 4.01)
-        assert lo < mid < hi
 
 
 class TestSimulateTrajectory:
@@ -211,8 +183,10 @@ class TestSimulateTrajectory:
     def test_discount_monotonicity(self):
         lo = make_params(adherence_cost_beta=50.0, discount_rate_rho=0.01)
         hi = make_params(adherence_cost_beta=50.0, discount_rate_rho=0.08)
+        c_lo = simulate_trajectory(lo, EARLY).cumulative_cost
+        c_hi = simulate_trajectory(hi, EARLY).cumulative_cost
         for t in (2.0, 5.0, 10.0):
-            assert cumulative_cost(hi, EARLY, t) <= cumulative_cost(lo, EARLY, t)
+            assert c_hi[node(t)] <= c_lo[node(t)]
 
     def test_eta_zero_trajectory_matches_closed_form(self):
         p = make_params(severity_coupling_eta=0.0)

@@ -44,15 +44,13 @@ from adhersim.runconfig import (
 from adhersim.scenarios import (
     NUDGE_WINDOW_YEARS,
     PRESET_NAMES,
-    NudgeLog,
     PolicyConfig,
     PolicyKind,
     _nudge_periods,
+    _spend_at_nodes,
     _tau_node,
     adherence_array,
     build_preset,
-    compute_nudge_log,
-    policy_cost_array,
 )
 
 PARAMS = reference_params()
@@ -169,19 +167,22 @@ nudge_cases = st.builds(
 @given(nudge_cases)
 def test_closed_form_nudge_log_equals_stepped_rule(case):
     params, policy = case
-    times = compute_nudge_log(params, policy).activation_times
+    i0, (m,) = _nudge_periods(params, policy, [policy.adherence_gain_delta])
+    i_last = round(params.horizon_T * STEPS_PER_YEAR)
+    times = tuple(i / STEPS_PER_YEAR for i in range(i0 + m, i_last + 1, m)) if m else ()
     assert times == nudge_log_oracle(params, policy)
-    assert all(type(t) is float for t in times)
 
 
 def test_every_nudge_window_closes_on_its_grid_node():
-    policy = replace(build_preset("adaptive_nudges"), start_tau=0.0)
-    nodes = time_grid(PARAMS.horizon_T)
+    policy = build_preset("adaptive_nudges")
+    nodes = np.arange(round(PARAMS.horizon_T * STEPS_PER_YEAR) + 1)
     width = round(NUDGE_WINDOW_YEARS * STEPS_PER_YEAR)
+    period = len(nodes)
     for k in range(len(nodes) - width):
-        log = NudgeLog((float(nodes[k]),))
-        spend = policy_cost_array(policy, log, nodes[[k + width - 1, k + width]])
-        assert spend.tolist() == [1.0 + policy.nudge_unit_cost, 1.0], k
+        # One activation, at node k: the next would fall past the grid.
+        spend = _spend_at_nodes(policy, (k - period, np.array([period])), nodes)[0]
+        open_window = (nodes >= k) & (nodes < k + width)
+        assert spend.tolist() == (1.0 + policy.nudge_unit_cost * open_window).tolist(), k
 
 
 def test_grid_must_refine_the_canonical_grid():

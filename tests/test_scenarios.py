@@ -1,21 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from adhersim.costmodel import simulate_trajectory
+from adhersim.numerics import STEPS_PER_YEAR
 from adhersim.scenarios import (
     NUDGE_WINDOW_YEARS,
-    EMPTY_NUDGE_LOG,
-    NudgeLog,
+    PRESET_NAMES,
     PolicyConfig,
     PolicyKind,
     StressKind,
-    adherence_at,
+    _nudge_periods,
     apply_stress,
     build_preset,
-    compute_nudge_log,
-    policy_cost_at,
     validate_authored_pair,
     validate_pair,
 )
@@ -47,23 +46,37 @@ class TestPresets:
         assert build_preset("Delayed").kind is PolicyKind.DELAYED
 
 
+def node(s: float) -> int:
+    """The canonical grid node at time s."""
+    return round(s * STEPS_PER_YEAR)
+
+
+def adherence(params, policy):
+    return simulate_trajectory(params, policy).adherence
+
+
+def spend(params, policy):
+    return simulate_trajectory(params, policy).policy_cost
+
+
 class TestAdherence:
     def test_baseline_constant(self):
         p = make_params()
+        a = adherence(p, build_preset("baseline"))
         for s in (0.0, 3.3, 10.0):
-            assert adherence_at(p, build_preset("baseline"), s) == p.adherence_baseline_A0
+            assert a[node(s)] == p.adherence_baseline_A0
 
     def test_early_step(self):
         p = make_params(adherence_baseline_A0=0.5)
-        early = build_preset("early_adherence")
-        assert adherence_at(p, early, 1.99) == pytest.approx(0.5)
-        assert adherence_at(p, early, 2.0) == pytest.approx(0.8)
+        a = adherence(p, build_preset("early_adherence"))
+        assert a[node(1.99)] == pytest.approx(0.5)
+        assert a[node(2.0)] == pytest.approx(0.8)
 
     def test_regressive_half_life(self):
+        # theta puts the half-life, 1.5 years after tau = 2, on the node at 3.5
         p = make_params(adherence_baseline_A0=0.5)
-        reg = build_preset("regressive")
-        s = 2.0 + math.log(2.0) / reg.decay_theta
-        assert adherence_at(p, reg, s) == pytest.approx(0.5 + 0.15, rel=1e-12)
+        reg = replace(build_preset("regressive"), decay_theta=math.log(2.0) / 1.5)
+        assert adherence(p, reg)[node(3.5)] == pytest.approx(0.5 + 0.15, rel=1e-12)
 
     def test_regressive_monotone_decay_toward_baseline(self, ref_params):
         traj = simulate_trajectory(ref_params, build_preset("regressive"))
@@ -72,16 +85,15 @@ class TestAdherence:
         assert post[-1] >= ref_params.adherence_baseline_A0
 
     def test_step_exactness(self, ref_params):
-        early = build_preset("early_adherence")
+        a = adherence(ref_params, build_preset("early_adherence"))
         for s, s_prev in ((2.0, 1.99), (7.3, 0.5), (10.0, 1.0)):
-            jump = adherence_at(ref_params, early, s) - adherence_at(ref_params, early, s_prev)
-            assert jump == pytest.approx(0.3, abs=1e-15)
+            assert a[node(s)] - a[node(s_prev)] == pytest.approx(0.3, abs=1e-15)
 
     def test_decaying_baseline_variant(self):
         p = make_params()
-        policy = PolicyConfig(kind=PolicyKind.BASELINE, baseline_decay=0.05)
+        a = adherence(p, PolicyConfig(kind=PolicyKind.BASELINE, baseline_decay=0.05))
         for s in (0.0, 4.0, 10.0):
-            assert adherence_at(p, policy, s) == pytest.approx(0.5 * math.exp(-0.05 * s))
+            assert a[node(s)] == pytest.approx(0.5 * math.exp(-0.05 * s))
 
     def test_clamped_to_unit_interval(self):
         p = make_params(adherence_baseline_A0=0.9)
@@ -89,39 +101,38 @@ class TestAdherence:
             kind=PolicyKind.EARLY_ADHERENCE, start_tau=1.0, adherence_gain_delta=0.3,
             cost_scale_gamma=1.0,
         )
-        assert adherence_at(p, policy, 5.0) == 1.0
-
-    def test_out_of_range_time(self):
-        with pytest.raises(ValueError):
-            adherence_at(make_params(), build_preset("baseline"), 10.5)
+        assert adherence(p, policy)[node(5.0)] == 1.0
 
 
 class TestPolicyCost:
     def test_baseline_free(self):
-        assert policy_cost_at(build_preset("baseline"), EMPTY_NUDGE_LOG, 5.0) == 0.0
+        assert spend(make_params(), build_preset("baseline"))[node(5.0)] == 0.0
 
     def test_early_indicator(self):
-        early = build_preset("early_adherence")
-        assert policy_cost_at(early, EMPTY_NUDGE_LOG, 1.0) == 0.0
-        assert policy_cost_at(early, EMPTY_NUDGE_LOG, 3.0) == 1.0
-        assert policy_cost_at(early, EMPTY_NUDGE_LOG, 2.0) == 1.0
+        p = spend(make_params(), build_preset("early_adherence"))
+        assert p[node(1.0)] == 0.0
+        assert p[node(3.0)] == 1.0
+        assert p[node(2.0)] == 1.0
 
     def test_regressive_spend_persists_after_decay(self):
-        reg = build_preset("regressive")
-        assert policy_cost_at(reg, EMPTY_NUDGE_LOG, 9.9) == 1.0
+        assert spend(make_params(), build_preset("regressive"))[node(9.9)] == 1.0
 
     def test_two_open_nudge_windows(self):
-        # Hand-stepped: activations at 3.0 and 3.3 with 0.5-year windows both
-        # cover s = 3.4, so P = base indicator + 2 * unit cost.
+        # From 0.8 at tau = 2.7 the decay crosses 0.75 after 0.30 years, so
+        # the rule fires at 3.0, 3.3, 3.6, ...; 0.5-year windows from 3.0 and
+        # 3.3 both cover s = 3.4, so P = base indicator + 2 * unit cost.
+        p = make_params(adherence_baseline_A0=0.5)
         policy = PolicyConfig(
-            kind=PolicyKind.ADAPTIVE_NUDGES, start_tau=2.0, adherence_gain_delta=0.3,
-            cost_scale_gamma=2.0, decay_theta=1.0, nudge_threshold=0.75, nudge_unit_cost=0.5,
+            kind=PolicyKind.ADAPTIVE_NUDGES, start_tau=2.7, adherence_gain_delta=0.3,
+            cost_scale_gamma=2.0, decay_theta=0.62, nudge_threshold=0.75, nudge_unit_cost=0.5,
         )
-        log = NudgeLog((3.0, 3.3))
-        assert policy_cost_at(policy, log, 3.4) == pytest.approx(1.0 + 2 * 0.5)
-        # first window closed at 3.5, second still open
-        assert policy_cost_at(policy, log, 3.6) == pytest.approx(1.0 + 0.5)
-        assert policy_cost_at(policy, log, 3.3 + NUDGE_WINDOW_YEARS) == pytest.approx(1.0)
+        i0, (m,) = _nudge_periods(p, policy, [0.3])
+        assert (i0, m) == (node(2.7), 30)
+        spent = spend(p, policy)
+        assert spent[node(3.4)] == pytest.approx(1.0 + 2 * 0.5)
+        # the first window closes at 3.5, the second is still open
+        assert spent[node(3.0 + NUDGE_WINDOW_YEARS)] == pytest.approx(1.0 + 0.5)
+        assert spent[node(3.5) - 1] == pytest.approx(1.0 + 2 * 0.5)
 
 
 class TestNudgeLog:
@@ -131,7 +142,7 @@ class TestNudgeLog:
             kind=PolicyKind.ADAPTIVE_NUDGES, start_tau=2.0, adherence_gain_delta=0.3,
             cost_scale_gamma=2.0, decay_theta=0.0, nudge_threshold=0.6,
         )
-        assert compute_nudge_log(p, policy).count == 0
+        assert _nudge_periods(p, policy, [0.3])[1].tolist() == [0]
 
     def test_threshold_above_peak_rejected_for_authored_configs(self):
         p = make_params(adherence_baseline_A0=0.5)
@@ -142,7 +153,7 @@ class TestNudgeLog:
         with pytest.raises(ValueError, match="nudge_threshold"):
             validate_authored_pair(p, policy)
         # the engine itself stays total: an unreachable trigger never fires
-        assert compute_nudge_log(p, policy).count == 0
+        assert _nudge_periods(p, policy, [0.3])[1].tolist() == [0]
 
     def test_two_activations_on_reference_toy(self):
         # decay from 0.8 crosses 0.6 after ln(0.3/0.1)/0.3 = 3.662 years,
@@ -152,26 +163,23 @@ class TestNudgeLog:
             kind=PolicyKind.ADAPTIVE_NUDGES, start_tau=2.0, adherence_gain_delta=0.3,
             cost_scale_gamma=2.0, decay_theta=0.3, nudge_threshold=0.6,
         )
-        log = compute_nudge_log(p, policy)
-        assert log.count == 2
-        assert log.activation_times == pytest.approx((5.67, 9.34))
+        i0, (m,) = _nudge_periods(p, policy, [0.3])
+        times = np.arange(i0 + m, node(p.horizon_T) + 1, m) / STEPS_PER_YEAR
+        assert times.tolist() == pytest.approx([5.67, 9.34])
         spacing = math.log(0.3 / 0.1) / 0.3
-        assert log.activation_times[0] == pytest.approx(2.0 + spacing, abs=0.011)
-        # constant spacing for constant decay rate
-        assert (log.activation_times[1] - log.activation_times[0]) == pytest.approx(
-            log.activation_times[0] - 2.0, abs=0.011
-        )
+        assert times[0] == pytest.approx(2.0 + spacing, abs=0.011)
 
-    def test_activation_times_strictly_increasing_within_horizon(self, ref_params):
+    def test_reference_preset_fires_within_horizon(self, ref_params):
         policy = build_preset("adaptive_nudges")
-        log = compute_nudge_log(ref_params, policy)
-        times = np.array(log.activation_times)
-        assert np.all(np.diff(times) > 0)
-        assert np.all((times >= policy.start_tau) & (times <= ref_params.horizon_T))
+        i0, (m,) = _nudge_periods(ref_params, policy, [policy.adherence_gain_delta])
+        assert i0 == node(policy.start_tau)
+        assert 0 < m <= node(ref_params.horizon_T) - i0
 
-    def test_wrong_kind_rejected(self, ref_params):
-        with pytest.raises(ValueError, match="adaptive"):
-            compute_nudge_log(ref_params, build_preset("early_adherence"))
+    def test_other_kinds_never_fire(self, ref_params):
+        for name in PRESET_NAMES:
+            if name != "adaptive_nudges":
+                policy = build_preset(name)
+                assert _nudge_periods(ref_params, policy, [policy.adherence_gain_delta])[1].tolist() == [0]
 
     def test_adherence_never_falls_below_threshold_minus_one_step(self, ref_params):
         policy = build_preset("adaptive_nudges")
@@ -252,7 +260,7 @@ class TestValidation:
     def test_tau_beyond_horizon_rejected(self, ref_params):
         bad = PolicyConfig(kind=PolicyKind.EARLY_ADHERENCE, start_tau=11.0,
                            adherence_gain_delta=0.3, cost_scale_gamma=1.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^start_tau: 11.0 lies beyond horizon_T 10.0$"):
             validate_pair(ref_params, bad)
 
     def test_field_range_checks(self):
