@@ -161,7 +161,28 @@ class TestSweep:
             sweep_design_space(p, EARLY, np.array([0.9]), np.array([0.0]))
 
 
+def _roi_at(params, c_base, delta, gamma):
+    pol = replace(EARLY, adherence_gain_delta=delta, cost_scale_gamma=gamma)
+    return roi(c_base, simulate_trajectory(params, pol).final_cost)
+
+
 class TestSlope:
+    # dROI/dgamma as a difference quotient of whole-horizon runs.
+    def test_nonpositive_on_reference_grid(self, ref_params):
+        c_base = baseline_cost(ref_params)
+        h = 1e-3
+        for delta in (0.2, 0.3, 0.4):
+            for gamma in (0.5, 1.0, 1.5):
+                slope = (_roi_at(ref_params, c_base, delta, gamma + h)
+                         - _roi_at(ref_params, c_base, delta, gamma - h)) / (2 * h)
+                assert slope <= 0.0, (delta, gamma)
+
+    def test_forward_difference_at_zero_gamma(self, ref_params):
+        c_base = baseline_cost(ref_params)
+        h = 1e-3
+        slope = (_roi_at(ref_params, c_base, 0.3, h) - _roi_at(ref_params, c_base, 0.3, 0.0)) / h
+        assert slope <= 0.0
+
     def test_difference_quotients_converge(self, ref_params):
         # Richardson-style check: central and forward quotients agree as the
         # step shrinks (ROI is linear in gamma here, so agreement is tight).
