@@ -30,11 +30,14 @@ formed: the trajectory's columns and every analytics result that re-prices
 an arm at another gamma go through it, so they agree bit for bit.
 
 The kernel evaluates B arms of one policy that differ only in the adherence
-gain delta, on (B, n) node arrays.  What no gain changes is set up once per
-call: the grid arrays (``_grid``, cached) with their discount factors.  The
-nudge logs enter as integers, a period per gain (``scenarios._nudge_periods``);
-the spend channel depends on a gain only through it, so ``arm_costs`` runs it
-once per distinct period, and runs the rest channel (adherence, severity,
+gain delta, on (B, n) node arrays.  What no gain changes is built once and
+cached as read-only arrays: the grid with its discount factors (``_grid``)
+and, per tau node, the spend of an arm no nudge fires in, P = 1[node >= i0]
+with its discounted trapezoid (``_unnudged_spend``).  That is every kind but
+BASELINE (which spends nothing) when its period is 0.  The nudge logs enter
+as integers, a period per gain (``scenarios._nudge_periods``); the spend
+channel depends on a gain only through it, so ``arm_costs`` runs it once per
+distinct period, and runs the rest channel (adherence, severity,
 alpha*D + beta*A^2) in chunks of ``_CHUNK_ARMS`` gains.  Each quantity is
 written by a few in-place array operations that make the formula's float
 operations in its order (swapping the two operands of one sum or product,
@@ -47,7 +50,8 @@ cumulative sum, so each row equals the one-arm run bit for bit:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,42 +78,50 @@ class Trajectory:
     alpha*D + beta*A^2 integral) and ``spend_integral`` (the discounted
     integral of P) are the two channels at the horizon; ``total_cost`` of the
     pair is ``final_cost``.
+
+    The two dollar columns are formed when first read, by ``total_cost`` of
+    the kernel's rows (``_rows``: the rest rate and P at the nodes, then the
+    cumulative rest and spend channels), so a caller that reads only the
+    horizon's channels never builds them.  Each is a new array, and
+    ``cumulative_cost`` ends in ``final_cost`` bit for bit.  P and the spend
+    channel in ``_rows`` may be the spend cache's read-only rows;
+    ``policy_cost`` is a copy.
     """
 
     times: np.ndarray
     adherence: np.ndarray
     severity: np.ndarray
     policy_cost: np.ndarray
-    instantaneous_cost: np.ndarray
-    cumulative_cost: np.ndarray
     rest_cost: float
     spend_integral: float
-
-    def __post_init__(self) -> None:
-        n = len(self.times)
-        for name in ("adherence", "severity", "policy_cost", "instantaneous_cost", "cumulative_cost"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"{name} length differs from times")
+    # total_cost bound to this arm's params and policy: (rest, spend_units) -> cost.
+    _cost: Callable = field(repr=False)
+    _rows: tuple[np.ndarray, ...] = field(repr=False)
 
     @property
     def final_cost(self) -> float:
-        return float(self.cumulative_cost[-1])
+        return self._cost(self.rest_cost, self.spend_integral)
+
+    @functools.cached_property
+    def instantaneous_cost(self) -> np.ndarray:
+        return self._cost(*self._rows[:2])
+
+    @functools.cached_property
+    def cumulative_cost(self) -> np.ndarray:
+        return self._cost(*self._rows[2:])
 
 
-def total_cost(params: ModelParams, policy: PolicyConfig, rest, spend_units, gamma=None, out=None):
+def total_cost(params: ModelParams, policy: PolicyConfig, rest, spend_units, gamma=None):
     """rest + (gamma * inflation) * policy_unit_cost * spend_units.
 
-    Works on rates and on integrals, scalars and arrays alike, and writes to
-    ``out`` if given (which may be ``spend_units``, not ``rest``).  ``gamma``
+    Works on rates and on integrals, scalars and arrays alike.  ``gamma``
     defaults to the policy's ``cost_scale_gamma``; passing another value (or
     an array of them) re-prices the same arm, since nothing else depends on it.
     """
     if gamma is None:
         gamma = policy.cost_scale_gamma
     spend = (gamma * policy.inflation_factor) * params.policy_unit_cost
-    if out is None:
-        return rest + spend * spend_units
-    return np.add(rest, np.multiply(spend_units, spend, out=out), out=out)
+    return rest + spend * spend_units
 
 
 # Arms per kernel call.  An arm reads adherence at 3n - 2 points (3 001 on
@@ -244,6 +256,29 @@ def _spend_rows(policy: PolicyConfig, grid, nudges):
     return p, _discounted_trapezoid(disc, times[1], p[:, :-1], p[:, :-1], np.empty_like(p))
 
 
+# Every kind but BASELINE spends the step 1[node >= i0] while no nudge fires.
+_STEP_POLICY = PolicyConfig(kind=PolicyKind.EARLY_ADHERENCE)
+
+
+@functools.lru_cache(maxsize=32)
+def _unnudged_spend(i0: int, horizon: float, steps_per_year: int, rho: float) -> tuple[np.ndarray, ...]:
+    """P and the cumulative spend channel, as read-only (1, n) rows, of an arm
+    that spends from tau's node i0 on and fires no nudge."""
+    grid = _grid(horizon, steps_per_year, rho)
+    rows = _spend_rows(_STEP_POLICY, grid, (i0, np.zeros(1, dtype=np.int64)))
+    for row in rows:
+        row.setflags(write=False)
+    return rows
+
+
+def _spend(params: ModelParams, policy: PolicyConfig, steps_per_year: int, grid, nudges):
+    """``_spend_rows`` of logs with distinct periods, from the cache when the
+    one log is period 0 and the kind spends."""
+    if policy.kind is PolicyKind.BASELINE or nudges[1].any():
+        return _spend_rows(policy, grid, nudges)
+    return _unnudged_spend(nudges[0], params.horizon_T, steps_per_year, params.discount_rate_rho)
+
+
 def simulate_trajectory(
     params: ModelParams,
     policy: PolicyConfig,
@@ -255,19 +290,16 @@ def simulate_trajectory(
     deltas = [policy.adherence_gain_delta]
     nudges = _nudge_periods(params, policy, deltas)
     a, severity, rest_nodes, rest = _rest_rows(params, policy, grid, deltas, nudges)
-    p, spend = _spend_rows(policy, grid, nudges)
-    rest, spend = rest[0], spend[0]
-    rest_cost, spend_integral = float(rest[-1]), float(spend[-1])
+    p, spend = _spend(params, policy, steps_per_year, grid, nudges)
     return Trajectory(
         times=grid[0].copy(),
         adherence=a[0],
         severity=severity[0],
-        policy_cost=p[0],
-        instantaneous_cost=total_cost(params, policy, rest_nodes[0], p[0], out=np.empty(len(rest))),
-        # The spend row is read above; the cost is formed in its place.
-        cumulative_cost=total_cost(params, policy, rest, spend, out=spend),
-        rest_cost=rest_cost,
-        spend_integral=spend_integral,
+        policy_cost=p[0].copy(),
+        rest_cost=float(rest[0, -1]),
+        spend_integral=float(spend[0, -1]),
+        _cost=functools.partial(total_cost, params, policy),
+        _rows=(rest_nodes[0], p[0], rest[0], spend[0]),
     )
 
 
@@ -296,6 +328,6 @@ def arm_costs(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[np.nda
     spend = np.empty(distinct.size)
     for lo in range(0, distinct.size, _CHUNK_ARMS):
         block = slice(lo, lo + _CHUNK_ARMS)
-        spend[block] = _spend_rows(policy, grid, (i0, distinct[block]))[1][:, -1]
+        spend[block] = _spend(params, policy, STEPS_PER_YEAR, grid, (i0, distinct[block]))[1][:, -1]
     return rest, spend[which]
 

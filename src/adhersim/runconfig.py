@@ -23,7 +23,7 @@ import enum
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .scenarios import PRESET_NAMES, PolicyConfig, PolicyKind, build_preset
+from .scenarios import PRESET_NAMES, PolicyConfig, PolicyKind, StressKind, build_preset
 
 
 class RunMode(enum.Enum):
@@ -47,7 +47,7 @@ _POLICY_OVERRIDE_FIELDS = (
     "progression_compression",
 )
 
-_STRESS_KINDS = ("cost_inflation", "accelerated_progression")
+_STRESS_KINDS = tuple(kind.value for kind in StressKind)
 _STRESS_DEFAULTS = {"cost_inflation": 1.2, "accelerated_progression": 0.85}
 
 

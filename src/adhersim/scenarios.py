@@ -21,6 +21,7 @@ gains.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -200,6 +201,16 @@ def _tau_node(policy: PolicyConfig) -> int:
     return round(tau_snapped * STEPS_PER_YEAR)
 
 
+@functools.lru_cache(maxsize=8)
+def _decay_factors(theta: float, n_steps: int) -> np.ndarray:
+    """exp(-theta * elapsed) at the k = 1 .. n_steps canonical steps after tau,
+    as a read-only array: the rule's decay, the same for every gain."""
+    steps = np.arange(1, n_steps + 1)
+    factors = np.exp(-theta * (steps / STEPS_PER_YEAR))
+    factors.setflags(write=False)
+    return factors
+
+
 def _nudge_periods(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[int, np.ndarray]:
     """Tau's canonical node i0 and, per gain in ``deltas``, the period m of the
     adaptive rule's activations at nodes i0 + m, i0 + 2m, ... (m = 0: none).
@@ -216,8 +227,7 @@ def _nudge_periods(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[i
     deltas = np.asarray(deltas, dtype=float)
     a0 = params.adherence_baseline_A0
     threshold = policy.nudge_threshold
-    steps = np.arange(1, i_last - i0 + 1)
-    below = a0 + deltas[:, None] * np.exp(-policy.decay_theta * (steps / STEPS_PER_YEAR)) < threshold
+    below = a0 + deltas[:, None] * _decay_factors(policy.decay_theta, i_last - i0) < threshold
     # The rule stays inert when the boosted level never reaches the trigger
     # band, so adherence can never cross below it; this also covers a zero
     # gain or decay, under which no value falls below the threshold.

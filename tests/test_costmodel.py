@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adhersim.costmodel import simulate_trajectory
+from adhersim import costmodel, scenarios
+from adhersim.costmodel import arm_costs, simulate_trajectory
 from adhersim.scenarios import PRESET_NAMES, PolicyConfig, PolicyKind, build_preset
 
 from conftest import make_params
@@ -202,3 +203,52 @@ class TestSimulateTrajectory:
             1.0 + np.exp(-ref_params.disease_steepness_k * (traj.times - ref_params.disease_midpoint_s0))
         )
         assert np.allclose(traj.severity, closed, rtol=1e-9)
+
+
+COLUMNS = ("times", "adherence", "severity", "policy_cost", "instantaneous_cost", "cumulative_cost")
+
+
+class TestCachedRowsStayPrivate:
+    """The kernel caches gain-free rows; no array it hands out shares them."""
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_writing_columns_leaves_the_next_run_unchanged(self, ref_params, name):
+        policy = build_preset(name)
+        first = simulate_trajectory(ref_params, policy)
+        expected = {field: getattr(first, field).tobytes() for field in COLUMNS}
+        for field in ("policy_cost", "instantaneous_cost", "cumulative_cost"):
+            getattr(first, field)[:] = -1.0
+        again = simulate_trajectory(ref_params, policy)
+        for field in COLUMNS:
+            assert getattr(again, field).tobytes() == expected[field], field
+        assert again.final_cost == again.cumulative_cost[-1]
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_writing_policy_cost_leaves_the_unread_cost_columns_unchanged(self, ref_params, name):
+        policy = build_preset(name)
+        expected = simulate_trajectory(ref_params, policy)
+        traj = simulate_trajectory(ref_params, policy)
+        traj.policy_cost[:] = -1.0
+        assert traj.instantaneous_cost.tobytes() == expected.instantaneous_cost.tobytes()
+        assert traj.cumulative_cost.tobytes() == expected.cumulative_cost.tobytes()
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("deltas", ([0.3], [0.1, 0.3, 0.45]))
+    def test_writing_arm_costs_leaves_the_next_call_unchanged(self, ref_params, name, deltas):
+        policy = build_preset(name)
+        rest, spend = arm_costs(ref_params, policy, deltas)
+        expected = rest.tobytes(), spend.tobytes()
+        rest[:] = -1.0
+        spend[:] = -1.0
+        again = arm_costs(ref_params, policy, deltas)
+        assert (again[0].tobytes(), again[1].tobytes()) == expected
+
+    def test_cached_rows_are_read_only(self, ref_params):
+        key = (ref_params.horizon_T, 100, ref_params.discount_rate_rho)
+        step = costmodel._unnudged_spend(200, *key)
+        cached = costmodel._grid(*key) + step + (scenarios._decay_factors(0.02, 800),)
+        for array in cached:
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            step[0][0, -1] = 0.0
+

@@ -382,6 +382,27 @@ def test_batched_rows_equal_plain_numpy_reference(params, policy, deltas):
         assert spend[i:i + 1].tobytes() == expected["spend_integral"].tobytes(), delta
 
 
+@PROPERTY
+@given(st.sampled_from(PRESET_NAMES), gammas, st.floats(1.0, 2.0), st.floats(0.5, 1.0) | st.just(1.0))
+def test_final_cost_ends_the_cost_columns(name, gamma, inflation, compression):
+    policy = replace(build_preset(name), cost_scale_gamma=gamma, inflation_factor=inflation,
+                     progression_compression=compression)
+    traj = simulate_trajectory(PARAMS, policy)
+    assert traj.final_cost == traj.cumulative_cost[-1]
+    assert traj.final_cost == total_cost(PARAMS, policy, traj.rest_cost, traj.spend_integral)
+    # The rest rate and channel are the same arm's cost at gamma = 0; P and
+    # the spend channel come from the uncached spend kernel.
+    unpriced = simulate_trajectory(PARAMS, replace(policy, cost_scale_gamma=0.0))
+    grid = costmodel._grid(PARAMS.horizon_T, STEPS_PER_YEAR, PARAMS.discount_rate_rho)
+    nudges = _nudge_periods(PARAMS, policy, [policy.adherence_gain_delta])
+    p, spend = costmodel._spend_rows(policy, grid, nudges)
+    assert traj.policy_cost.tobytes() == p[0].tobytes()
+    instantaneous = total_cost(PARAMS, policy, unpriced.instantaneous_cost, p[0])
+    assert traj.instantaneous_cost.tobytes() == instantaneous.tobytes()
+    cumulative = total_cost(PARAMS, policy, unpriced.cumulative_cost, spend[0])
+    assert traj.cumulative_cost.tobytes() == cumulative.tobytes()
+
+
 def sigmoid_oracle(z):
     """The two-branch logistic: exp(-z) for z >= 0, exp(z) below."""
     out = np.empty_like(z)
