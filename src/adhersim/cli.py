@@ -36,11 +36,12 @@ from .exports import (
     trajectory_csv,
     write_run_outputs,
 )
-from .montecarlo import DEFAULT_DELTA_SD, DistributionSpec, run_monte_carlo
+from .montecarlo import DEFAULT_DELTA_SD, DistributionSpec, check_draw_keys, run_monte_carlo
 from .params import ModelParams, load_params, reference_params_path
 from .runconfig import (
     RunConfig,
     RunMode,
+    _STRESS_KINDS,
     _parse_axis,
     _parse_document,
     effective_stress_value,
@@ -49,6 +50,7 @@ from .runconfig import (
 )
 from .scenarios import (
     PRESET_NAMES,
+    STRESSES,
     PolicyConfig,
     StressKind,
     apply_stress,
@@ -59,8 +61,8 @@ from .scenarios import (
 import json
 
 
-def _load_validated_params(config: RunConfig) -> ModelParams:
-    path = Path(config.params_file)
+def _load_params(params_file: str) -> ModelParams:
+    path = Path(params_file)
     if not path.exists():
         raise ValueError(f"params_file: {path} does not exist")
     return load_params(path)
@@ -68,7 +70,7 @@ def _load_validated_params(config: RunConfig) -> ModelParams:
 
 def run(config: RunConfig) -> list[str]:
     """Execute one run; returns the files written (relative names)."""
-    params = _load_validated_params(config)
+    params = _load_params(config.params_file)
     policy = config.build_policy()
     validate_authored_pair(params, policy)
     echo = serialize_run_config(config)
@@ -207,11 +209,14 @@ def _stress_pairs(
 
 
 def _default_mc_spec(template_delta: float) -> DistributionSpec:
-    # Scenario runs draw from the Beta family centered on the design's gain;
-    # robustness sweeps use the truncated normal via the library API.
+    # A Beta centred on the design's gain, or a point mass at a gain of 0 or 1,
+    # which no Beta has for its mean.
     if template_delta <= 0.0 or template_delta >= 1.0:
         return DistributionSpec.binary(template_delta, template_delta, 1.0)
-    return DistributionSpec.beta_from_mean(template_delta, DEFAULT_DELTA_SD)
+    try:
+        return DistributionSpec.beta_from_mean(template_delta, DEFAULT_DELTA_SD)
+    except ValueError as exc:
+        raise ValueError(f"adherence_gain_delta: {exc}") from None
 
 
 def export_plots(
@@ -222,18 +227,12 @@ def export_plots(
     n_draws: int | None = None,
 ) -> list[str]:
     """Emit the plot-data files for one figure family plus a manifest."""
-    path = Path(params_file)
-    if not path.exists():
-        raise ValueError(f"params_file: {path} does not exist")
-    if seed is not None and seed < 0:
-        raise ValueError("seed: must be >= 0")
+    check_draw_keys(seed, n_draws)
     if family == "mc" and seed is None:
         raise ValueError("seed: the mc family requires a seed")
     if family == "mc" and n_draws is None:
         raise ValueError("n_draws: the mc family requires a draw count")
-    if n_draws is not None and n_draws < 1:
-        raise ValueError("n_draws: must be >= 1")
-    params = load_params(path)
+    params = _load_params(params_file)
 
     mc_results = None
     stress_rois = None
@@ -246,7 +245,7 @@ def export_plots(
             spec = _default_mc_spec(policy.adherence_gain_delta)
             mc_results[name] = run_monte_carlo(params, policy, spec, n_draws, seed)
     elif family == "stress":
-        stresses = ((StressKind.COST_INFLATION, 1.2), (StressKind.ACCELERATED_PROGRESSION, 0.85))
+        stresses = tuple((kind, value) for kind, (_, value) in STRESSES.items())
         base_costs = _stressed_costs(params, build_preset("baseline"), stresses)
         stress_rois = {}
         for name in PRESET_NAMES:
@@ -299,12 +298,10 @@ def _build_parser() -> argparse.ArgumentParser:
     brk.add_argument("--delta-axis", required=False, help="comma-separated increasing deltas")
     mc = next(p for p in sub.choices.values() if p.prog.endswith(" mc"))
     mc.add_argument("--n-draws", type=int, help="number of Monte Carlo draws")
-    mc.add_argument("--workers", type=int,
-                    help="accepted and checked (>= 1); draws run in fixed-size batches in one "
-                         "thread, so the count changes nothing")
     stress = next(p for p in sub.choices.values() if p.prog.endswith(" stress"))
-    stress.add_argument("--kind", choices=["cost_inflation", "accelerated_progression"])
-    stress.add_argument("--value", type=float, help="stress multiplier (default 1.2 / 0.85)")
+    stress.add_argument("--kind", choices=_STRESS_KINDS)
+    defaults = " / ".join(f"{value:g}" for _, value in STRESSES.values())
+    stress.add_argument("--value", type=float, help=f"stress multiplier (default {defaults})")
     plots = sub.add_parser("export-plots", help="CSV series reproducing the figure families")
     plots.add_argument("--family", required=True, choices=PLOT_FAMILIES)
     plots.add_argument("--n-draws", type=int, help="draws for the mc family")
@@ -336,7 +333,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         "seed": args.seed,
         "scenario": None if scenario is None else scenario.lower(),
         "n_draws": flag("n_draws"),
-        "n_workers": flag("workers"),
         "delta_axis": None if delta_axis is None else _parse_axis("delta_axis", delta_axis),
         "gamma_axis": None if gamma_axis is None else _parse_axis("gamma_axis", gamma_axis),
         "stress_kind": flag("kind"),

@@ -67,7 +67,7 @@ from .scenarios import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Aligned time series produced by one simulation run.
 
@@ -85,7 +85,7 @@ class Trajectory:
     horizon's channels never builds them.  Each is a new array, and
     ``cumulative_cost`` ends in ``final_cost`` bit for bit.  P and the spend
     channel in ``_rows`` may be the spend cache's read-only rows;
-    ``policy_cost`` is a copy.
+    ``policy_cost`` is a copy.  Runs compare and hash by identity.
     """
 
     times: np.ndarray

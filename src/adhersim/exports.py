@@ -31,9 +31,16 @@ from .analytics import RoiGrid, CONTOUR_LEVELS_DESIGN, CONTOUR_LEVELS_SIGN
 from .costmodel import Trajectory, simulate_trajectory
 from .montecarlo import McSummary
 from .params import ModelParams
-from .scenarios import DEFAULT_BASELINE_DECAY, PRESET_NAMES, build_preset
+from .scenarios import DEFAULT_BASELINE_DECAY, PRESET_NAMES, StressKind, build_preset
 
-PLOT_FAMILIES = ("severity", "adherence", "cost", "mc", "stress")
+_FAMILY_AXES = {
+    "severity": ("time (years)", "disease severity"),
+    "adherence": ("time (years)", "adherence fraction"),
+    "cost": ("time (years)", "cumulative discounted cost (dollars)"),
+    "mc": ("roi_percent bins", "draw count"),
+    "stress": ("stress kind", "roi_percent"),
+}
+PLOT_FAMILIES = tuple(_FAMILY_AXES)
 
 # %-spec per numpy dtype kind; every other kind is written as text.
 _SPECS = {"f": "%.6g", "i": "%d", "u": "%d"}
@@ -147,7 +154,7 @@ def plot_family_files(
 
     files: dict[str, bytes] = {}
     if family in ("severity", "adherence", "cost"):
-        attr = {"severity": "severity", "adherence": "adherence", "cost": "cumulative_cost"}[family]
+        attr = "cumulative_cost" if family == "cost" else family
         curves: dict[str, Trajectory] = {
             name: simulate_trajectory(params, build_preset(name)) for name in PRESET_NAMES
         }
@@ -155,43 +162,22 @@ def plot_family_files(
         curves["baseline_decaying"] = simulate_trajectory(params, decaying)
         for name, traj in curves.items():
             files[f"{family}_{name}.csv"] = _curve_csv(traj.times, getattr(traj, attr))
-        meta = {
-            "family": family,
-            "x_axis": "time (years)",
-            "y_axis": {
-                "severity": "disease severity",
-                "adherence": "adherence fraction",
-                "cost": "cumulative discounted cost (dollars)",
-            }[family],
-            "curves": sorted(files),
-        }
     elif family == "mc":
         if not mc_results:
             raise ValueError("mc family requires Monte Carlo results")
         for name, (summary, draws) in mc_results.items():
             files[f"mc_hist_{name}.csv"] = histogram_csv(draws["roi_percent"])
-        meta = {
-            "family": "mc",
-            "x_axis": "roi_percent bins",
-            "y_axis": "draw count",
-            "curves": sorted(files),
-        }
     else:  # stress
         if not stress_rois:
             raise ValueError("stress family requires stressed ROI results")
-        kinds = ["cost_inflation", "accelerated_progression"]
+        kinds = [kind.value for kind in StressKind]
         for name, pair in stress_rois.items():
             files[f"stress_{name}.csv"] = csv_bytes(
                 ["stress_kind", "roi_unstressed_percent", "roi_stressed_percent"],
                 [kinds, [pair["unstressed"]] * len(kinds), [pair[kind] for kind in kinds]],
             )
-        meta = {
-            "family": "stress",
-            "x_axis": "stress kind",
-            "y_axis": "roi_percent",
-            "curves": sorted(files),
-        }
-    return files, meta
+    x_axis, y_axis = _FAMILY_AXES[family]
+    return files, {"family": family, "x_axis": x_axis, "y_axis": y_axis, "curves": sorted(files)}
 
 
 def write_run_outputs(output_dir: str | Path, files: dict[str, bytes], config_echo: str) -> list[str]:

@@ -20,13 +20,12 @@ import enum
 import math
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .analytics import RejectedCost, baseline_cost, roi
 from .costmodel import arm_costs, total_cost
-from .numerics import check_finite
 from .params import ModelParams
 from .scenarios import PolicyConfig
 
@@ -48,23 +47,18 @@ _MASK128 = (1 << 128) - 1
 
 class DistributionKind(enum.Enum):
     BETA = "beta"
-    TRUNC_NORMAL = "trunc_normal"
     BINARY = "binary"
 
 
 @dataclass(frozen=True)
 class DistributionSpec:
-    """Distribution over the adherence gain delta; every draw lies in [0, 1]."""
+    """Distribution over the adherence gain delta: a Beta, or a binary mix of
+    high and low responders.  Every draw lies in [0, 1]."""
 
     kind: DistributionKind
     # Beta
     alpha_shape: float = 0.0
     beta_shape: float = 0.0
-    # Truncated normal on [lo, hi]
-    mu: float = 0.0
-    sigma: float = 0.0
-    lo: float = 0.0
-    hi: float = 1.0
     # Binary high/low responders
     delta_high: float = 0.0
     delta_low: float = 0.0
@@ -74,14 +68,6 @@ class DistributionSpec:
         if self.kind is DistributionKind.BETA:
             if self.alpha_shape <= 0 or self.beta_shape <= 0:
                 raise ValueError("beta shapes must be > 0")
-        elif self.kind is DistributionKind.TRUNC_NORMAL:
-            check_finite("mu", self.mu)
-            if self.sigma <= 0:
-                raise ValueError("sigma must be > 0")
-            if not (self.lo < self.hi):
-                raise ValueError("lo must be < hi")
-            if self.lo < 0 or self.hi > 1:
-                raise ValueError("truncation bounds must stay within [0, 1]")
         elif self.kind is DistributionKind.BINARY:
             for name in ("delta_high", "delta_low"):
                 v = getattr(self, name)
@@ -103,12 +89,8 @@ class DistributionSpec:
             raise ValueError("mean must be in (0, 1)")
         nu = mean * (1.0 - mean) / (sd * sd) - 1.0
         if nu <= 0:
-            raise ValueError("sd too large for the requested mean")
+            raise ValueError(f"{mean!r} is too close to 0 or 1 for a Beta draw with sd {sd!r}")
         return DistributionSpec.beta(mean * nu, (1.0 - mean) * nu)
-
-    @staticmethod
-    def trunc_normal(mu: float, sigma: float, lo: float = 0.0, hi: float = 1.0) -> "DistributionSpec":
-        return DistributionSpec(DistributionKind.TRUNC_NORMAL, mu=mu, sigma=sigma, lo=lo, hi=hi)
 
     @staticmethod
     def binary(delta_high: float, delta_low: float, p_high: float) -> "DistributionSpec":
@@ -134,18 +116,16 @@ class McSummary:
     prob_roi_positive_se: float
 
     def as_dict(self) -> dict:
-        return {
-            "n_draws": self.n_draws,
-            "master_seed": self.master_seed,
-            "roi_mean": self.roi_mean,
-            "roi_sd": self.roi_sd,
-            "roi_quantiles": {str(k): v for k, v in self.roi_quantiles.items()},
-            "prob_roi_positive": self.prob_roi_positive,
-            "cost_mean": self.cost_mean,
-            "cost_sd": self.cost_sd,
-            "roi_mean_se": self.roi_mean_se,
-            "prob_roi_positive_se": self.prob_roi_positive_se,
-        }
+        """The fields by name; JSON writes the quantile levels as their repr."""
+        return asdict(self)
+
+
+def check_draw_keys(seed: int | None, n_draws: int | None) -> None:
+    """Range rules of a master seed and a draw count, where given."""
+    if seed is not None and seed < 0:
+        raise ValueError("seed: must be >= 0")
+    if n_draws is not None and n_draws < 1:
+        raise ValueError("n_draws: must be >= 1")
 
 
 def substream(master_seed: int, draw_index: int) -> np.random.Generator:
@@ -225,15 +205,6 @@ def sample_delta(spec: DistributionSpec, stream: np.random.Generator) -> float:
     """One adherence-gain draw in [0, 1]."""
     if spec.kind is DistributionKind.BETA:
         return float(stream.beta(spec.alpha_shape, spec.beta_shape))
-    if spec.kind is DistributionKind.TRUNC_NORMAL:
-        # Rejection on the truncated support; acceptance is ~1 for the
-        # reference (mu well inside [0, 1], small sigma).
-        for _ in range(10000):
-            x = stream.normal(spec.mu, spec.sigma)
-            if spec.lo <= x <= spec.hi:
-                return float(x)
-        raise ValueError("truncated-normal rejection sampling failed to accept")
-    # Binary
     return float(spec.delta_high if stream.random() < spec.p_high else spec.delta_low)
 
 
@@ -269,10 +240,7 @@ def run_monte_carlo(
     equals a one-arm run bit for bit, so the output does not depend on the
     chunk size.  A failure names the first failing draw.
     """
-    if n < 1:
-        raise ValueError("n_draws: must be >= 1")
-    if master_seed < 0:
-        raise ValueError("seed: must be >= 0")
+    check_draw_keys(master_seed, n)
     c_base = baseline_cost(params)
     draws = np.empty(
         n,

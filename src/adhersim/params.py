@@ -1,15 +1,15 @@
 """Calibrated model parameters and the reference parameter file format.
 
 The reference file is plain ``key = value`` text, one field per line, with
-``#`` comments.  Keys must match ModelParams field names exactly; unknown keys
-are rejected.  All fields are required except ``severity_coupling_eta``
-(default 0), ``health_weight_lambda`` (default 0) and ``policy_unit_cost``
-(default 1).
+``#`` comments (``document_lines``, which run configurations read too).  Keys
+must match ModelParams field names exactly; unknown keys are rejected.  A
+field with a default in ModelParams may be left out; every other is required.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from collections.abc import Iterator
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .numerics import STEPS_PER_YEAR, check_finite
@@ -63,43 +63,46 @@ class ModelParams:
             raise ValueError("policy_unit_cost must be >= 0")
 
 
-_OPTIONAL_DEFAULTS = {
-    "severity_coupling_eta": 0.0,
-    "health_weight_lambda": 0.0,
-    "policy_unit_cost": 1.0,
-}
-
 _FIELD_NAMES = [f.name for f in fields(ModelParams)]
+_REQUIRED = [f.name for f in fields(ModelParams) if f.default is MISSING]
 
 
-def parse_params(text: str) -> ModelParams:
-    """Parse reference-parameter text into a validated ModelParams."""
-    values: dict[str, float] = {}
+def document_lines(text: str) -> Iterator[tuple[int, str, str]]:
+    """(line number, key, value) of each ``key = value`` line, in order.
+
+    ``#`` starts a comment; blank and comment-only lines are skipped, and key
+    and value are stripped.  A line without ``=`` and a repeated key are
+    rejected with their line number, when the reader reaches them.
+    """
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, val = line.partition("=")
+        key, _, value = line.partition("=")
         key = key.strip()
+        if key in seen:
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+        seen.add(key)
+        yield lineno, key, value.strip()
+
+
+def parse_params(text: str) -> ModelParams:
+    """Parse reference-parameter text into a validated ModelParams."""
+    values: dict[str, float] = {}
+    for lineno, key, value in document_lines(text):
         if key not in _FIELD_NAMES:
             raise ValueError(
                 f"line {lineno}: unknown key {key!r} (valid keys: {', '.join(_FIELD_NAMES)})"
             )
-        if key in values:
-            raise ValueError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[key] = float(val.strip())
+            values[key] = float(value)
         except ValueError:
-            raise ValueError(f"line {lineno}: value for {key!r} is not a number: {val.strip()!r}") from None
+            raise ValueError(f"line {lineno}: value for {key!r} is not a number: {value!r}") from None
 
-    missing = [
-        name for name in _FIELD_NAMES
-        if name not in values and name not in _OPTIONAL_DEFAULTS and name != "horizon_T"
-    ]
-    if "horizon_T" not in values:
-        values["horizon_T"] = 10.0
+    missing = [name for name in _REQUIRED if name not in values]
     if missing:
         raise ValueError(f"missing required keys: {', '.join(missing)}")
     return ModelParams(**values)

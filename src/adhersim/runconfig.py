@@ -23,7 +23,17 @@ import enum
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .scenarios import PRESET_NAMES, PolicyConfig, PolicyKind, StressKind, build_preset
+from .montecarlo import check_draw_keys
+from .params import document_lines
+from .scenarios import (
+    PRESET_NAMES,
+    STRESSES,
+    PolicyConfig,
+    PolicyKind,
+    StressKind,
+    apply_stress,
+    build_preset,
+)
 
 
 class RunMode(enum.Enum):
@@ -35,20 +45,8 @@ class RunMode(enum.Enum):
     STRESS = "stress"
 
 
-_POLICY_OVERRIDE_FIELDS = (
-    "start_tau",
-    "adherence_gain_delta",
-    "cost_scale_gamma",
-    "decay_theta",
-    "nudge_threshold",
-    "nudge_unit_cost",
-    "baseline_decay",
-    "inflation_factor",
-    "progression_compression",
-)
-
+_POLICY_OVERRIDE_FIELDS = tuple(f.name for f in fields(PolicyConfig) if f.name != "kind")
 _STRESS_KINDS = tuple(kind.value for kind in StressKind)
-_STRESS_DEFAULTS = {"cost_inflation": 1.2, "accelerated_progression": 0.85}
 
 
 @dataclass(frozen=True)
@@ -59,7 +57,6 @@ class RunConfig:
     output_dir: str
     seed: int | None = None
     n_draws: int | None = None
-    n_workers: int = 1
     delta_axis: tuple[float, ...] = ()
     gamma_axis: tuple[float, ...] = ()
     stress_kind: str | None = None
@@ -113,12 +110,7 @@ def validate_run_config(config: RunConfig) -> None:
         raise ValueError(
             f"scenario: unknown name {config.scenario!r}; valid: {', '.join(valid_scenarios)}"
         )
-    if config.seed is not None and config.seed < 0:
-        raise ValueError("seed: must be >= 0")
-    if config.n_draws is not None and config.n_draws < 1:
-        raise ValueError("n_draws: must be >= 1")
-    if config.n_workers < 1:
-        raise ValueError("n_workers: must be >= 1")
+    check_draw_keys(config.seed, config.n_draws)
     if not all(0.0 <= delta <= 1.0 for delta in config.delta_axis):
         raise ValueError("delta_axis: values must be in [0, 1]")
     if config.stress_kind is not None and config.stress_kind not in _STRESS_KINDS:
@@ -126,13 +118,12 @@ def validate_run_config(config: RunConfig) -> None:
             f"stress_kind: unknown kind {config.stress_kind!r}; valid: {', '.join(_STRESS_KINDS)}"
         )
     if config.stress_value is not None:
-        value = config.stress_value
         if config.stress_kind is None:
             raise ValueError("stress_value: given without stress_kind")
-        if config.stress_kind == "cost_inflation" and not (1.0 <= value < math.inf):
-            raise ValueError("stress_value: cost_inflation factor must be finite and >= 1")
-        if config.stress_kind == "accelerated_progression" and not (0.0 < value <= 1.0):
-            raise ValueError("stress_value: progression compression must be in (0, 1]")
+        try:
+            apply_stress(PolicyConfig(PolicyKind.BASELINE), StressKind(config.stress_kind), config.stress_value)
+        except ValueError as exc:
+            raise ValueError(f"stress_value: {str(exc).partition(' ')[2]}") from None
 
     mode = config.mode
     if mode is RunMode.MONTE_CARLO:
@@ -170,18 +161,7 @@ def parse_run_config(text: str) -> RunConfig:
 def _parse_document(text: str) -> RunConfig:
     """Parse a run-configuration document; the mode and range rules are left
     to ``validate_run_config``."""
-    raw: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, _, value = stripped.partition("=")
-        key, value = key.strip(), value.strip()
-        if key in raw:
-            raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        raw[key] = value
+    raw = {key: value for _, key, value in document_lines(text)}
 
     def take(key: str, kind: type = str):
         value = raw.pop(key, None)
@@ -212,7 +192,6 @@ def _parse_document(text: str) -> RunConfig:
 
     seed = take("seed", int)
     n_draws = take("n_draws", int)
-    n_workers = take("n_workers", int)
     delta_axis = take("delta_axis")
     gamma_axis = take("gamma_axis")
     stress_kind = take("stress_kind")
@@ -238,7 +217,6 @@ def _parse_document(text: str) -> RunConfig:
         output_dir=output_dir,
         seed=seed,
         n_draws=n_draws,
-        n_workers=1 if n_workers is None else n_workers,
         delta_axis=() if delta_axis is None else _parse_axis("delta_axis", delta_axis),
         gamma_axis=() if gamma_axis is None else _parse_axis("gamma_axis", gamma_axis),
         stress_kind=None if stress_kind is None else stress_kind.lower(),
@@ -252,7 +230,7 @@ def effective_stress_value(config: RunConfig) -> float:
         raise ValueError("no stress_kind configured")
     if config.stress_value is not None:
         return config.stress_value
-    return _STRESS_DEFAULTS[config.stress_kind]
+    return STRESSES[StressKind(config.stress_kind)][1]
 
 
 def serialize_run_config(config: RunConfig) -> str:
@@ -267,8 +245,6 @@ def serialize_run_config(config: RunConfig) -> str:
         lines.append(f"seed = {config.seed}")
     if config.n_draws is not None:
         lines.append(f"n_draws = {config.n_draws}")
-    if config.n_workers != 1:
-        lines.append(f"n_workers = {config.n_workers}")
     if config.delta_axis:
         lines.append("delta_axis = " + ", ".join(repr(v) for v in config.delta_axis))
     if config.gamma_axis:

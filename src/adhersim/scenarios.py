@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -54,6 +54,16 @@ class StressKind(enum.Enum):
     ACCELERATED_PROGRESSION = "accelerated_progression"
 
 
+# The PolicyConfig multiplier each stress sets, and its reference value.
+# Cost inflation multiplies gamma's dollar price; an accelerated progression
+# rescales disease time, applied in the cost model as k -> k/value and
+# s0 -> value * s0.
+STRESSES = {
+    StressKind.COST_INFLATION: ("inflation_factor", 1.2),
+    StressKind.ACCELERATED_PROGRESSION: ("progression_compression", 0.85),
+}
+
+
 @dataclass(frozen=True)
 class PolicyConfig:
     """One policy design.
@@ -76,14 +86,9 @@ class PolicyConfig:
     progression_compression: float = 1.0
 
     def __post_init__(self) -> None:
-        check_finite("start_tau", self.start_tau)
-        check_finite("adherence_gain_delta", self.adherence_gain_delta)
-        check_finite("cost_scale_gamma", self.cost_scale_gamma)
-        check_finite("decay_theta", self.decay_theta)
-        check_finite("nudge_threshold", self.nudge_threshold)
-        check_finite("nudge_unit_cost", self.nudge_unit_cost)
-        check_finite("inflation_factor", self.inflation_factor)
-        check_finite("progression_compression", self.progression_compression)
+        for f in fields(self)[1:]:  # every field after kind
+            if (value := getattr(self, f.name)) is not None:
+                check_finite(f.name, value)
         if self.start_tau < 0:
             raise ValueError("start_tau must be >= 0")
         if not (0.0 <= self.adherence_gain_delta <= 1.0):
@@ -96,10 +101,8 @@ class PolicyConfig:
             raise ValueError("nudge_threshold must be in [0, 1]")
         if self.nudge_unit_cost < 0:
             raise ValueError("nudge_unit_cost must be >= 0")
-        if self.baseline_decay is not None:
-            check_finite("baseline_decay", self.baseline_decay)
-            if self.baseline_decay < 0:
-                raise ValueError("baseline_decay must be >= 0")
+        if self.baseline_decay is not None and self.baseline_decay < 0:
+            raise ValueError("baseline_decay must be >= 0")
         if self.inflation_factor < 1.0:
             raise ValueError("inflation_factor must be >= 1")
         if not (0.0 < self.progression_compression <= 1.0):
@@ -314,20 +317,6 @@ def _spend_at_nodes(policy: PolicyConfig, nudges: tuple[int, np.ndarray], nodes:
 
 
 def apply_stress(policy: PolicyConfig, stress: StressKind, value: float) -> PolicyConfig:
-    """Return a copy of the policy with one stress transform applied.
-
-    CostInflation multiplies the effective cost intensity by ``value``
-    (reference 1.20); AcceleratedProgression rescales disease time by
-    ``value`` (reference 0.85), applied in the cost model as k -> k/value,
-    s0 -> value * s0.
-    """
-    check_finite("stress value", value)
-    if stress is StressKind.COST_INFLATION:
-        if value < 1.0:
-            raise ValueError("cost inflation factor must be >= 1")
-        return replace(policy, inflation_factor=value)
-    if stress is StressKind.ACCELERATED_PROGRESSION:
-        if not (0.0 < value <= 1.0):
-            raise ValueError("progression compression must be in (0, 1]")
-        return replace(policy, progression_compression=value)
-    raise ValueError(f"unknown stress kind {stress!r}")
+    """A copy of the policy with the ``STRESSES`` field of one stress set to
+    ``value``; PolicyConfig checks its range."""
+    return replace(policy, **{STRESSES[stress][0]: value})

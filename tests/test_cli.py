@@ -126,14 +126,20 @@ class TestMonteCarloCommand:
         summary = json.loads((out / "mc_summary.json").read_text())
         assert summary["n_draws"] == 50
         assert summary["master_seed"] == 42
+        assert sorted(summary) == [
+            "cost_mean", "cost_sd", "master_seed", "n_draws", "prob_roi_positive",
+            "prob_roi_positive_se", "roi_mean", "roi_mean_se", "roi_quantiles", "roi_sd",
+        ]
+        assert list(summary["roi_quantiles"]) == ["0.05", "0.25", "0.5", "0.75", "0.95"]
 
-    def test_workers_do_not_change_bytes(self, tmp_path):
-        a, b = tmp_path / "w1", tmp_path / "w8"
-        base = ["--seed", "9", "mc", "--scenario", "early_adherence", "--n-draws", "40"]
-        assert _run(["--out", a] + base + ["--workers", "1"]) == 0
-        assert _run(["--out", b] + base + ["--workers", "8"]) == 0
-        assert (a / "draws.csv").read_bytes() == (b / "draws.csv").read_bytes()
-        assert (a / "mc_summary.json").read_bytes() == (b / "mc_summary.json").read_bytes()
+    def test_workers_flag_is_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _run(["--out", tmp_path / "mc", "--seed", "1", "mc", "--n-draws", "5", "--workers", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --workers 2" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "mc").exists()
 
 
 class TestStressCommand:
@@ -265,13 +271,20 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("mode, extra, expected", [
         ("simulate", "policy.cost_scale_gamma = abc\n", "policy.cost_scale_gamma: expected a number"),
-        ("mc", "seed = 1\nn_draws = 5\nn_workers = two\n", "n_workers: expected an integer"),
+        ("mc", "seed = 1\nn_draws = two\n", "n_draws: expected an integer"),
         ("stress", "stress_kind = cost_inflation\nstress_value = big\n", "stress_value: expected a number"),
-    ], ids=["policy_field", "n_workers", "stress_value"])
+        ("mc", "seed = 1\nn_draws = 5\nn_workers = 2\n", "unknown key: n_workers"),
+        # A Beta of mean 0.001 cannot have sd 0.05.
+        ("mc", "seed = 1\nn_draws = 5\npolicy.adherence_gain_delta = 0.001\n",
+         "adherence_gain_delta: 0.001 is too close to 0 or 1 for a Beta draw with sd 0.05\n"),
+    ], ids=["policy_field", "n_draws", "stress_value", "n_workers", "gain_without_a_beta"])
     def test_config_value_names_its_key(self, tmp_path, capsys, mode, extra, expected):
         rc = _run(["--config", self._config(tmp_path, mode, extra), mode])
         assert rc == 2
-        assert f"error: {expected}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {expected}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("extra, expected", [
         ("policy.start_tau = -1\n", "policy.start_tau: must be >= 0"),
@@ -300,10 +313,13 @@ class TestInputErrors:
         (["breakeven", "--delta-axis", "1.5"], "delta_axis: values must be in [0, 1]"),
         (["sweep", "--delta-axis", "0.2,1.5", "--gamma-axis", "1.0"], "delta_axis: values must be in [0, 1]"),
         (["sweep", "--delta-axis", "0.2", "--gamma-axis", "1.0,nan"], "gamma_axis: values must be finite"),
+        (["stress", "--kind", "cost_inflation", "--value", "0.9"], "stress_value: must be >= 1"),
+        (["stress", "--kind", "accelerated_progression", "--value", "nan"], "stress_value: must be finite, got nan"),
     ], ids=["negative_seed", "zero_plot_draws", "plots_with_config",
             "plots_negative_seed", "plots_mc_without_seed", "plots_mc_without_draws", "plots_zero_draws",
             "breakeven_nan_delta", "breakeven_inf_delta", "breakeven_trailing_nan_delta",
-            "breakeven_delta_above_one", "sweep_delta_above_one", "sweep_nan_gamma"])
+            "breakeven_delta_above_one", "sweep_delta_above_one", "sweep_nan_gamma",
+            "deflating_stress", "nan_compression"])
     def test_flag_value_names_its_key(self, tmp_path, capsys, args, expected):
         out = tmp_path / "out"
         rc = _run(["--out", out] + args)
@@ -331,12 +347,6 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err == "error: start_tau: 5.0 lies beyond horizon_T 3.0\n"
         assert not (tmp_path / "out").exists()
-
-    def test_zero_workers_rejected(self, tmp_path, capsys):
-        rc = _run(["--out", tmp_path / "mc", "--seed", "1", "mc", "--n-draws", "5", "--workers", "0"])
-        assert rc == 2
-        assert "error: n_workers: must be >= 1" in capsys.readouterr().err
-        assert not (tmp_path / "mc").exists()
 
     @pytest.mark.parametrize("flag, value, expected", [
         ("--out", "run#3", "output_dir: must not contain '#'"),
@@ -416,6 +426,22 @@ class TestExportPlots:
         header, rows = _read_csv(out / "stress_early_adherence.csv")
         assert header == ["stress_kind", "roi_unstressed_percent", "roi_stressed_percent"]
         assert {r[0] for r in rows} == {"cost_inflation", "accelerated_progression"}
+
+    @pytest.mark.parametrize("family, x_axis, y_axis, curves", [
+        ("severity", "time (years)", "disease severity", None),
+        ("adherence", "time (years)", "adherence fraction", None),
+        ("cost", "time (years)", "cumulative discounted cost (dollars)", None),
+        ("mc", "roi_percent bins", "draw count", [f"mc_hist_{name}.csv" for name in POLICY_PRESETS]),
+        ("stress", "stress kind", "roi_percent", [f"stress_{name}.csv" for name in POLICY_PRESETS]),
+    ])
+    def test_manifest_meta_line(self, tmp_path, family, x_axis, y_axis, curves):
+        if curves is None:
+            curves = [f"{family}_{name}.csv" for name in PRESET_NAMES + ("baseline_decaying",)]
+        out = tmp_path / "plots"
+        assert _run(["--out", out, "--seed", "2", "export-plots", "--family", family, "--n-draws", "8"]) == 0
+        echo = json.loads((out / "manifest.json").read_text())["config_echo"].splitlines()
+        meta = {"family": family, "x_axis": x_axis, "y_axis": y_axis, "curves": sorted(curves)}
+        assert echo[-1] == f"meta = {json.dumps(meta, sort_keys=True)}"
 
     def test_unknown_family_rejected(self, tmp_path, capsys):
         rc = _run(["--out", tmp_path / "x", "export-plots", "--family", "severity",

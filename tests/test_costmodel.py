@@ -120,6 +120,14 @@ class TestSimulateTrajectory:
         for name in ("adherence", "severity", "policy_cost", "instantaneous_cost", "cumulative_cost"):
             assert len(getattr(baseline_traj, name)) == 1001
 
+    def test_runs_compare_by_identity(self, ref_params):
+        # Array fields have no one truth value, so equality is identity.
+        traj, again = (simulate_trajectory(ref_params, build_preset("early_adherence")) for _ in range(2))
+        assert hash(traj) == hash(traj)
+        assert traj == traj
+        assert traj != again
+        assert len({traj, again}) == 2
+
     def test_initial_cumulative_cost(self, baseline_traj, ref_params):
         assert baseline_traj.cumulative_cost[0] == ref_params.baseline_cost_C0
 

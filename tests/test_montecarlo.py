@@ -8,7 +8,6 @@ from adhersim import costmodel
 from adhersim.analytics import baseline_cost, roi
 from adhersim.costmodel import simulate_trajectory
 from adhersim.montecarlo import (
-    DistributionKind,
     DistributionSpec,
     positive_rate,
     run_monte_carlo,
@@ -22,27 +21,10 @@ from conftest import make_params
 EARLY = build_preset("early_adherence")
 
 
-def _trunc_normal_moments(mu, sigma, lo, hi):
-    """Analytic mean / variance of a truncated normal (oracle)."""
-    phi = lambda x: math.exp(-x * x / 2) / math.sqrt(2 * math.pi)
-    Phi = lambda x: 0.5 * (1 + math.erf(x / math.sqrt(2)))
-    a, b = (lo - mu) / sigma, (hi - mu) / sigma
-    z = Phi(b) - Phi(a)
-    mean = mu + sigma * (phi(a) - phi(b)) / z
-    var = sigma * sigma * (
-        1 + (a * phi(a) - b * phi(b)) / z - ((phi(a) - phi(b)) / z) ** 2
-    )
-    return mean, var
-
-
 class TestDistributionSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             DistributionSpec.beta(0.0, 2.0)
-        with pytest.raises(ValueError):
-            DistributionSpec.trunc_normal(0.3, 0.0)
-        with pytest.raises(ValueError):
-            DistributionSpec.trunc_normal(0.3, 0.05, lo=0.5, hi=0.2)
         with pytest.raises(ValueError):
             DistributionSpec.binary(1.2, 0.1, 0.5)
         with pytest.raises(ValueError):
@@ -61,11 +43,6 @@ class TestSampling:
         spec = DistributionSpec.binary(0.3, 0.3, 0.7)
         stream = substream(1, 0)
         assert all(sample_delta(spec, stream) == 0.3 for _ in range(10))
-
-    def test_vanishing_variance_truncnormal(self):
-        spec = DistributionSpec.trunc_normal(0.3, 1e-9)
-        stream = substream(1, 0)
-        assert sample_delta(spec, stream) == pytest.approx(0.3, abs=1e-7)
 
     def test_beta_mean_against_law_of_large_numbers(self):
         spec = DistributionSpec.beta(2.0, 5.0)
@@ -87,10 +64,11 @@ class TestSampling:
         se_var = math.sqrt((mu4 - var**2) / n)
         assert abs(draws.var() - var) <= 3 * se_var
 
-        tn = DistributionSpec.trunc_normal(0.3, 0.05)
+        # The CLI's spec: a Beta matched to mean 0.3 and sd 0.05.
+        matched = DistributionSpec.beta_from_mean(0.3, 0.05)
         stream = substream(8, 0)
-        draws = np.array([sample_delta(tn, stream) for _ in range(n)])
-        mean, var = _trunc_normal_moments(0.3, 0.05, 0.0, 1.0)
+        draws = np.array([sample_delta(matched, stream) for _ in range(n)])
+        mean, var = 0.3, 0.05**2
         se_mean = math.sqrt(var / n)
         assert abs(draws.mean() - mean) <= 3 * se_mean
         mu4 = float(np.mean((draws - draws.mean()) ** 4))
@@ -166,17 +144,17 @@ class TestRunMonteCarlo:
         fragile = replace(EARLY, adherence_gain_delta=0.25, cost_scale_gamma=1.0)
         robust = replace(EARLY, adherence_gain_delta=0.35, cost_scale_gamma=0.8)
         s_f, _ = run_monte_carlo(
-            ref_params, fragile, DistributionSpec.trunc_normal(0.25, 0.05), 800, master_seed=31
+            ref_params, fragile, DistributionSpec.beta_from_mean(0.25, 0.05), 800, master_seed=31
         )
         s_r, _ = run_monte_carlo(
-            ref_params, robust, DistributionSpec.trunc_normal(0.35, 0.05), 800, master_seed=31
+            ref_params, robust, DistributionSpec.beta_from_mean(0.35, 0.05), 800, master_seed=31
         )
         assert s_f.prob_roi_positive < s_r.prob_roi_positive
 
     def test_robust_design_mostly_positive(self, ref_params):
         robust = replace(EARLY, adherence_gain_delta=0.30, cost_scale_gamma=0.9)
         summary, _ = run_monte_carlo(
-            ref_params, robust, DistributionSpec.trunc_normal(0.30, 0.05), 800, master_seed=32
+            ref_params, robust, DistributionSpec.beta_from_mean(0.30, 0.05), 800, master_seed=32
         )
         assert summary.prob_roi_positive >= 0.70
 

@@ -448,7 +448,6 @@ def test_grid_refinement_converges_at_second_order(policy):
 
 MC_SPECS = {
     "beta": DistributionSpec.beta(6.0, 14.0),
-    "trunc_normal": DistributionSpec.trunc_normal(0.3, 0.1),
     "binary": DistributionSpec.binary(0.4, 0.1, 0.5),
 }
 
@@ -483,12 +482,13 @@ def test_draw_streams_start_where_substreams_do(master_seed, n):
     assert states == [substream(master_seed, i).bit_generator.state for i in range(n)]
 
 
-# Rejects about half its normals, so draws take differing numbers of them.
-REJECTING_TRUNC_NORMAL = DistributionSpec.trunc_normal(0.2, 0.3, 0.0, 0.45)
+# Both shapes at most 1: numpy draws this Beta by Johnk's rejection method,
+# so draws take differing numbers of uniforms.
+REJECTING_BETA = DistributionSpec.beta(0.5, 0.5)
 
 
-@pytest.mark.parametrize("spec", [*MC_SPECS.values(), REJECTING_TRUNC_NORMAL],
-                         ids=[*MC_SPECS.keys(), "trunc_normal_rejecting"])
+@pytest.mark.parametrize("spec", [*MC_SPECS.values(), REJECTING_BETA],
+                         ids=[*MC_SPECS.keys(), "beta_rejecting"])
 @PROPERTY
 @given(master_seeds, st.integers(1, 24))
 def test_monte_carlo_draws_equal_their_substreams(spec, master_seed, n):
@@ -617,7 +617,6 @@ def run_configs(draw):
         output_dir=draw(paths),
         seed=maybe(st.integers(0, 2**63), mode is RunMode.MONTE_CARLO),
         n_draws=maybe(st.integers(1, 10**9), mode is RunMode.MONTE_CARLO),
-        n_workers=draw(st.integers(1, 64)),
         delta_axis=maybe(config_axis(st.floats(0.0, 1.0)), mode in (RunMode.SWEEP, RunMode.BREAKEVEN)) or (),
         gamma_axis=maybe(config_axis(finite), mode is RunMode.SWEEP) or (),
         stress_kind=stress_kind,
@@ -643,7 +642,7 @@ def test_run_config_round_trips_or_is_rejected(config):
     assert parse_run_config(text) == config
 
 
-NUMERIC_KEYS = ("seed", "n_draws", "n_workers", "stress_value", "delta_axis", "gamma_axis") + tuple(
+NUMERIC_KEYS = ("seed", "n_draws", "stress_value", "delta_axis", "gamma_axis") + tuple(
     "policy." + name for name in _POLICY_OVERRIDE_FIELDS)
 NOT_NUMBERS = ("abc", "", "1.2.3", "one", "--1", "0x1g", "1e", "2 x")
 # Values each field rejects: out of its range, or not finite.
@@ -682,8 +681,6 @@ def valid_documents(draw):
         doc["seed"] = str(draw(st.integers(0, 2**63)))
     if wanted(mode is RunMode.MONTE_CARLO):
         doc["n_draws"] = str(draw(st.integers(1, 10**6)))
-    if wanted(False):
-        doc["n_workers"] = str(draw(st.integers(1, 64)))
     if wanted(mode in (RunMode.SWEEP, RunMode.BREAKEVEN)):
         doc["delta_axis"] = axis_text(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)))
     if wanted(mode is RunMode.SWEEP):

@@ -21,7 +21,6 @@ def test_minimal_config_with_defaults():
     assert cfg.scenario == "baseline"
     assert cfg.seed is None
     assert cfg.n_draws is None
-    assert cfg.n_workers == 1
     assert cfg.delta_axis == () and cfg.gamma_axis == ()
     policy = cfg.build_policy()
     assert policy.inflation_factor == 1.0
@@ -125,7 +124,7 @@ def test_round_trip_full_sweep_config():
 
 
 def test_round_trip_mc_config():
-    text = MINIMAL.replace("mode = simulate", "mode = mc") + "seed = 42\nn_draws = 1000\nn_workers = 4\n"
+    text = MINIMAL.replace("mode = simulate", "mode = mc") + "seed = 42\nn_draws = 1000\n"
     cfg = parse_run_config(text)
     assert parse_run_config(serialize_run_config(cfg)) == cfg
 
