@@ -1,4 +1,4 @@
-"""ROI, payback, break-even and design-space sweeps.
+"""ROI, payback, break-even, design-space sweeps and stress pairs.
 
 ROI follows the study's cost-relative definition
 ROI = (C_baseline - C_policy) / C_policy * 100, with the policy-arm cost in
@@ -6,14 +6,17 @@ the denominator (not incremental policy spend).
 
 gamma enters the engine only through the spend channel, so an arm's total
 cost is C(gamma) = R + gamma * inflation * policy_unit_cost * I_P with R
-(C0 plus the rest) and I_P read off one simulated arm (see costmodel).
-Break-even and the per-row sweep are closed forms on that line: one engine
-arm per (design, delta) instead of one per gamma, and the arms of a sweep's
-delta axis run through one batched engine call (``arm_costs``).
+(C0 plus the rest) and I_P read off one simulated arm (see costmodel), and
+only ``costmodel.total_cost`` prices that line.  Break-even, the per-row
+sweep and a cost-inflation stress are closed forms on it: one engine arm per
+(design, delta) instead of one per gamma, and the arms of a sweep's delta
+axis run through one batched engine call (``arm_costs``).  ``stress_pairs``
+serves both the stress mode and the stress figure family.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,7 +24,7 @@ import numpy as np
 from .costmodel import Trajectory, arm_costs, simulate_trajectory, total_cost
 from .numerics import check_finite
 from .params import ModelParams
-from .scenarios import PolicyConfig, build_preset
+from .scenarios import PolicyConfig, StressKind, apply_stress, build_preset
 
 BREAKEVEN_GAMMA_MAX = 20.0
 BREAKEVEN_ROI_TOL = 0.01  # percentage points: |ROI(0)| below this breaks even at gamma* = 0
@@ -106,8 +109,7 @@ def _breakeven(
     r0 = roi(c_base, rest)
     if abs(r0) < BREAKEVEN_ROI_TOL:
         return 0.0
-    # dC/dgamma = inflation * policy_unit_cost * I_P.
-    spend_per_gamma = policy.inflation_factor * params.policy_unit_cost * spend_integral
+    spend_per_gamma = total_cost(params, policy, 0.0, spend_integral, 1.0)  # dC/dgamma
     if r0 < 0 or spend_per_gamma <= 0:
         return None
     root = (c_base - rest) / spend_per_gamma
@@ -125,11 +127,9 @@ def breakeven_gamma(
     gamma* = (C_base - R) / (inflation * policy_unit_cost * I_P) from one arm.
     Returns 0.0 when |ROI(gamma=0)| < BREAKEVEN_ROI_TOL, and None when the
     design already loses money at gamma = 0, spends nothing (I_P = 0), or
-    breaks even only above BREAKEVEN_GAMMA_MAX.
+    breaks even only above BREAKEVEN_GAMMA_MAX.  ``delta`` replaces the
+    template's gain, so PolicyConfig checks it.
     """
-    check_finite("delta", delta)
-    if not (0.0 <= delta <= 1.0):
-        raise ValueError("delta must be in [0, 1]")
     policy = replace(policy_template, adherence_gain_delta=delta)
     c_base = baseline_cost(params)
     arm = simulate_trajectory(params, policy)
@@ -179,3 +179,34 @@ def sweep_design_space(
             _breakeven(params, template, c_base, r, i_p) for r, i_p in zip(rest.tolist(), spend.tolist())
         ),
     )
+
+
+def stress_pairs(
+    params: ModelParams,
+    policies: Iterable[PolicyConfig],
+    stresses: tuple[tuple[StressKind, float], ...],
+) -> list[dict[str, tuple[float, float]]]:
+    """(ROI, cost) of each policy's arm, unstressed and under each stress, in
+    one dict per policy keyed ``"unstressed"`` and by each stress kind's value.
+
+    A stressed arm is compared against the baseline under the same stress;
+    the baseline's costs are run once for all policies.  Cost inflation
+    re-prices the unstressed arm's cost split with ``total_cost``, bit for bit
+    the ``final_cost`` of a new run; an accelerated progression changes the
+    disease curve, so that arm runs again.
+    """
+
+    def costs(policy: PolicyConfig) -> dict[str, float]:
+        arm = simulate_trajectory(params, policy)
+        out = {"unstressed": arm.final_cost}
+        for kind, value in stresses:
+            stressed = apply_stress(policy, kind, value)
+            if kind is StressKind.COST_INFLATION:
+                out[kind.value] = total_cost(params, stressed, arm.rest_cost, arm.spend_integral)
+            else:
+                out[kind.value] = simulate_trajectory(params, stressed).final_cost
+        return out
+
+    base = costs(_BASELINE)
+    return [{key: (roi(base[key], cost), cost) for key, cost in costs(policy).items()}
+            for policy in policies]

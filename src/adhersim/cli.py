@@ -5,6 +5,10 @@ Global flags --params/--out/--seed apply to every subcommand; --config loads a
 run-configuration file whose keys the flags then override.  Each run writes
 its mode-specific CSV/JSON outputs plus a manifest.json with checksums, and
 prints a one-line summary.
+
+The CLI runs the engine and analytics calls of every mode and every
+export-plots figure family; ``exports`` then only formats their results and
+writes them.
 """
 
 from __future__ import annotations
@@ -21,9 +25,10 @@ from .analytics import (
     breakeven_gamma,
     payback_time,
     roi,
+    stress_pairs,
     sweep_design_space,
 )
-from .costmodel import simulate_trajectory, total_cost
+from .costmodel import simulate_trajectory
 from .exports import (
     PLOT_FAMILIES,
     breakeven_csv,
@@ -49,11 +54,10 @@ from .runconfig import (
     validate_run_config,
 )
 from .scenarios import (
+    DEFAULT_BASELINE_DECAY,
     PRESET_NAMES,
     STRESSES,
-    PolicyConfig,
     StressKind,
-    apply_stress,
     build_preset,
     validate_authored_pair,
 )
@@ -141,9 +145,7 @@ def run(config: RunConfig) -> list[str]:
 
     elif config.mode is RunMode.STRESS:
         value = effective_stress_value(config)
-        stresses = ((StressKind(config.stress_kind), value),)
-        base_costs = _stressed_costs(params, build_preset("baseline"), stresses)
-        pairs = _stress_pairs(params, base_costs, policy, stresses)
+        [pairs] = stress_pairs(params, [policy], ((StressKind(config.stress_kind), value),))
         (roi_un, cost_un), (roi_st, cost_st) = pairs["unstressed"], pairs[config.stress_kind]
         files["stress_summary.csv"] = csv_bytes(
             [
@@ -169,45 +171,6 @@ def run(config: RunConfig) -> list[str]:
     return written
 
 
-def _stressed_costs(
-    params: ModelParams, policy: PolicyConfig, stresses: tuple[tuple[StressKind, float], ...]
-) -> dict[str, float]:
-    """Final cost of one simulated arm of ``policy``, unstressed and under each stress.
-
-    Cost inflation multiplies only gamma's dollar price, which enters the cost
-    in ``total_cost`` alone, so an inflated arm is the unstressed arm's cost
-    split re-priced: bit for bit the ``final_cost`` a new run would give, which
-    forms the same sum at the last node.  An accelerated progression changes
-    the disease curve, so that arm runs again.
-    """
-    arm = simulate_trajectory(params, policy)
-    costs = {"unstressed": arm.final_cost}
-    for kind, value in stresses:
-        stressed = apply_stress(policy, kind, value)
-        if kind is StressKind.COST_INFLATION:
-            costs[kind.value] = total_cost(params, stressed, arm.rest_cost, arm.spend_integral)
-        else:
-            costs[kind.value] = simulate_trajectory(params, stressed).final_cost
-    return costs
-
-
-def _stress_pairs(
-    params: ModelParams,
-    base_costs: dict[str, float],
-    policy: PolicyConfig,
-    stresses: tuple[tuple[StressKind, float], ...],
-) -> dict[str, tuple[float, float]]:
-    """(ROI, cost) of the policy arm unstressed and under each stress.
-
-    A stressed arm is compared against the baseline under the same stress:
-    ``base_costs`` is the baseline's ``_stressed_costs`` over the same
-    stresses.  Only a progression stress runs a new arm; cost inflation
-    re-prices the unstressed one.
-    """
-    costs = _stressed_costs(params, policy, stresses)
-    return {key: (roi(base_costs[key], cost), cost) for key, cost in costs.items()}
-
-
 def _default_mc_spec(template_delta: float) -> DistributionSpec:
     # A Beta centred on the design's gain, or a point mass at a gain of 0 or 1,
     # which no Beta has for its mean.
@@ -226,7 +189,16 @@ def export_plots(
     seed: int | None = None,
     n_draws: int | None = None,
 ) -> list[str]:
-    """Emit the plot-data files for one figure family plus a manifest."""
+    """Run one figure family's arms and emit its plot-data files plus a manifest.
+
+    severity / adherence / cost: every preset's trajectory and the
+    decaying-baseline counterfactual.  mc: each policy preset's draws.
+    stress: each policy preset's ROI unstressed and under every reference
+    stress.  Only the mc family reads ``seed`` and ``n_draws``, and only it
+    echoes them.
+    """
+    if family not in PLOT_FAMILIES:
+        raise ValueError(f"unknown figure family {family!r}; valid: {', '.join(PLOT_FAMILIES)}")
     check_draw_keys(seed, n_draws)
     if family == "mc" and seed is None:
         raise ValueError("seed: the mc family requires a seed")
@@ -234,32 +206,31 @@ def export_plots(
         raise ValueError("n_draws: the mc family requires a draw count")
     params = _load_params(params_file)
 
-    mc_results = None
-    stress_rois = None
-    if family == "mc":
-        mc_results = {}
-        for name in PRESET_NAMES:
-            if name == "baseline":
-                continue
-            policy = build_preset(name)
-            spec = _default_mc_spec(policy.adherence_gain_delta)
-            mc_results[name] = run_monte_carlo(params, policy, spec, n_draws, seed)
-    elif family == "stress":
+    policies = {name: build_preset(name) for name in PRESET_NAMES if name != "baseline"}
+    if family in ("severity", "adherence", "cost"):
+        attr = "cumulative_cost" if family == "cost" else family
+        baseline = build_preset("baseline")
+        arms = {"baseline": baseline, **policies,
+                "baseline_decaying": replace(baseline, baseline_decay=DEFAULT_BASELINE_DECAY)}
+        trajectories = {name: simulate_trajectory(params, policy) for name, policy in arms.items()}
+        series = {name: (traj.times, getattr(traj, attr)) for name, traj in trajectories.items()}
+    elif family == "mc":
+        series = {
+            name: run_monte_carlo(params, policy, _default_mc_spec(policy.adherence_gain_delta),
+                                  n_draws, seed)[1]["roi_percent"]
+            for name, policy in policies.items()
+        }
+    else:
         stresses = tuple((kind, value) for kind, (_, value) in STRESSES.items())
-        base_costs = _stressed_costs(params, build_preset("baseline"), stresses)
-        stress_rois = {}
-        for name in PRESET_NAMES:
-            if name == "baseline":
-                continue
-            pairs = _stress_pairs(params, base_costs, build_preset(name), stresses)
-            stress_rois[name] = {key: r for key, (r, _) in pairs.items()}
-    files, meta = plot_family_files(params, family, mc_results=mc_results, stress_rois=stress_rois)
+        series = {
+            name: {key: r for key, (r, _) in pairs.items()}
+            for name, pairs in zip(policies, stress_pairs(params, policies.values(), stresses))
+        }
+    files, meta = plot_family_files(family, series)
 
     echo_lines = [f"command = export-plots", f"family = {family}", f"params_file = {params_file}"]
-    if seed is not None:
-        echo_lines.append(f"seed = {seed}")
-    if n_draws is not None:
-        echo_lines.append(f"n_draws = {n_draws}")
+    if family == "mc":
+        echo_lines += [f"seed = {seed}", f"n_draws = {n_draws}"]
     echo_lines.append(f"meta = {json.dumps(meta, sort_keys=True)}")
     written = write_run_outputs(output_dir, files, "\n".join(echo_lines) + "\n")
     print(f"export-plots {family}: {len(files)} files -> {output_dir}")

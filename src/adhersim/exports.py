@@ -1,5 +1,8 @@
 """CSV / JSON result files and the run manifest.
 
+This module only formats and writes: it runs no engine arm.  The CLI runs
+each mode's and each figure family's arms and hands their results here.
+
 A table is written column by column with one ``%`` format over all its
 cells, the spec chosen by each column's dtype: floats get 6 significant
 digits (``%.6g``, round-half-even, so golden files stay stable across
@@ -22,16 +25,14 @@ import hashlib
 import json
 import os
 from collections.abc import Sequence
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .analytics import RoiGrid, CONTOUR_LEVELS_DESIGN, CONTOUR_LEVELS_SIGN
-from .costmodel import Trajectory, simulate_trajectory
+from .costmodel import Trajectory
 from .montecarlo import McSummary
-from .params import ModelParams
-from .scenarios import DEFAULT_BASELINE_DECAY, PRESET_NAMES, StressKind, build_preset
+from .scenarios import StressKind
 
 _FAMILY_AXES = {
     "severity": ("time (years)", "disease severity"),
@@ -136,46 +137,26 @@ def _curve_csv(times: np.ndarray, values: np.ndarray) -> bytes:
     return csv_bytes(["time", "value"], [_time_cells(times.tobytes()), values])
 
 
-def plot_family_files(
-    params: ModelParams,
-    family: str,
-    mc_results: dict[str, tuple[McSummary, np.ndarray]] | None = None,
-    stress_rois: dict[str, dict[str, float]] | None = None,
-) -> tuple[dict[str, bytes], dict]:
-    """Files plus axis metadata for one figure family.
+def plot_family_files(family: str, series: dict) -> tuple[dict[str, bytes], dict]:
+    """Files plus axis metadata for one figure family, one file per named series.
 
-    severity / adherence / cost: one curve file per preset plus the
-    decaying-baseline counterfactual, 1001 rows each on the canonical grid.
-    mc: one histogram file per scenario from the supplied raw draws.
-    stress: one file per scenario with unstressed vs stressed ROI rows.
+    severity / adherence / cost: a series is a curve's (times, values).
+    mc: a series is one scenario's raw ROI draws, written as a histogram.
+    stress: a series maps "unstressed" and each stress kind to an ROI, written
+    as unstressed vs stressed ROI rows.
     """
-    if family not in PLOT_FAMILIES:
-        raise ValueError(f"unknown figure family {family!r}; valid: {', '.join(PLOT_FAMILIES)}")
-
     files: dict[str, bytes] = {}
-    if family in ("severity", "adherence", "cost"):
-        attr = "cumulative_cost" if family == "cost" else family
-        curves: dict[str, Trajectory] = {
-            name: simulate_trajectory(params, build_preset(name)) for name in PRESET_NAMES
-        }
-        decaying = replace(build_preset("baseline"), baseline_decay=DEFAULT_BASELINE_DECAY)
-        curves["baseline_decaying"] = simulate_trajectory(params, decaying)
-        for name, traj in curves.items():
-            files[f"{family}_{name}.csv"] = _curve_csv(traj.times, getattr(traj, attr))
-    elif family == "mc":
-        if not mc_results:
-            raise ValueError("mc family requires Monte Carlo results")
-        for name, (summary, draws) in mc_results.items():
-            files[f"mc_hist_{name}.csv"] = histogram_csv(draws["roi_percent"])
-    else:  # stress
-        if not stress_rois:
-            raise ValueError("stress family requires stressed ROI results")
-        kinds = [kind.value for kind in StressKind]
-        for name, pair in stress_rois.items():
+    kinds = [kind.value for kind in StressKind]
+    for name, data in series.items():
+        if family == "mc":
+            files[f"mc_hist_{name}.csv"] = histogram_csv(data)
+        elif family == "stress":
             files[f"stress_{name}.csv"] = csv_bytes(
                 ["stress_kind", "roi_unstressed_percent", "roi_stressed_percent"],
-                [kinds, [pair["unstressed"]] * len(kinds), [pair[kind] for kind in kinds]],
+                [kinds, [data["unstressed"]] * len(kinds), [data[kind] for kind in kinds]],
             )
+        else:
+            files[f"{family}_{name}.csv"] = _curve_csv(*data)
     x_axis, y_axis = _FAMILY_AXES[family]
     return files, {"family": family, "x_axis": x_axis, "y_axis": y_axis, "curves": sorted(files)}
 

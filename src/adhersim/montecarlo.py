@@ -260,7 +260,7 @@ def run_monte_carlo(
 
     in_range = (deltas >= 0.0) & (deltas <= 1.0)
     if not in_range.all():
-        raise ValueError(f"{name(int(in_range.argmin()))} failed: adherence_gain_delta must be in [0, 1]")
+        raise ValueError(f"{name(int(in_range.argmin()))} failed: adherence_gain_delta: must be in [0, 1]")
     rest, spend = arm_costs(params, policy_template, deltas)
     costs = total_cost(params, policy_template, rest, spend)
     try:

@@ -29,11 +29,6 @@ def time_grid(horizon: float, steps_per_year: int = STEPS_PER_YEAR) -> np.ndarra
     return np.arange(n + 1) / steps_per_year
 
 
-def snap_up(t: np.ndarray | float, steps_per_year: int = STEPS_PER_YEAR) -> np.ndarray | float:
-    """Smallest grid node >= t, elementwise (nodes are multiples of 1/steps_per_year)."""
-    return np.ceil(np.maximum(np.asarray(t, dtype=float) * steps_per_year - 1e-9, 0.0)) / steps_per_year
-
-
 def sigmoid(z: np.ndarray | float, out: np.ndarray | None = None) -> np.ndarray | float:
     """Numerically stable logistic function 1 / (1 + exp(-z)), written to
     ``out`` (an array shaped like z, which may be z) if given."""
@@ -52,5 +47,5 @@ def sigmoid(z: np.ndarray | float, out: np.ndarray | None = None) -> np.ndarray 
 def check_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
+        raise ValueError(f"{name}: must be finite, got {value}")
     return value

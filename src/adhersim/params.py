@@ -43,24 +43,24 @@ class ModelParams:
         for f in fields(self):
             check_finite(f.name, getattr(self, f.name))
         if self.discount_rate_rho < 0:
-            raise ValueError("discount_rate_rho must be >= 0")
+            raise ValueError("discount_rate_rho: must be >= 0")
         if self.horizon_T <= 0:
-            raise ValueError("horizon_T must be > 0")
+            raise ValueError("horizon_T: must be > 0")
         steps = self.horizon_T * STEPS_PER_YEAR
         if round(steps) < 1 or abs(round(steps) - steps) > 1e-9:
             # The horizon is the last node of the canonical grid.
             raise ValueError(f"horizon_T: must be a whole number of 1/{STEPS_PER_YEAR}-year "
                              f"steps, got {self.horizon_T!r}")
         if not (0.0 < self.disease_max_Dmax <= 1.0):
-            raise ValueError("disease_max_Dmax must be in (0, 1]")
+            raise ValueError("disease_max_Dmax: must be in (0, 1]")
         if not (0.0 <= self.adherence_baseline_A0 <= 1.0):
-            raise ValueError("adherence_baseline_A0 must be in [0, 1]")
+            raise ValueError("adherence_baseline_A0: must be in [0, 1]")
         if self.disease_steepness_k <= 0:
-            raise ValueError("disease_steepness_k must be > 0")
+            raise ValueError("disease_steepness_k: must be > 0")
         if self.severity_coupling_eta < 0:
-            raise ValueError("severity_coupling_eta must be >= 0")
+            raise ValueError("severity_coupling_eta: must be >= 0")
         if self.policy_unit_cost < 0:
-            raise ValueError("policy_unit_cost must be >= 0")
+            raise ValueError("policy_unit_cost: must be >= 0")
 
 
 _FIELD_NAMES = [f.name for f in fields(ModelParams)]

@@ -123,7 +123,7 @@ def validate_run_config(config: RunConfig) -> None:
         try:
             apply_stress(PolicyConfig(PolicyKind.BASELINE), StressKind(config.stress_kind), config.stress_value)
         except ValueError as exc:
-            raise ValueError(f"stress_value: {str(exc).partition(' ')[2]}") from None
+            raise ValueError(f"stress_value: {str(exc).partition(': ')[2]}") from None
 
     mode = config.mode
     if mode is RunMode.MONTE_CARLO:
@@ -144,11 +144,10 @@ def validate_run_config(config: RunConfig) -> None:
         config.build_policy()
     except ValueError as exc:
         # Only an override can be out of range, and PolicyConfig's message
-        # begins with its field: "start_tau must be >= 0".
-        field, _, reason = str(exc).partition(" ")
-        if field not in config.policy_overrides:
+        # begins with its field: "start_tau: must be >= 0".
+        if str(exc).partition(":")[0] not in config.policy_overrides:
             raise
-        raise ValueError(f"policy.{field}: {reason}") from None
+        raise ValueError(f"policy.{exc}") from None
 
 
 def parse_run_config(text: str) -> RunConfig:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .numerics import STEPS_PER_YEAR, check_finite, snap_up
+from .numerics import STEPS_PER_YEAR, check_finite
 from .params import ModelParams
 
 # Pinned scenario defaults not covered by the reference parameter file.
@@ -90,27 +90,28 @@ class PolicyConfig:
             if (value := getattr(self, f.name)) is not None:
                 check_finite(f.name, value)
         if self.start_tau < 0:
-            raise ValueError("start_tau must be >= 0")
+            raise ValueError("start_tau: must be >= 0")
         if not (0.0 <= self.adherence_gain_delta <= 1.0):
-            raise ValueError("adherence_gain_delta must be in [0, 1]")
+            raise ValueError("adherence_gain_delta: must be in [0, 1]")
         if self.cost_scale_gamma < 0:
-            raise ValueError("cost_scale_gamma must be >= 0")
+            raise ValueError("cost_scale_gamma: must be >= 0")
         if self.decay_theta < 0:
-            raise ValueError("decay_theta must be >= 0")
+            raise ValueError("decay_theta: must be >= 0")
         if not (0.0 <= self.nudge_threshold <= 1.0):
-            raise ValueError("nudge_threshold must be in [0, 1]")
+            raise ValueError("nudge_threshold: must be in [0, 1]")
         if self.nudge_unit_cost < 0:
-            raise ValueError("nudge_unit_cost must be >= 0")
+            raise ValueError("nudge_unit_cost: must be >= 0")
         if self.baseline_decay is not None and self.baseline_decay < 0:
-            raise ValueError("baseline_decay must be >= 0")
+            raise ValueError("baseline_decay: must be >= 0")
         if self.inflation_factor < 1.0:
-            raise ValueError("inflation_factor must be >= 1")
+            raise ValueError("inflation_factor: must be >= 1")
         if not (0.0 < self.progression_compression <= 1.0):
-            raise ValueError("progression_compression must be in (0, 1]")
+            raise ValueError("progression_compression: must be in (0, 1]")
 
     @property
     def tau_snapped(self) -> float:
-        return float(snap_up(self.start_tau))
+        """start_tau snapped up to the canonical grid, to within 1e-9 of a step."""
+        return math.ceil(max(self.start_tau * STEPS_PER_YEAR - 1e-9, 0.0)) / STEPS_PER_YEAR
 
 
 _PRESETS = {
@@ -177,7 +178,7 @@ def validate_authored_pair(params: ModelParams, policy: PolicyConfig) -> None:
         )
     if policy.kind is PolicyKind.ADAPTIVE_NUDGES and policy.nudge_threshold >= a_top:
         raise ValueError(
-            "nudge_threshold must be below adherence_baseline_A0 + adherence_gain_delta"
+            "nudge_threshold: must be below adherence_baseline_A0 + adherence_gain_delta"
         )
 
 
@@ -198,10 +199,8 @@ def _gain_law(policy: PolicyConfig, delta: np.ndarray) -> tuple[np.ndarray, floa
 
 
 def _tau_node(policy: PolicyConfig) -> int:
-    """Tau's canonical node, round(tau_snapped * STEPS_PER_YEAR), from snap_up's
-    float operations made on Python floats."""
-    tau_snapped = math.ceil(max(policy.start_tau * STEPS_PER_YEAR - 1e-9, 0.0)) / STEPS_PER_YEAR
-    return round(tau_snapped * STEPS_PER_YEAR)
+    """Tau's canonical node."""
+    return round(policy.tau_snapped * STEPS_PER_YEAR)
 
 
 @functools.lru_cache(maxsize=8)

@@ -8,10 +8,11 @@ from adhersim.analytics import (
     breakeven_gamma,
     payback_time,
     roi,
+    stress_pairs,
     sweep_design_space,
 )
 from adhersim.costmodel import simulate_trajectory
-from adhersim.scenarios import PolicyConfig, PolicyKind, build_preset
+from adhersim.scenarios import PRESET_NAMES, STRESSES, PolicyConfig, PolicyKind, build_preset
 
 from conftest import make_params
 
@@ -103,6 +104,17 @@ class TestBreakeven:
     def test_bad_delta_rejected(self, ref_params):
         with pytest.raises(ValueError):
             breakeven_gamma(ref_params, EARLY, 1.5)
+
+
+class TestStressPairs:
+    def test_one_call_equals_one_call_per_policy(self, ref_params):
+        policies = [build_preset(name) for name in PRESET_NAMES if name != "baseline"]
+        stresses = tuple((kind, value) for kind, (_, value) in STRESSES.items())
+        together = stress_pairs(ref_params, policies, stresses)
+        assert len(together) == 5
+        for policy, pairs in zip(policies, together):
+            assert stress_pairs(ref_params, [policy], stresses) == [pairs]
+            assert list(pairs) == ["unstressed", "cost_inflation", "accelerated_progression"]
 
 
 class TestSweep:

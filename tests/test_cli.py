@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from adhersim.analytics import roi
-from adhersim.cli import _stress_pairs, _stressed_costs, main
+from adhersim.analytics import roi, stress_pairs
+from adhersim.cli import main
 from adhersim.costmodel import simulate_trajectory
 from adhersim.exports import csv_bytes
 from adhersim.params import reference_params_path
@@ -171,8 +171,7 @@ class TestStressCommand:
     @pytest.mark.parametrize("name", POLICY_PRESETS)
     def test_stressed_pair_equals_direct_runs(self, ref_params, name, kind, value):
         policy, stresses = build_preset(name), ((kind, value),)
-        base_costs = _stressed_costs(ref_params, build_preset("baseline"), stresses)
-        pairs = _stress_pairs(ref_params, base_costs, policy, stresses)
+        [pairs] = stress_pairs(ref_params, [policy], stresses)
         assert pairs[kind.value] == self._direct(ref_params, policy, kind, value)
         base = simulate_trajectory(ref_params, build_preset("baseline")).final_cost
         cost = simulate_trajectory(ref_params, policy).final_cost
@@ -335,6 +334,15 @@ class TestInputErrors:
         assert "error: horizon_T: must be a whole number of 1/100-year steps, got 10.005" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_out_of_range_parameter_names_its_key(self, tmp_path, capsys):
+        params = tmp_path / "params.txt"
+        params.write_text(reference_params_path().read_text().replace("discount_rate_rho = 0.03",
+                                                                      "discount_rate_rho = -1"))
+        rc = _run(["--params", params, "--out", tmp_path / "out", "simulate"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: discount_rate_rho: must be >= 0\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("args", [
         ["simulate", "--scenario", "delayed"],
         ["export-plots", "--family", "severity"],
@@ -442,6 +450,13 @@ class TestExportPlots:
         echo = json.loads((out / "manifest.json").read_text())["config_echo"].splitlines()
         meta = {"family": family, "x_axis": x_axis, "y_axis": y_axis, "curves": sorted(curves)}
         assert echo[-1] == f"meta = {json.dumps(meta, sort_keys=True)}"
+
+    def test_unread_seed_and_draws_leave_the_manifest_unchanged(self, tmp_path):
+        plain, seeded = tmp_path / "plain", tmp_path / "seeded"
+        assert _run(["--out", plain, "export-plots", "--family", "severity"]) == 0
+        assert _run(["--out", seeded, "--seed", 3, "export-plots", "--family", "severity",
+                     "--n-draws", 4]) == 0
+        assert (plain / "manifest.json").read_bytes() == (seeded / "manifest.json").read_bytes()
 
     def test_unknown_family_rejected(self, tmp_path, capsys):
         rc = _run(["--out", tmp_path / "x", "export-plots", "--family", "severity",

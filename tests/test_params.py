@@ -64,12 +64,12 @@ class TestModelParamsValidation:
         p = make_params()
         for f in fields(ModelParams):
             for bad in (math.nan, math.inf, -math.inf):
-                with pytest.raises(ValueError, match=f"^{f.name} must be finite"):
+                with pytest.raises(ValueError, match=f"^{f.name}: must be finite"):
                     replace(p, **{f.name: bad})
 
     def test_adherence_baseline_outside_unit_interval_rejected(self):
         for bad in (-0.1, 1.2):
-            with pytest.raises(ValueError, match="adherence_baseline_A0 must be in"):
+            with pytest.raises(ValueError, match="adherence_baseline_A0: must be in"):
                 make_params(adherence_baseline_A0=bad)
         assert make_params(adherence_baseline_A0=0.0).adherence_baseline_A0 == 0.0
         assert make_params(adherence_baseline_A0=1.0).adherence_baseline_A0 == 1.0
@@ -84,7 +84,7 @@ class TestModelParamsValidation:
         ("horizon_T", 0.0),
     ])
     def test_out_of_range_field_is_named(self, field, bad):
-        with pytest.raises(ValueError, match=f"^{field} must"):
+        with pytest.raises(ValueError, match=f"^{field}: must"):
             make_params(**{field: bad})
 
     def test_horizon_must_end_on_a_grid_node(self):
