@@ -137,7 +137,13 @@ def _curve_csv(times: np.ndarray, values: np.ndarray) -> bytes:
     return csv_bytes(["time", "value"], [_time_cells(times.tobytes()), values])
 
 
-def plot_family_files(family: str, series: dict) -> tuple[dict[str, bytes], dict]:
+# One figure family's series by name: a curve's (times, values) for severity /
+# adherence / cost, raw ROI draws for mc, ROI by stress kind for stress.
+FamilySeries = (dict[str, tuple[np.ndarray, np.ndarray]] | dict[str, np.ndarray]
+                | dict[str, dict[str, float]])
+
+
+def plot_family_files(family: str, series: FamilySeries) -> tuple[dict[str, bytes], dict]:
     """Files plus axis metadata for one figure family, one file per named series.
 
     severity / adherence / cost: a series is a curve's (times, values).

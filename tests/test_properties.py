@@ -253,8 +253,11 @@ def test_period_form_equals_activation_times(case, multiples):
             assert spend[row].tobytes() == p.tobytes(), (steps_per_year, gain)
 
 
-def tau_node_oracle(policy) -> int:
-    return round(policy.tau_snapped * STEPS_PER_YEAR)
+def tau_snap_oracle(tau: float) -> tuple[int, float]:
+    """tau's canonical node and snapped time, computed on numpy float64: the
+    first grid node at or above tau, less 1e-9 of a step."""
+    snapped = float(np.ceil(np.maximum(np.float64(tau) * STEPS_PER_YEAR - 1e-9, 0.0))) / STEPS_PER_YEAR
+    return round(snapped * STEPS_PER_YEAR), snapped
 
 
 # Canonical nodes, the floats on either side of them, and times far past any horizon.
@@ -268,9 +271,13 @@ tau_values = st.one_of(
 
 @PROPERTY
 @given(tau_values)
+# Just inside and just outside the 1e-9-of-a-step tolerance above node 1, and off the grid.
+@example(0.01 + 5e-12)
+@example(0.01 + 2e-11)
+@example(0.0123)
 def test_tau_node_equals_rounded_snapped_tau(tau):
     policy = PolicyConfig(kind=PolicyKind.EARLY_ADHERENCE, start_tau=tau)
-    assert _tau_node(policy) == tau_node_oracle(policy)
+    assert (_tau_node(policy), policy.tau_snapped) == tau_snap_oracle(tau)
 
 
 def cumsum_from_zero(panels):
