@@ -65,8 +65,8 @@ def roi(cost_baseline: float, cost_policy):
     if not ok.all():
         i = int(ok.argmin())
         bad = float(costs.flat[i])
-        rule = "be > 0" if np.isfinite(bad) else "be finite"
-        raise RejectedCost(f"cost_policy must {rule}, got {bad}", i)
+        rule = "must be > 0" if np.isfinite(bad) else "must be finite"
+        raise RejectedCost(f"cost_policy: {rule}, got {bad}", i)
     return (cost_baseline - cost_policy) / cost_policy * 100.0
 
 
@@ -152,9 +152,9 @@ def sweep_design_space(
     gamma_axis = np.asarray(gamma_axis, dtype=float)
     for name, axis in (("delta_axis", delta_axis), ("gamma_axis", gamma_axis)):
         if axis.size == 0:
-            raise ValueError(f"{name} must be nonempty")
+            raise ValueError(f"{name}: must be nonempty")
         if axis.size > 1 and not np.all(np.diff(axis) > 0):
-            raise ValueError(f"{name} must be strictly increasing")
+            raise ValueError(f"{name}: must be strictly increasing")
     # Rows and cells re-price arms instead of building a policy each, so the
     # range checks PolicyConfig would make are made here.
     if not np.all((delta_axis >= 0.0) & (delta_axis <= 1.0)):

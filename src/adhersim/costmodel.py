@@ -38,13 +38,17 @@ BASELINE (which spends nothing) when its period is 0.  The nudge logs enter
 as integers, a period per gain (``scenarios._nudge_periods``); the spend
 channel depends on a gain only through it, so ``arm_costs`` runs it once per
 distinct period, and runs the rest channel (adherence, severity,
-alpha*D + beta*A^2) in chunks of ``_CHUNK_ARMS`` gains.  Each quantity is
+alpha*D + beta*A^2) in chunks of ``_CHUNK_ARMS`` gains taken in period order,
+so that the gains no nudge fires in share their chunks.  Each quantity is
 written by a few in-place array operations that make the formula's float
 operations in its order (swapping the two operands of one sum or product,
-which leaves its result unchanged); k_eff is evaluated once over all 3n - 2
-adherence points.  Every reduction along the grid is a row-wise
-cumulative sum, so each row equals the one-arm run bit for bit:
-``simulate_trajectory`` is the B = 1 case.
+which leaves its result unchanged); k_eff is evaluated once over all the
+adherence points.  Those are 3n - 2, except where adherence is constant on
+each policy piece (no decay of the gain or of the baseline): there a panel's
+start read equals its midpoint and end reads bit for bit, so adherence is
+read at the n nodes alone (``_panel_reads``).  Every reduction along the grid
+is a row-wise cumulative sum, so each row equals the one-arm run bit for bit,
+whatever rows share its chunk: ``simulate_trajectory`` is the B = 1 case.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from .params import ModelParams
 from .scenarios import (
     PolicyConfig,
     PolicyKind,
+    _gain_law,
     _nudge_periods,
     _spend_at_nodes,
     adherence_array,
@@ -124,11 +129,12 @@ def total_cost(params: ModelParams, policy: PolicyConfig, rest, spend_units, gam
     return rest + spend * spend_units
 
 
-# Arms per kernel call.  An arm reads adherence at 3n - 2 points (3 001 on
-# the 10-year canonical grid), about 25 000 points per call.  A per-chunk
+# Arms per kernel call.  An arm reads adherence at up to 3n - 2 points (3 001
+# on the 10-year canonical grid), about 25 000 points per call.  A per-chunk
 # allocation of 128 KiB or more is mapped afresh and faulted in again on
-# every chunk, so ``arm_costs`` owns the two (B, 3n - 2) arrays and reuses
-# them, and every other per-chunk array is (B, n) or smaller: 64 KiB here.
+# every chunk, so ``arm_costs`` owns two buffers of B * (3n - 2) elements and
+# reuses them (a chunk read at the nodes alone uses their first B * n), and
+# every other per-chunk array is (B, n) or smaller: 64 KiB here.
 _CHUNK_ARMS = 25_000 // 3_001
 
 
@@ -168,7 +174,8 @@ def _logit_steps(h, k_start, k_mid, k_end):
 def _severity_grid(params: ModelParams, policy: PolicyConfig, times: np.ndarray, a: np.ndarray, work: np.ndarray):
     """Severity on the grid, one row per arm, via RK4/Simpson on the logit
     variable from each panel's adherence at its start, midpoint and end, read
-    at the grid's points (``a``).  ``work``, shaped like ``a``, is scratch."""
+    at the grid's points (``a``, in either ``_panel_reads`` layout).  ``work``,
+    shaped like ``a``, is scratch."""
     n = len(times)
     if params.severity_coupling_eta == 0.0:
         severity = np.empty((len(a), n))
@@ -176,7 +183,7 @@ def _severity_grid(params: ModelParams, policy: PolicyConfig, times: np.ndarray,
         return severity
 
     k = _k_eff(params, policy.progression_compression, a, out=work)
-    steps = _logit_steps(times[1], k[:, :n - 1], k[:, n:2 * n - 1], k[:, 2 * n - 1:])
+    steps = _logit_steps(times[1], *_panel_reads(k, n))
     z = np.empty((len(a), n))
     z[:, 0] = 0.0
     np.add.accumulate(steps, axis=-1, out=z[:, 1:])
@@ -203,8 +210,9 @@ def _discounted_trapezoid(disc: np.ndarray, h: float, f_start, f_end, out: np.nd
 def _grid(horizon: float, steps_per_year: int, rho: float) -> tuple[np.ndarray, ...]:
     """The part of a kernel call that no gain changes, as read-only arrays: the
     nodes, their discount factors and canonical nodes, and the 3n - 2 points
-    adherence is read at (the nodes, then each panel's midpoint and right end)
-    with the canonical node of the piece read at each: its panel's start."""
+    adherence that varies on a piece is read at (the nodes, then each panel's
+    midpoint and right end) with the canonical node of the piece read at
+    each: its panel's start."""
     if steps_per_year < 1 or steps_per_year % STEPS_PER_YEAR:
         # Only refinements of the canonical grid keep every policy event on a node.
         raise ValueError(f"steps_per_year must be a positive multiple of {STEPS_PER_YEAR}, "
@@ -221,21 +229,45 @@ def _grid(horizon: float, steps_per_year: int, rho: float) -> tuple[np.ndarray, 
     return grid
 
 
-def _rest_rows(params: ModelParams, policy: PolicyConfig, grid, deltas, nudges, a=None, work=None):
+def _piece_constant(policy: PolicyConfig) -> bool:
+    """Whether adherence is constant on each policy piece: neither the gain
+    nor the baseline decays, so a panel's start read is also its midpoint
+    and end read."""
+    return _gain_law(policy, 0.0)[1] == 0.0 and policy.baseline_decay is None
+
+
+def _panel_reads(x: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """The (start, midpoint, end) views of each panel's reads in ``x``, one row
+    per arm: of the 3n - 2 points (the nodes, then the midpoints and the right
+    ends), or of the n nodes alone, whose start read serves all three."""
+    start = x[:, :n - 1]
+    if x.shape[1] == n:
+        return start, start, start
+    return start, x[:, n:2 * n - 1], x[:, 2 * n - 1:]
+
+
+def _rest_rows(params: ModelParams, policy: PolicyConfig, grid, deltas, nudges, buffers=None):
     """Adherence, severity and the rest rate at the nodes, and the cumulative
-    rest channel, one row per gain.  Adherence is read into ``a`` and ``work``
-    is scratch, both (gains, 3n - 2) arrays, made here if not given."""
-    times, disc, _, points, pieces = grid
+    rest channel, one row per gain.  Adherence is read at the n nodes if it is
+    constant on each piece, else at the 3n - 2 points.  It is read into the
+    first elements of one of two flat ``buffers`` and the other is scratch;
+    both are made here if not given."""
+    times, disc, nodes, points, pieces = grid
     n = len(times)
-    a = adherence_array(params, policy, deltas, nudges, points, pieces, a)
-    if work is None:
-        work = np.empty_like(a)
+    if _piece_constant(policy):
+        points, pieces = times, nodes
+    size = len(nudges[1]) * points.size
+    if buffers is None:
+        buffers = np.empty(size), np.empty(size)
+    # Contiguous views: a strided one costs numpy about 1 us a row per call.
+    a, work = (buf[:size].reshape(-1, points.size) for buf in buffers)
+    adherence_array(params, policy, deltas, nudges, points, pieces, a)
     severity = _severity_grid(params, policy, times, a, work)
 
     # The engine has no health-outcome term: lambda * H is zero.
     # alpha * D + beta * A^2 at the nodes, and at each panel's end.
     disease = np.multiply(severity, params.disease_cost_alpha)
-    rest_nodes, rest_end = np.square(a[:, :n]), np.square(a[:, 2 * n - 1:])
+    rest_nodes, rest_end = np.square(a[:, :n]), np.square(_panel_reads(a, n)[2])
     for rate, d in ((rest_nodes, disease), (rest_end, disease[:, 1:])):
         rate *= params.adherence_cost_beta
         rate += d
@@ -308,26 +340,33 @@ def arm_costs(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[np.nda
 
     Row i equals ``simulate_trajectory`` of ``policy`` with gain ``deltas[i]``
     bit for bit: ``total_cost`` of the pair is that run's ``final_cost``.  The
-    gains are taken as given (the caller checks they lie in [0, 1]).  Every
-    chunk reads adherence into one buffer and works in another, so that their
+    gains are taken as given (the caller checks they lie in [0, 1]).
+
+    The nudge periods are computed first, ``_CHUNK_ARMS`` gains at a time.
+    The rest channel then takes the gains in chunks in stable period order
+    and scatters each chunk's horizon values back to the gains' indices, so
+    the gains no nudge fires in share chunks that read one adherence profile.
+    Every chunk reads adherence into the first elements of one buffer of
+    ``_CHUNK_ARMS * (3n - 2)`` elements and works in another, so that their
     pages are not handed back to the system and faulted in again from chunk
-    to chunk.
+    to chunk.  The spend channel runs once per distinct period.
     """
     deltas = np.asarray(deltas, dtype=float)
     grid = _grid(params.horizon_T, STEPS_PER_YEAR, params.discount_rate_rho)
     validate_pair(params, policy)
-    rest, periods = np.empty(deltas.size), np.empty(deltas.size, dtype=np.int64)
-    a = np.empty((min(_CHUNK_ARMS, deltas.size), len(grid[3])))
-    work = np.empty_like(a)
+    periods = np.empty(deltas.size, dtype=np.int64)
     for lo in range(0, deltas.size, _CHUNK_ARMS):
         chunk = slice(lo, lo + _CHUNK_ARMS)
-        i0, periods[chunk] = nudges = _nudge_periods(params, policy, deltas[chunk])
-        b = len(nudges[1])
-        rest[chunk] = _rest_rows(params, policy, grid, deltas[chunk], nudges, a[:b], work[:b])[-1][:, -1]
+        i0, periods[chunk] = _nudge_periods(params, policy, deltas[chunk])
+    order = np.argsort(periods, kind="stable")
+    rest = np.empty(deltas.size)
+    buffers = [np.empty(min(_CHUNK_ARMS, deltas.size) * len(grid[3])) for _ in range(2)]
+    for lo in range(0, deltas.size, _CHUNK_ARMS):
+        chunk = order[lo:lo + _CHUNK_ARMS]
+        rest[chunk] = _rest_rows(params, policy, grid, deltas[chunk], (i0, periods[chunk]), buffers)[-1][:, -1]
     distinct, which = np.unique(periods, return_inverse=True)
     spend = np.empty(distinct.size)
     for lo in range(0, distinct.size, _CHUNK_ARMS):
         block = slice(lo, lo + _CHUNK_ARMS)
         spend[block] = _spend(params, policy, STEPS_PER_YEAR, grid, (i0, distinct[block]))[1][:, -1]
     return rest, spend[which]
-

@@ -164,6 +164,17 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_design_space(ref_params, EARLY, np.array([0.3, 0.2]), np.array([1.0]))
 
+    @pytest.mark.parametrize("key", ["delta_axis", "gamma_axis"])
+    def test_axis_errors_name_the_axis(self, ref_params, key):
+        def sweep(axis):
+            axes = {"delta_axis": np.array([0.3]), "gamma_axis": np.array([1.0]), key: np.array(axis)}
+            sweep_design_space(ref_params, EARLY, **axes)
+
+        with pytest.raises(ValueError, match=rf"^{key}: must be nonempty$"):
+            sweep([])
+        with pytest.raises(ValueError, match=rf"^{key}: must be strictly increasing$"):
+            sweep([0.3, 0.2])
+
     def test_failed_cell_reports_coordinates(self):
         # a policy-arm cost that goes negative makes the ROI denominator
         # invalid; the sweep must name the offending cell

@@ -6,6 +6,7 @@ import pytest
 
 from adhersim import costmodel, scenarios
 from adhersim.costmodel import arm_costs, simulate_trajectory
+from adhersim.montecarlo import DistributionSpec, sample_delta, substream
 from adhersim.scenarios import PRESET_NAMES, PolicyConfig, PolicyKind, build_preset
 
 from conftest import make_params
@@ -260,3 +261,43 @@ class TestCachedRowsStayPrivate:
         with pytest.raises(ValueError):
             step[0][0, -1] = 0.0
 
+
+class TestAdherenceReads:
+    """Adherence is read only where it can change: at the n nodes where it is
+    constant on each piece, else at the 3n - 2 points of Simpson's rule."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        calls = []
+
+        def recorder(params, policy, deltas, nudges, s, piece, out=None):
+            calls.append((s.size, nudges[1].copy()))
+            return scenarios.adherence_array(params, policy, deltas, nudges, s, piece, out)
+
+        monkeypatch.setattr(costmodel, "adherence_array", recorder)
+        return calls
+
+    @pytest.mark.parametrize(("policy", "node_only"), [
+        (BASELINE, True),
+        (EARLY, True),
+        (PolicyConfig(kind=PolicyKind.CUSTOM, start_tau=1.0), True),
+        (build_preset("regressive"), False),
+        (replace(BASELINE, baseline_decay=0.05), False),
+    ])
+    def test_points_read_per_arm(self, ref_params, reads, policy, node_only):
+        n = round(ref_params.horizon_T * 100) + 1
+        deltas = np.linspace(0.0, 0.6, 2 * costmodel._CHUNK_ARMS + 1)
+        simulate_trajectory(ref_params, policy)
+        arm_costs(ref_params, policy, deltas)
+        assert sum(len(periods) for _, periods in reads) == 1 + len(deltas)
+        assert {size for size, _ in reads} == {n if node_only else 3 * n - 2}
+
+    def test_never_firing_gains_share_their_chunks(self, ref_params, reads):
+        spec = DistributionSpec.beta_from_mean(0.3)
+        deltas = [sample_delta(spec, substream(5, i)) for i in range(200)]
+        arm_costs(ref_params, build_preset("adaptive_nudges"), deltas)
+        chunks = [periods for _, periods in reads]
+        never = sum(np.count_nonzero(periods == 0) for periods in chunks)
+        assert 0 < never < len(deltas)
+        mixed = [periods for periods in chunks if (periods == 0).any() and periods.any()]
+        assert len(mixed) <= 1

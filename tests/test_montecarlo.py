@@ -177,7 +177,7 @@ class TestRunMonteCarlo:
         deltas = [sample_delta(spec, substream(6, i)) for i in range(16)]
         assert deltas.index(0.9) == 4
         assert 4 % costmodel._CHUNK_ARMS != 0
-        with pytest.raises(ValueError, match=r"draw 4 \(delta=0\.900000\) failed: cost_policy must be > 0"):
+        with pytest.raises(ValueError, match=r"draw 4 \(delta=0\.900000\) failed: cost_policy: must be > 0"):
             run_monte_carlo(p, EARLY, spec, 16, master_seed=6)
 
     def test_n_must_be_positive(self, ref_params):
