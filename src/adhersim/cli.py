@@ -2,9 +2,11 @@
 
 Subcommands: simulate, compare, sweep, breakeven, mc, stress, export-plots.
 Global flags --params/--out/--seed apply to every subcommand; --config loads a
-run-configuration file whose keys the flags then override.  Each run writes
-its mode-specific CSV/JSON outputs plus a manifest.json with checksums, and
-prints a one-line summary.
+run-configuration file whose keys the flags then override.  A flag's argparse
+dest is the run-configuration key it sets (--out is ``output_dir``, --kind is
+``stress_kind``), so the overrides are read off the ``RunConfig`` fields.
+Each run writes its mode-specific CSV/JSON outputs plus a manifest.json with
+checksums, and prints a one-line summary.
 
 The CLI runs the engine and analytics calls of every mode and every
 export-plots figure family; ``exports`` then only formats their results and
@@ -15,9 +17,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
-from dataclasses import replace
-from pathlib import Path
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -31,18 +33,21 @@ from .analytics import (
 from .costmodel import simulate_trajectory
 from .exports import (
     PLOT_FAMILIES,
+    _FAMILY_AXES,
     breakeven_csv,
     contours_json,
     csv_bytes,
+    curve_csv,
     draws_csv,
-    mc_summary_json,
-    plot_family_files,
+    histogram_csv,
+    json_bytes,
     roi_grid_csv,
+    stress_csv,
     trajectory_csv,
     write_run_outputs,
 )
 from .montecarlo import DEFAULT_DELTA_SD, DistributionSpec, check_draw_keys, run_monte_carlo
-from .params import ModelParams, load_params, reference_params_path
+from .params import load_params, read_text, reference_params_path
 from .runconfig import (
     RunConfig,
     RunMode,
@@ -62,19 +67,10 @@ from .scenarios import (
     validate_authored_pair,
 )
 
-import json
-
-
-def _load_params(params_file: str) -> ModelParams:
-    path = Path(params_file)
-    if not path.exists():
-        raise ValueError(f"params_file: {path} does not exist")
-    return load_params(path)
-
 
 def run(config: RunConfig) -> list[str]:
     """Execute one run; returns the files written (relative names)."""
-    params = _load_params(config.params_file)
+    params = load_params(config.params_file)
     policy = config.build_policy()
     validate_authored_pair(params, policy)
     echo = serialize_run_config(config)
@@ -95,20 +91,13 @@ def run(config: RunConfig) -> list[str]:
         pb = payback_time(base, pol)
         files["baseline_trajectory.csv"] = trajectory_csv(base)
         files["policy_trajectory.csv"] = trajectory_csv(pol)
-        files["summary.json"] = (
-            json.dumps(
-                {
-                    "scenario": config.scenario,
-                    "cost_baseline": base.final_cost,
-                    "cost_policy": pol.final_cost,
-                    "roi_percent": r,
-                    "payback_years": pb,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        ).encode()
+        files["summary.json"] = json_bytes({
+            "scenario": config.scenario,
+            "cost_baseline": base.final_cost,
+            "cost_policy": pol.final_cost,
+            "roi_percent": r,
+            "payback_years": pb,
+        })
         pb_txt = "none" if pb is None else f"{pb:.2f} yr"
         summary = f"compare {config.scenario} vs baseline: ROI {r:.1f}%, payback {pb_txt}"
 
@@ -136,7 +125,7 @@ def run(config: RunConfig) -> list[str]:
     elif config.mode is RunMode.MONTE_CARLO:
         spec = _default_mc_spec(policy.adherence_gain_delta)
         mc_summary, draws = run_monte_carlo(params, policy, spec, config.n_draws, config.seed)
-        files["mc_summary.json"] = mc_summary_json(mc_summary)
+        files["mc_summary.json"] = json_bytes(mc_summary.as_dict())
         files["draws.csv"] = draws_csv(draws)
         summary = (
             f"mc {config.scenario} n={config.n_draws} seed={config.seed}: "
@@ -204,7 +193,7 @@ def export_plots(
         raise ValueError("seed: the mc family requires a seed")
     if family == "mc" and n_draws is None:
         raise ValueError("n_draws: the mc family requires a draw count")
-    params = _load_params(params_file)
+    params = load_params(params_file)
 
     policies = {name: build_preset(name) for name in PRESET_NAMES if name != "baseline"}
     if family in ("severity", "adherence", "cost"):
@@ -212,21 +201,24 @@ def export_plots(
         baseline = build_preset("baseline")
         arms = {"baseline": baseline, **policies,
                 "baseline_decaying": replace(baseline, baseline_decay=DEFAULT_BASELINE_DECAY)}
-        trajectories = {name: simulate_trajectory(params, policy) for name, policy in arms.items()}
-        series = {name: (traj.times, getattr(traj, attr)) for name, traj in trajectories.items()}
+        files = {}
+        for name, policy in arms.items():
+            traj = simulate_trajectory(params, policy)
+            files[f"{family}_{name}.csv"] = curve_csv(traj.times, getattr(traj, attr))
     elif family == "mc":
-        series = {
-            name: run_monte_carlo(params, policy, _default_mc_spec(policy.adherence_gain_delta),
-                                  n_draws, seed)[1]["roi_percent"]
+        files = {
+            f"mc_hist_{name}.csv": histogram_csv(run_monte_carlo(
+                params, policy, _default_mc_spec(policy.adherence_gain_delta), n_draws, seed)[1]["roi_percent"])
             for name, policy in policies.items()
         }
     else:
         stresses = tuple((kind, value) for kind, (_, value) in STRESSES.items())
-        series = {
-            name: {key: r for key, (r, _) in pairs.items()}
+        files = {
+            f"stress_{name}.csv": stress_csv(pairs)
             for name, pairs in zip(policies, stress_pairs(params, policies.values(), stresses))
         }
-    files, meta = plot_family_files(family, series)
+    x_axis, y_axis = _FAMILY_AXES[family]
+    meta = {"family": family, "x_axis": x_axis, "y_axis": y_axis, "curves": sorted(files)}
 
     echo_lines = [f"command = export-plots", f"family = {family}", f"params_file = {params_file}"]
     if family == "mc":
@@ -244,35 +236,38 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="adhersim",
         description="ROI simulation for adherence-enhancing chronic-disease policies",
     )
-    parser.add_argument("--params", help="model parameter file (default: packaged reference)")
-    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--params", dest="params_file", metavar="PARAMS",
+                        help="model parameter file (default: packaged reference)")
+    parser.add_argument("--out", dest="output_dir", metavar="OUT", help="output directory")
     parser.add_argument("--seed", type=int, help="master random seed")
     parser.add_argument("--config", help="run-configuration file; flags override its keys")
 
-    sub = parser.add_subparsers(dest="command")
-    scenario_cmds = {
-        "simulate": "simulate one scenario trajectory",
-        "compare": "compare a scenario against the baseline arm",
-        "mc": "Monte Carlo over stochastic adherence gains",
-        "stress": "paired unstressed/stressed run",
-    }
-    for name, help_text in scenario_cmds.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--scenario",
-                       help=f"preset name ({', '.join(PRESET_NAMES)}) or custom; default early_adherence")
-    sweep = sub.add_parser("sweep", help="ROI sweep over the (delta, gamma) design space")
-    sweep.add_argument("--scenario")
-    sweep.add_argument("--delta-axis", required=False, help="comma-separated increasing deltas")
-    sweep.add_argument("--gamma-axis", required=False, help="comma-separated increasing gammas")
-    brk = sub.add_parser("breakeven", help="break-even gamma* for each delta")
-    brk.add_argument("--scenario")
-    brk.add_argument("--delta-axis", required=False, help="comma-separated increasing deltas")
-    mc = next(p for p in sub.choices.values() if p.prog.endswith(" mc"))
-    mc.add_argument("--n-draws", type=int, help="number of Monte Carlo draws")
-    stress = next(p for p in sub.choices.values() if p.prog.endswith(" stress"))
-    stress.add_argument("--kind", choices=_STRESS_KINDS)
+    delta_axis = ("--delta-axis", {"help": "comma-separated increasing deltas"})
     defaults = " / ".join(f"{value:g}" for _, value in STRESSES.values())
-    stress.add_argument("--value", type=float, help=f"stress multiplier (default {defaults})")
+    # Each run sub-command, in --help order: its help line and the flags it
+    # takes beside --scenario.  A sub-command's name is its RunMode value.
+    run_commands = {
+        "simulate": ("simulate one scenario trajectory", ()),
+        "compare": ("compare a scenario against the baseline arm", ()),
+        "mc": ("Monte Carlo over stochastic adherence gains",
+               (("--n-draws", {"type": int, "help": "number of Monte Carlo draws"}),)),
+        "stress": ("paired unstressed/stressed run", (
+            ("--kind", {"dest": "stress_kind", "choices": _STRESS_KINDS}),
+            ("--value", {"dest": "stress_value", "metavar": "VALUE", "type": float,
+                         "help": f"stress multiplier (default {defaults})"}),
+        )),
+        "sweep": ("ROI sweep over the (delta, gamma) design space",
+                  (delta_axis, ("--gamma-axis", {"help": "comma-separated increasing gammas"}))),
+        "breakeven": ("break-even gamma* for each delta", (delta_axis,)),
+    }
+    sub = parser.add_subparsers(dest="command")
+    for name, (help_text, flags) in run_commands.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(mode=RunMode(name))
+        p.add_argument("--scenario", type=str.lower,
+                       help=f"preset name ({', '.join(PRESET_NAMES)}) or custom; default early_adherence")
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
     plots = sub.add_parser("export-plots", help="CSV series reproducing the figure families")
     plots.add_argument("--family", required=True, choices=PLOT_FAMILIES)
     plots.add_argument("--n-draws", type=int, help="draws for the mc family")
@@ -281,34 +276,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.config:
-        config = _parse_document(Path(args.config).read_text())
-    elif args.out:
+        config = _parse_document(read_text("config", args.config))
+    elif args.output_dir:
         config = RunConfig(
             params_file=str(reference_params_path()),
             scenario="early_adherence",
-            mode=RunMode(args.command),
-            output_dir=args.out,
+            mode=args.mode,
+            output_dir=args.output_dir,
         )
     else:
         raise ValueError("missing --out (or provide --config with output_dir)")
 
-    def flag(name: str):
-        return getattr(args, name, None)
-
-    # flags override config-file keys
-    scenario, delta_axis, gamma_axis = flag("scenario"), flag("delta_axis"), flag("gamma_axis")
-    updates = {
-        "mode": RunMode(args.command),
-        "params_file": args.params,
-        "output_dir": args.out,
-        "seed": args.seed,
-        "scenario": None if scenario is None else scenario.lower(),
-        "n_draws": flag("n_draws"),
-        "delta_axis": None if delta_axis is None else _parse_axis("delta_axis", delta_axis),
-        "gamma_axis": None if gamma_axis is None else _parse_axis("gamma_axis", gamma_axis),
-        "stress_kind": flag("kind"),
-        "stress_value": flag("value"),
-    }
+    # Flags override the document's keys.
+    updates = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    for key in ("delta_axis", "gamma_axis"):
+        if updates[key] is not None:
+            updates[key] = _parse_axis(key, updates[key])
     config = replace(config, **{key: v for key, v in updates.items() if v is not None})
     validate_run_config(config)
     return config
@@ -325,9 +308,9 @@ def main(argv: list[str] | None = None) -> int:
             if args.config:
                 raise ValueError("config: export-plots reads no run configuration")
             export_plots(
-                params_file=args.params or str(reference_params_path()),
+                params_file=args.params_file or str(reference_params_path()),
                 family=args.family,
-                output_dir=args.out or "plot_data",
+                output_dir=args.output_dir or "plot_data",
                 seed=args.seed,
                 n_draws=args.n_draws,
             )

@@ -13,7 +13,8 @@ run's cells enter the ``%`` pass as that text; runs are found on the bit
 pattern, so ``0.0`` and ``-0.0`` stay apart.  The grid's time column, the
 same in every trajectory and curve file, is formatted once per grid
 (``_time_cells``, cached by its bytes: the cache holds only this grid
-constant, never a result column).  A run stages every payload, then
+constant, never a result column).  Every JSON file, the manifest too, is
+written by ``json_bytes``.  A run stages every payload, then
 renames into place and writes the manifest last, so a failed run leaves the
 output directory unchanged.
 """
@@ -31,7 +32,6 @@ import numpy as np
 
 from .analytics import RoiGrid, CONTOUR_LEVELS_DESIGN, CONTOUR_LEVELS_SIGN
 from .costmodel import Trajectory
-from .montecarlo import McSummary
 from .scenarios import StressKind
 
 _FAMILY_AXES = {
@@ -109,18 +109,18 @@ def breakeven_csv(deltas, gammas) -> bytes:
     return csv_bytes(["delta", "gamma_star"], [deltas, gamma_star])
 
 
+def json_bytes(payload: dict) -> bytes:
+    """A JSON file's bytes: two-space indent, sorted keys, one closing newline."""
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
 def contours_json() -> bytes:
-    payload = {
+    return json_bytes({
         "roi_grid_file": "roi_grid.csv",
         "levels_sign_bands": list(CONTOUR_LEVELS_SIGN),
         "levels_design_space": list(CONTOUR_LEVELS_DESIGN),
         "units": "roi_percent",
-    }
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
-
-
-def mc_summary_json(summary: McSummary) -> bytes:
-    return (json.dumps(summary.as_dict(), indent=2, sort_keys=True) + "\n").encode()
+    })
 
 
 def draws_csv(draws: np.ndarray) -> bytes:
@@ -133,38 +133,16 @@ def histogram_csv(values: np.ndarray, n_bins: int = 40) -> bytes:
     return csv_bytes(["bin_left", "bin_right", "count"], [edges[:-1], edges[1:], counts])
 
 
-def _curve_csv(times: np.ndarray, values: np.ndarray) -> bytes:
+def curve_csv(times: np.ndarray, values: np.ndarray) -> bytes:
     return csv_bytes(["time", "value"], [_time_cells(times.tobytes()), values])
 
 
-# One figure family's series by name: a curve's (times, values) for severity /
-# adherence / cost, raw ROI draws for mc, ROI by stress kind for stress.
-FamilySeries = (dict[str, tuple[np.ndarray, np.ndarray]] | dict[str, np.ndarray]
-                | dict[str, dict[str, float]])
-
-
-def plot_family_files(family: str, series: FamilySeries) -> tuple[dict[str, bytes], dict]:
-    """Files plus axis metadata for one figure family, one file per named series.
-
-    severity / adherence / cost: a series is a curve's (times, values).
-    mc: a series is one scenario's raw ROI draws, written as a histogram.
-    stress: a series maps "unstressed" and each stress kind to an ROI, written
-    as unstressed vs stressed ROI rows.
-    """
-    files: dict[str, bytes] = {}
+def stress_csv(pairs: dict[str, tuple[float, float]]) -> bytes:
+    """One row per stress kind, its ROI beside the unstressed one; ``pairs``
+    maps "unstressed" and each stress kind to an arm's (ROI, cost)."""
     kinds = [kind.value for kind in StressKind]
-    for name, data in series.items():
-        if family == "mc":
-            files[f"mc_hist_{name}.csv"] = histogram_csv(data)
-        elif family == "stress":
-            files[f"stress_{name}.csv"] = csv_bytes(
-                ["stress_kind", "roi_unstressed_percent", "roi_stressed_percent"],
-                [kinds, [data["unstressed"]] * len(kinds), [data[kind] for kind in kinds]],
-            )
-        else:
-            files[f"{family}_{name}.csv"] = _curve_csv(*data)
-    x_axis, y_axis = _FAMILY_AXES[family]
-    return files, {"family": family, "x_axis": x_axis, "y_axis": y_axis, "curves": sorted(files)}
+    return csv_bytes(["stress_kind", "roi_unstressed_percent", "roi_stressed_percent"],
+                     [kinds, [pairs["unstressed"][0]] * len(kinds), [pairs[kind][0] for kind in kinds]])
 
 
 def write_run_outputs(output_dir: str | Path, files: dict[str, bytes], config_echo: str) -> list[str]:
@@ -172,7 +150,10 @@ def write_run_outputs(output_dir: str | Path, files: dict[str, bytes], config_ec
     from . import __version__
 
     out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"output_dir: cannot create {out}: {exc.strerror or exc}") from None
 
     staged: list[tuple[Path, Path]] = []
     for name, payload in files.items():
@@ -194,7 +175,7 @@ def write_run_outputs(output_dir: str | Path, files: dict[str, bytes], config_ec
             for name, payload in sorted(files.items())
         ],
     }
-    payload = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
+    payload = json_bytes(manifest)
     tmp = out / "manifest.json.tmp"
     tmp.write_bytes(payload)
     os.replace(tmp, out / "manifest.json")

@@ -108,9 +108,23 @@ def parse_params(text: str) -> ModelParams:
     return ModelParams(**values)
 
 
+def read_text(key: str, path: str | Path) -> str:
+    """The UTF-8 text of the input file that ``key`` names; a file that
+    cannot be read is an error of that key."""
+    path = Path(path)
+    try:
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ValueError(f"{key}: {path} does not exist") from None
+    except OSError as exc:
+        raise ValueError(f"{key}: cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{key}: {path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_params(path: str | Path) -> ModelParams:
     """Load and validate a reference parameter file."""
-    return parse_params(Path(path).read_text())
+    return parse_params(read_text("params_file", path))
 
 
 def reference_params() -> ModelParams:

@@ -47,6 +47,13 @@ class RunMode(enum.Enum):
 
 _POLICY_OVERRIDE_FIELDS = tuple(f.name for f in fields(PolicyConfig) if f.name != "kind")
 _STRESS_KINDS = tuple(kind.value for kind in StressKind)
+# The keys each mode cannot run without.
+_MODE_KEYS = {
+    RunMode.MONTE_CARLO: ("seed", "n_draws"),
+    RunMode.SWEEP: ("delta_axis", "gamma_axis"),
+    RunMode.BREAKEVEN: ("delta_axis",),
+    RunMode.STRESS: ("stress_kind",),
+}
 
 
 @dataclass(frozen=True)
@@ -125,21 +132,10 @@ def validate_run_config(config: RunConfig) -> None:
         except ValueError as exc:
             raise ValueError(f"stress_value: {str(exc).partition(': ')[2]}") from None
 
-    mode = config.mode
-    if mode is RunMode.MONTE_CARLO:
-        if config.seed is None:
-            raise ValueError("mode=mc requires key: seed")
-        if config.n_draws is None:
-            raise ValueError("mode=mc requires key: n_draws")
-    if mode is RunMode.SWEEP:
-        if not config.delta_axis:
-            raise ValueError("mode=sweep requires key: delta_axis")
-        if not config.gamma_axis:
-            raise ValueError("mode=sweep requires key: gamma_axis")
-    if mode is RunMode.BREAKEVEN and not config.delta_axis:
-        raise ValueError("mode=breakeven requires key: delta_axis")
-    if mode is RunMode.STRESS and config.stress_kind is None:
-        raise ValueError("mode=stress requires key: stress_kind")
+    for key in _MODE_KEYS.get(config.mode, ()):
+        value = getattr(config, key)
+        if value is None or isinstance(value, tuple) and not value:
+            raise ValueError(f"mode={config.mode.value} requires key: {key}")
     try:
         config.build_policy()
     except ValueError as exc:
@@ -233,25 +229,16 @@ def effective_stress_value(config: RunConfig) -> float:
 
 
 def serialize_run_config(config: RunConfig) -> str:
-    """Canonical document form; parse(serialize(c)) == c."""
-    lines = [
-        f"params_file = {config.params_file}",
-        f"scenario = {config.scenario}",
-        f"mode = {config.mode.value}",
-        f"output_dir = {config.output_dir}",
-    ]
-    if config.seed is not None:
-        lines.append(f"seed = {config.seed}")
-    if config.n_draws is not None:
-        lines.append(f"n_draws = {config.n_draws}")
-    if config.delta_axis:
-        lines.append("delta_axis = " + ", ".join(repr(v) for v in config.delta_axis))
-    if config.gamma_axis:
-        lines.append("gamma_axis = " + ", ".join(repr(v) for v in config.gamma_axis))
-    if config.stress_kind is not None:
-        lines.append(f"stress_kind = {config.stress_kind}")
-    if config.stress_value is not None:
-        lines.append(f"stress_value = {config.stress_value!r}")
-    for name in sorted(config.policy_overrides):
-        lines.append(f"policy.{name} = {config.policy_overrides[name]!r}")
+    """Canonical document form: one line per set key in field order, the
+    policy overrides sorted by name; parse(serialize(c)) == c."""
+    lines = []
+    for f in fields(RunConfig):
+        value = getattr(config, f.name)
+        if f.name == "policy_overrides":
+            lines += [f"policy.{name} = {value[name]!r}" for name in sorted(value)]
+        elif isinstance(value, tuple):
+            if value:
+                lines.append(f"{f.name} = " + ", ".join(map(repr, value)))
+        elif value is not None:
+            lines.append(f"{f.name} = {value.value if isinstance(value, RunMode) else value}")
     return "\n".join(lines) + "\n"

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from adhersim.analytics import roi, stress_pairs
-from adhersim.cli import main
+from adhersim.cli import export_plots, main
 from adhersim.costmodel import simulate_trajectory
 from adhersim.exports import csv_bytes
 from adhersim.params import reference_params_path
@@ -371,6 +371,30 @@ class TestInputErrors:
         assert f"error: {expected}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag, name, content, expected", [
+        ("--config", "missing.cfg", None, "config: {} does not exist"),
+        ("--params", "", None, "params_file: cannot read {}: Is a directory"),
+        ("--params", "latin1.txt", b"# caf\xe9\n",
+         "params_file: {} is not UTF-8 text (invalid continuation byte at byte 5)"),
+    ], ids=["missing_config", "params_directory", "params_not_utf8"])
+    def test_unreadable_input_names_its_key(self, tmp_path, capsys, flag, name, content, expected):
+        path = tmp_path / name
+        if content is not None:
+            path.write_bytes(content)
+        rc = _run([flag, path, "--out", tmp_path / "out", "simulate"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {expected.format(path)}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args", [["simulate"], ["export-plots", "--family", "severity"]],
+                             ids=["run", "export_plots"])
+    def test_out_naming_a_file_names_its_key(self, tmp_path, capsys, args):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        assert _run(["--out", taken] + args) == 2
+        assert capsys.readouterr().err == f"error: output_dir: cannot create {taken}: File exists\n"
+        assert taken.read_text() == "kept\n"
+
     def test_scenario_flag_overrides_config(self, tmp_path, capsys):
         cfg = self._config(tmp_path)
         assert _run(["--config", cfg, "simulate", "--scenario", "delayed"]) == 0
@@ -458,10 +482,20 @@ class TestExportPlots:
                      "--n-draws", 4]) == 0
         assert (plain / "manifest.json").read_bytes() == (seeded / "manifest.json").read_bytes()
 
-    def test_unknown_family_rejected(self, tmp_path, capsys):
+    def test_seed_required_by_the_mc_family_only(self, tmp_path, capsys):
         rc = _run(["--out", tmp_path / "x", "export-plots", "--family", "severity",
                    "--n-draws", "10"])
         assert rc == 0  # extra n-draws is harmless for severity
         rc = main(["--out", str(tmp_path / "y"), "export-plots", "--family", "mc"])
         assert rc == 2
         assert "seed" in capsys.readouterr().err
+
+    def test_unknown_family_rejected(self, tmp_path):
+        # argparse's choices guard only the command line; a family outside
+        # them must not fall through to the stress family's files.
+        out = tmp_path / "x"
+        with pytest.raises(ValueError) as exc:
+            export_plots(str(reference_params_path()), family="bogus", output_dir=str(out))
+        assert str(exc.value) == ("unknown figure family 'bogus'; valid: "
+                                  "severity, adherence, cost, mc, stress")
+        assert not out.exists()

@@ -1,6 +1,7 @@
 import pytest
 
 from adhersim.runconfig import (
+    RunConfig,
     RunMode,
     effective_stress_value,
     parse_run_config,
@@ -121,6 +122,33 @@ def test_round_trip_full_sweep_config():
     assert len(cfg.delta_axis) == 5 and len(cfg.gamma_axis) == 11
     again = parse_run_config(serialize_run_config(cfg))
     assert again == cfg
+
+
+def test_serialized_text_of_every_key():
+    # This text is the manifest's config_echo: field order, axis and value
+    # reprs, then the policy overrides sorted by name.
+    cfg = RunConfig(
+        params_file="p/ref.txt", scenario="adaptive_nudges", mode=RunMode.STRESS, output_dir="out/x",
+        seed=7, n_draws=250, delta_axis=(0.1, 0.25), gamma_axis=(1e-07, 0.5, 1.0),
+        stress_kind="accelerated_progression", stress_value=0.1 + 0.2,
+        policy_overrides={"start_tau": 2.0, "cost_scale_gamma": 1.25, "adherence_gain_delta": 0.3},
+    )
+    assert serialize_run_config(cfg) == (
+        "params_file = p/ref.txt\n"
+        "scenario = adaptive_nudges\n"
+        "mode = stress\n"
+        "output_dir = out/x\n"
+        "seed = 7\n"
+        "n_draws = 250\n"
+        "delta_axis = 0.1, 0.25\n"
+        "gamma_axis = 1e-07, 0.5, 1.0\n"
+        "stress_kind = accelerated_progression\n"
+        "stress_value = 0.30000000000000004\n"
+        "policy.adherence_gain_delta = 0.3\n"
+        "policy.cost_scale_gamma = 1.25\n"
+        "policy.start_tau = 2.0\n"
+    )
+    assert parse_run_config(serialize_run_config(cfg)) == cfg
 
 
 def test_round_trip_mc_config():
