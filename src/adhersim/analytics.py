@@ -1,4 +1,4 @@
-"""ROI, payback, break-even, design-space sweeps and stress pairs.
+"""ROI, payback, break-even, iso-ROI curves, design-space sweeps and stress pairs.
 
 ROI follows the study's cost-relative definition
 ROI = (C_baseline - C_policy) / C_policy * 100, with the policy-arm cost in
@@ -7,11 +7,11 @@ the denominator (not incremental policy spend).
 gamma enters the engine only through the spend channel, so an arm's total
 cost is C(gamma) = R + gamma * inflation * policy_unit_cost * I_P with R
 (C0 plus the rest) and I_P read off one simulated arm (see costmodel), and
-only ``costmodel.total_cost`` prices that line.  Break-even, the per-row
-sweep and a cost-inflation stress are closed forms on it: one engine arm per
-(design, delta) instead of one per gamma, and the arms of a sweep's delta
-axis run through one batched engine call (``arm_costs``).  ``stress_pairs``
-serves both the stress mode and the stress figure family.
+only ``costmodel.total_cost`` prices that line.  Only ``gamma_at_roi``
+inverts it, exactly and with no new arm: break-even is its zero level and a
+sweep's iso-ROI curves its contour levels, all read under one rule
+(``reachable``).  A sweep's arms run through one batched engine call
+(``arm_costs``); ``stress_pairs`` serves the stress mode and figure family.
 """
 
 from __future__ import annotations
@@ -26,12 +26,10 @@ from .numerics import check_finite
 from .params import ModelParams
 from .scenarios import PolicyConfig, StressKind, apply_stress, build_preset
 
-BREAKEVEN_GAMMA_MAX = 20.0
-BREAKEVEN_ROI_TOL = 0.01  # percentage points: |ROI(0)| below this breaks even at gamma* = 0
-
-# Contour levels exported with design-space sweeps.
+# ROI levels (percent) exported with design-space sweeps, each with its iso-ROI curve.
 CONTOUR_LEVELS_SIGN = (-5.0, 0.0, 5.0)
 CONTOUR_LEVELS_DESIGN = (0.0, 50.0, 100.0)
+CONTOUR_LEVELS = tuple(sorted(set(CONTOUR_LEVELS_SIGN + CONTOUR_LEVELS_DESIGN)))
 
 
 @dataclass(frozen=True)
@@ -42,6 +40,7 @@ class RoiGrid:
     gamma_axis: np.ndarray
     roi_percent: np.ndarray        # shape (len(delta_axis), len(gamma_axis))
     total_cost: np.ndarray         # policy-arm C(T) per cell
+    iso_roi_gamma: np.ndarray      # gamma_at_roi per delta row and CONTOUR_LEVELS column
     breakeven_gamma_per_delta: tuple[float | None, ...]
 
 
@@ -102,51 +101,41 @@ def baseline_cost(params: ModelParams) -> float:
     return simulate_trajectory(params, _BASELINE).final_cost
 
 
-def _breakeven(
-    params: ModelParams, policy: PolicyConfig, c_base: float, rest: float, spend_integral: float
-) -> float | None:
-    """gamma* on the cost line of one arm; see ``breakeven_gamma``."""
-    r0 = roi(c_base, rest)
-    if abs(r0) < BREAKEVEN_ROI_TOL:
-        return 0.0
-    spend_per_gamma = total_cost(params, policy, 0.0, spend_integral, 1.0)  # dC/dgamma
-    if r0 < 0 or spend_per_gamma <= 0:
-        return None
-    root = (c_base - rest) / spend_per_gamma
-    return root if root <= BREAKEVEN_GAMMA_MAX else None
+def gamma_at_roi(params: ModelParams, policy: PolicyConfig, c_base, rest, spend_integral, level=0.0):
+    """gamma_L at which an arm's ROI equals ``level`` percent, elementwise: on the
+    line C(gamma) = R + s * gamma, ROI >= L exactly where gamma <= gamma_L =
+    (C_base / (1 + L/100) - R) / s.  Raw: negative where the arm misses L even at
+    gamma = 0, inf or NaN where it spends nothing (s = 0); see ``reachable``."""
+    slope = total_cost(params, policy, 0.0, spend_integral, 1.0)  # s = dC/dgamma
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.divide(c_base / (1.0 + np.asarray(level) / 100.0) - rest, slope)
 
 
-def breakeven_gamma(
-    params: ModelParams,
-    policy_template: PolicyConfig,
-    delta: float,
-) -> float | None:
-    """Cost intensity gamma* at which ROI is zero, in closed form.
+def reachable(gamma):
+    """The reachability rule: a finite gamma_L >= 0, else None; lists for an array."""
+    gamma = np.asarray(gamma, dtype=float)
+    return np.where(np.isfinite(gamma) & (gamma >= 0.0), gamma, None).tolist()
 
-    C(gamma) = R + gamma * inflation * policy_unit_cost * I_P is linear, so
-    gamma* = (C_base - R) / (inflation * policy_unit_cost * I_P) from one arm.
-    Returns 0.0 when |ROI(gamma=0)| < BREAKEVEN_ROI_TOL, and None when the
-    design already loses money at gamma = 0, spends nothing (I_P = 0), or
-    breaks even only above BREAKEVEN_GAMMA_MAX.  ``delta`` replaces the
-    template's gain, so PolicyConfig checks it.
-    """
+
+def breakeven_gamma(params: ModelParams, policy_template: PolicyConfig, delta: float) -> float | None:
+    """Cost intensity gamma* at which ROI is zero, from one arm: ``gamma_at_roi``
+    at level 0.  None when the design already loses money at gamma = 0 or
+    spends nothing (I_P = 0).  ``delta`` replaces the template's gain, so
+    PolicyConfig checks it."""
     policy = replace(policy_template, adherence_gain_delta=delta)
-    c_base = baseline_cost(params)
     arm = simulate_trajectory(params, policy)
-    return _breakeven(params, policy, c_base, arm.rest_cost, arm.spend_integral)
+    return reachable(gamma_at_roi(params, policy, baseline_cost(params), arm.rest_cost, arm.spend_integral))
 
 
 def sweep_design_space(
-    params: ModelParams,
-    template: PolicyConfig,
-    delta_axis: np.ndarray,
-    gamma_axis: np.ndarray,
+    params: ModelParams, template: PolicyConfig, delta_axis: np.ndarray, gamma_axis: np.ndarray
 ) -> RoiGrid:
     """Evaluate ROI and total cost over the (delta, gamma) design space.
 
     One arm per delta row, all from one batched engine call: every gamma cell
     re-prices its row's cost split with ``total_cost``, which equals a direct
-    run at that gamma bit for bit.
+    run at that gamma bit for bit, and the row's line is inverted at every
+    contour level.
     """
     delta_axis = np.asarray(delta_axis, dtype=float)
     gamma_axis = np.asarray(gamma_axis, dtype=float)
@@ -170,14 +159,14 @@ def sweep_design_space(
     except RejectedCost as exc:
         i, j = divmod(exc.index, gamma_axis.size)
         raise ValueError(f"sweep cell (delta={delta_axis[i]}, gamma={gamma_axis[j]}) failed: {exc}") from exc
+    curves = gamma_at_roi(params, template, c_base, rest[:, None], spend[:, None], CONTOUR_LEVELS)
     return RoiGrid(
         delta_axis=delta_axis,
         gamma_axis=gamma_axis,
         roi_percent=roi_grid,
         total_cost=cost_grid,
-        breakeven_gamma_per_delta=tuple(
-            _breakeven(params, template, c_base, r, i_p) for r, i_p in zip(rest.tolist(), spend.tolist())
-        ),
+        iso_roi_gamma=curves,
+        breakeven_gamma_per_delta=tuple(reachable(curves[:, CONTOUR_LEVELS.index(0.0)])),
     )
 
 

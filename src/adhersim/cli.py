@@ -106,7 +106,7 @@ def run(config: RunConfig) -> list[str]:
             params, policy, np.array(config.delta_axis), np.array(config.gamma_axis)
         )
         files["roi_grid.csv"] = roi_grid_csv(grid)
-        files["contours.json"] = contours_json()
+        files["contours.json"] = contours_json(grid)
         files["breakeven.csv"] = breakeven_csv(grid.delta_axis, grid.breakeven_gamma_per_delta)
         summary = (
             f"sweep {len(config.delta_axis)}x{len(config.gamma_axis)} grid: ROI range "

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytics import RoiGrid, CONTOUR_LEVELS_DESIGN, CONTOUR_LEVELS_SIGN
+from .analytics import CONTOUR_LEVELS, CONTOUR_LEVELS_DESIGN, CONTOUR_LEVELS_SIGN, RoiGrid, reachable
 from .costmodel import Trajectory
 from .scenarios import StressKind
 
@@ -110,16 +110,27 @@ def breakeven_csv(deltas, gammas) -> bytes:
 
 
 def json_bytes(payload: dict) -> bytes:
-    """A JSON file's bytes: two-space indent, sorted keys, one closing newline."""
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    """A JSON file's bytes: two-space indent, sorted keys, one closing newline.
+    JSON has no NaN or infinity, so either raises ValueError."""
+    return (json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
 
 
-def contours_json() -> bytes:
+def contours_json(grid: RoiGrid) -> bytes:
+    """A sweep's contour levels in ``units`` (percent ROI) and its iso-ROI curves.
+
+    ``levels_sign_bands`` and ``levels_design_space`` list the levels drawn over
+    ``roi_grid_file``, and ``curve_levels`` each once, ascending.  ``gamma_at_level``
+    has a row per ``delta_axis`` value and a column per curve level: gamma_L, with
+    ROI >= L exactly for gamma <= gamma_L, or ``null`` where no finite gamma >= 0
+    reaches L (the arm misses L even at gamma = 0, or spends nothing)."""
     return json_bytes({
         "roi_grid_file": "roi_grid.csv",
         "levels_sign_bands": list(CONTOUR_LEVELS_SIGN),
         "levels_design_space": list(CONTOUR_LEVELS_DESIGN),
         "units": "roi_percent",
+        "delta_axis": grid.delta_axis.tolist(),
+        "curve_levels": list(CONTOUR_LEVELS),
+        "gamma_at_level": reachable(grid.iso_roi_gamma),
     })
 
 

@@ -70,7 +70,28 @@ class TestSweep:
         contours = json.loads((out / "contours.json").read_text())
         assert contours["levels_sign_bands"] == [-5.0, 0.0, 5.0]
         assert contours["levels_design_space"] == [0.0, 50.0, 100.0]
-        assert (out / "breakeven.csv").exists()
+        assert contours["curve_levels"] == [-5.0, 0.0, 5.0, 50.0, 100.0]
+        assert contours["delta_axis"] == [0.2, 0.3]
+        curves = contours["gamma_at_level"]
+        assert [len(row) for row in curves] == [5, 5]
+        # The zero-level curve is the break-even column; no arm reaches 50% or 100%.
+        _, rows = _read_csv(out / "breakeven.csv")
+        assert [g for _, g in rows] == ["%.6g" % row[1] for row in curves]
+        assert all(row[3] is None and row[4] is None for row in curves)
+        assert all(row[0] > row[1] for row in curves)
+
+    def test_curves_of_an_arm_that_spends_nothing_are_null(self, tmp_path):
+        out = tmp_path / "sw"
+        assert _run(["--out", out, "sweep", "--scenario", "baseline",
+                     "--delta-axis", "0,0.5", "--gamma-axis", "1.0"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        contours = json.loads((out / "contours.json").read_text(), parse_constant=reject)
+        assert contours["gamma_at_level"] == [[None] * 5] * 2
+        _, rows = _read_csv(out / "breakeven.csv")
+        assert rows == [["0", ""], ["0.5", ""]]
 
     def test_reproducible_byte_identical_runs(self, tmp_path):
         out = tmp_path / "a"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from adhersim.exports import csv_bytes, draws_csv, histogram_csv
+from adhersim.exports import csv_bytes, draws_csv, histogram_csv, json_bytes
 
 
 def _column(payload: bytes, j: int) -> list[str]:
@@ -25,3 +25,9 @@ def test_histogram_counts_past_a_million_are_exact():
 def test_columns_of_unequal_length_are_rejected():
     with pytest.raises(ValueError, match="'b' has 1 rows, expected 2"):
         csv_bytes(["a", "b"], [[1.0, 2.0], [3.0]])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_json_has_no_form_for_a_non_finite_number(value):
+    with pytest.raises(ValueError):
+        json_bytes({"x": [1.0, value]})

@@ -14,7 +14,10 @@ to close a gap, since that would move the goldens.
 | Low-impact or high-cost policies fail to break even | low_impact -14.26%; early_adherence at delta=0.20  | reproduced     |
 |                                                     | breaks even at gamma* = 1.35, -0.89% at gamma=1.5  |                |
 | ROI > 20% when delta >= 0.20 and gamma <= 1.5       | early_adherence, delta=0.20, gamma=1.5: -0.89%     | gap            |
-|                                                     | (delta=0.30: 9.74%; only delta=0.45 gives 25.24%)  |                |
+|                                                     | (delta=0.30: 9.74%; only delta=0.45 gives 25.24%); |                |
+|                                                     | gamma_20 = -1.43, 0.20, 2.08 at delta = 0.20,      |                |
+|                                                     | 0.30, 0.45; gamma_20 >= 1.5 from delta ~ 0.395     |                |
+|                                                     | (adaptive_nudges: 0.418); no arm reaches 50%       |                |
 | $312 per patient savings                            | early_adherence saves $350.74, adaptive_nudges     | gap (unpinned) |
 |                                                     | $168.75; the abstract names no arm                 |                |
 | 32% ROI gap between income strata                   | the engine has no strata                           | not checkable  |
@@ -26,9 +29,11 @@ from dataclasses import replace
 
 import pytest
 
-from adhersim.analytics import baseline_cost, breakeven_gamma, roi
-from adhersim.costmodel import simulate_trajectory
-from adhersim.scenarios import build_preset
+import numpy as np
+
+from adhersim.analytics import baseline_cost, breakeven_gamma, gamma_at_roi, reachable, roi
+from adhersim.costmodel import arm_costs, simulate_trajectory
+from adhersim.scenarios import PRESET_NAMES, build_preset
 
 RANKED = ("early_adherence", "adaptive_nudges", "delayed", "regressive", "low_impact")
 
@@ -71,6 +76,32 @@ def test_gap_roi_above_20_percent_is_not_reproduced(ref_params, c_base):
     assert r == pytest.approx(-0.89, abs=0.005)
     assert _roi(ref_params, c_base, "early_adherence", adherence_gain_delta=0.45,
                 cost_scale_gamma=1.5) > 20.0
+
+
+def _gamma_at(params, c_base, name, deltas, level):
+    """gamma_L of each gain's arm: ROI >= level exactly for gamma <= gamma_L."""
+    policy = build_preset(name)
+    rest, spend = arm_costs(params, policy, deltas)
+    return gamma_at_roi(params, policy, c_base, rest, spend, level)
+
+
+def test_gap_20_percent_bracket_on_the_iso_roi_curve(ref_params, c_base):
+    """The exact 20% iso-ROI curve: at delta = 0.20 no gamma >= 0 gives 20%,
+    and gamma = 1.5 gives 20% only from delta ~ 0.395 (early_adherence) and
+    ~ 0.418 (adaptive_nudges) on."""
+    gammas = _gamma_at(ref_params, c_base, "early_adherence", [0.20, 0.30, 0.45], 20.0)
+    assert gammas == pytest.approx([-1.43, 0.20, 2.08], abs=0.005)
+    deltas = np.linspace(0.0, 1.0, 2001)
+    for name, first in (("early_adherence", 0.395), ("adaptive_nudges", 0.418)):
+        reaches = _gamma_at(ref_params, c_base, name, deltas, 20.0) >= 1.5
+        assert deltas[reaches.argmax()] == pytest.approx(first, abs=0.001)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_no_arm_reaches_50_percent(ref_params, c_base, name):
+    """Level 50 of the exported contours has no point: no gain in [0, 1] reaches it."""
+    gammas = _gamma_at(ref_params, c_base, name, np.linspace(0.0, 1.0, 201), 50.0)
+    assert reachable(gammas) == [None] * 201
 
 
 @pytest.mark.parametrize("name, saving", [("early_adherence", 350.74), ("adaptive_nudges", 168.75)])

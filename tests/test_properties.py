@@ -13,10 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adhersim.analytics import (
-    BREAKEVEN_GAMMA_MAX,
-    BREAKEVEN_ROI_TOL,
+    CONTOUR_LEVELS,
     baseline_cost,
     breakeven_gamma,
+    gamma_at_roi,
+    reachable,
     roi,
     sweep_design_space,
 )
@@ -101,8 +102,9 @@ def test_roi_never_rises_with_gamma_nor_falls_with_delta(policy, delta_axis, gam
     assert np.all(np.diff(rois, axis=0) >= -1e-9)
 
 
-# Unit costs down to zero push gamma* past BREAKEVEN_GAMMA_MAX or leave nothing
-# to spend; a positive beta makes adherence itself costly, so ROI(0) < 0.
+# Small unit costs push gamma_L far above any gamma a preset uses, and a zero
+# one leaves nothing to spend; a positive beta makes adherence itself costly,
+# so ROI(0) < 0.
 cost_parameters = st.builds(
     lambda u_scale, beta_sign: replace(
         PARAMS,
@@ -115,18 +117,23 @@ cost_parameters = st.builds(
 
 
 @PROPERTY
-@given(cost_parameters, step_policies, deltas)
-def test_breakeven_is_a_root_or_has_none(params, policy, delta):
-    g = breakeven_gamma(params, policy, delta)
-    r0 = roi_at(policy, delta, 0.0, params)
-    if abs(r0) < BREAKEVEN_ROI_TOL:
-        assert g == 0.0
-    elif r0 < 0 or roi_at(policy, delta, BREAKEVEN_GAMMA_MAX, params) > 0:
-        # Losing money for free, or still saving money at the largest gamma.
+@given(cost_parameters, step_policies, deltas, st.sampled_from(CONTOUR_LEVELS))
+# A root just above 0 (|ROI(0)| < 0.01 pp), and an arm that spends nothing.
+@example(PARAMS, build_preset("regressive"), 0.001, 0.0)
+@example(PARAMS, build_preset("baseline"), 0.3, 0.0)
+def test_breakeven_is_a_root_or_has_none(params, policy, delta, level):
+    """At every contour level L, gamma_L is None exactly when the arm spends
+    nothing or misses L at gamma = 0; otherwise a direct run at gamma_L has
+    ROI L.  Break-even is the level-0 case."""
+    arm = simulate_trajectory(params, replace(policy, adherence_gain_delta=delta))
+    g = reachable(gamma_at_roi(params, policy, baseline_cost(params), arm.rest_cost, arm.spend_integral, level))
+    if params.policy_unit_cost * arm.spend_integral == 0.0 or roi_at(policy, delta, 0.0, params) < level:
         assert g is None
     else:
-        assert g is not None and 0.0 < g <= BREAKEVEN_GAMMA_MAX
-        assert abs(roi_at(policy, delta, g, params)) <= 1e-8
+        assert g >= 0.0
+        assert abs(roi_at(policy, delta, g, params) - level) <= 1e-8
+    if level == 0.0:
+        assert breakeven_gamma(params, policy, delta) == g
 
 
 def nudge_log_oracle(params, policy) -> tuple[float, ...]:
