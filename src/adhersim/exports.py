@@ -14,13 +14,14 @@ pattern, so ``0.0`` and ``-0.0`` stay apart.  The grid's time column, the
 same in every trajectory and curve file, is formatted once per grid
 (``_time_cells``, cached by its bytes: the cache holds only this grid
 constant, never a result column).  Every JSON file, the manifest too, is
-written by ``json_bytes``.  A run stages every payload, then
-renames into place and writes the manifest last, so a failed run leaves the
-output directory unchanged.
+written by ``json_bytes``.  A run stages every payload and the manifest,
+then renames them into place, the manifest last.  A failed write names its
+path and removes the staged files; renames already made are not undone.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -157,7 +158,7 @@ def stress_csv(pairs: dict[str, tuple[float, float]]) -> bytes:
 
 
 def write_run_outputs(output_dir: str | Path, files: dict[str, bytes], config_echo: str) -> list[str]:
-    """Stage, rename, then manifest.  Returns the written file names."""
+    """Stage every file, then rename, the manifest last.  Returns the written file names."""
     from . import __version__
 
     out = Path(output_dir)
@@ -165,14 +166,6 @@ def write_run_outputs(output_dir: str | Path, files: dict[str, bytes], config_ec
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValueError(f"output_dir: cannot create {out}: {exc.strerror or exc}") from None
-
-    staged: list[tuple[Path, Path]] = []
-    for name, payload in files.items():
-        tmp = out / (name + ".tmp")
-        tmp.write_bytes(payload)
-        staged.append((tmp, out / name))
-    for tmp, final in staged:
-        os.replace(tmp, final)
 
     manifest = {
         "engine_version": __version__,
@@ -186,10 +179,20 @@ def write_run_outputs(output_dir: str | Path, files: dict[str, bytes], config_ec
             for name, payload in sorted(files.items())
         ],
     }
-    payload = json_bytes(manifest)
-    tmp = out / "manifest.json.tmp"
-    tmp.write_bytes(payload)
-    os.replace(tmp, out / "manifest.json")
+    staged: list[tuple[Path, Path]] = []
+    try:
+        for name, payload in [*files.items(), ("manifest.json", json_bytes(manifest))]:
+            tmp = out / (name + ".tmp")
+            staged.append((tmp, out / name))
+            tmp.write_bytes(payload)
+        for tmp, final in staged:
+            os.replace(tmp, final)
+    except OSError as exc:
+        for tmp, _ in staged:
+            with contextlib.suppress(OSError):  # a blocking directory stays
+                tmp.unlink(missing_ok=True)
+        path = exc.filename2 or exc.filename or out  # a failed write() names no file
+        raise ValueError(f"output_dir: cannot write {path}: {exc.strerror or exc}") from None
     return sorted(files) + ["manifest.json"]
 
 

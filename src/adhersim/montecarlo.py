@@ -6,12 +6,13 @@ Sub-stream derivation is counter-based and pinned: draw i uses
 spawn_key=(i,)))``.  Draws are therefore independent of execution order,
 and summaries are bit-identical across reruns.
 
-That construction is unchanged, but ``run_monte_carlo`` does not build it
-once per draw.  It computes every draw's seed words in one vectorised pass
-of ``SeedSequence``'s hash over the draw index, turns each into the PCG64
-state that seeding would produce, and sets that state on one generator
-reused for every draw.  ``substream`` stays the reference construction;
+That construction is unchanged, but ``run_monte_carlo`` does not build a
+``SeedSequence`` per draw.  numpy pools the master seed once; adhersim then
+mixes in each draw's spawn-key word and hashes the output, one vectorised
+pass over all draw indices, and numpy seeds each draw's PCG64 from the four
+words that pass gives.  ``substream`` stays the reference construction;
 each draw equals ``sample_delta(spec, substream(master_seed, i))``.
+``numpy.random`` loads on first use, never at ``import adhersim``.
 """
 
 from __future__ import annotations
@@ -40,9 +41,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 _MASK32 = 0xFFFFFFFF
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64).
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 class DistributionKind(enum.Enum):
@@ -149,27 +147,18 @@ def _mix(x, y):
 def _spawn_seed_words(master_seed: int, n: int) -> np.ndarray:
     """Row i is ``SeedSequence(master_seed, spawn_key=(i,)).generate_state(4, np.uint64)``.
 
-    The master seed's words fill the pool (zero-padded to its size, as
-    numpy does whenever a spawn key is given) and are mixed as Python ints,
-    the same for every draw.  Only the spawn-key word, mixed in last,
-    differs, so that step and the output hash run on uint32 arrays over all
-    n draws at once.
+    numpy pools the master seed's max(4, L) words (L its count of 32-bit
+    words, zero-padded as for any spawn key), moving the hash constant 4
+    steps per word.  Only the spawn-key word, mixed in last, differs, so that
+    mix and the output hash run here on uint32 arrays over all n draws at once.
     """
-    master_seed = operator.index(master_seed)  # a numpy integer would overflow below
-    run_words = [master_seed & _MASK32]
-    while master_seed >> 32:
-        master_seed >>= 32
-        run_words.append(master_seed & _MASK32)
-    run_words += [0] * (_POOL_SIZE - len(run_words))
-    hash_const = [_INIT_A]
-    mixer = [_hashmix(word, hash_const) for word in run_words[:_POOL_SIZE]]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                mixer[i_dst] = _mix(mixer[i_dst], _hashmix(mixer[i_src], hash_const))
-    for word in run_words[_POOL_SIZE:] + [np.arange(n, dtype=np.uint32)]:
-        for i_dst in range(_POOL_SIZE):
-            mixer[i_dst] = _mix(mixer[i_dst], _hashmix(word, hash_const))
+    master_seed = operator.index(master_seed)  # bit_length needs a Python int
+    n_words = max(_POOL_SIZE, -(-master_seed.bit_length() // 32))
+    hash_const = [_INIT_A * pow(_MULT_A, _POOL_SIZE * n_words, 1 << 32) & _MASK32]
+    mixer = np.random.SeedSequence(master_seed).pool.tolist()
+    draw_word = np.arange(n, dtype=np.uint32)
+    for i_dst in range(_POOL_SIZE):
+        mixer[i_dst] = _mix(mixer[i_dst], _hashmix(draw_word, hash_const))
     hash_const = _INIT_B
     state = np.empty((n, 2 * _POOL_SIZE), dtype=np.uint32)
     for i_dst in range(2 * _POOL_SIZE):
@@ -181,24 +170,22 @@ def _spawn_seed_words(master_seed: int, n: int) -> np.ndarray:
 
 
 def _draw_streams(master_seed: int, n: int) -> Iterator[np.random.Generator]:
-    """For i in range(n), one reused generator in the state ``substream(master_seed, i)`` starts in.
+    """For i in range(n), a generator in the state ``substream(master_seed, i)`` starts in.
 
-    PCG64 seeds from the words (initstate hi, lo, initseq hi, lo) as
-    ``inc = 2 initseq + 1`` and ``state = (inc + initstate) MULT + inc``,
-    mod 2**128.  Each yielded stream is valid until the next is taken.
+    numpy seeds each PCG64 from the draw's row of ``_spawn_seed_words``.  The
+    adapter is defined here so that ``import adhersim`` leaves ``numpy.random`` unloaded.
     """
-    bit_generator = np.random.PCG64(0)
-    stream = np.random.Generator(bit_generator)
-    for state_hi, state_lo, seq_hi, seq_lo in _spawn_seed_words(master_seed, n).tolist():
-        inc = ((seq_hi << 65) | (seq_lo << 1) | 1) & _MASK128
-        state = ((inc + ((state_hi << 64) | state_lo)) * _PCG64_MULT + inc) & _MASK128
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield stream
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.words  # PCG64 asks once, for 4 uint64 words
+
+    for words in _spawn_seed_words(master_seed, n):
+        yield np.random.Generator(np.random.PCG64(SeedWords(words)))
 
 
 def sample_delta(spec: DistributionSpec, stream: np.random.Generator) -> float:
@@ -206,15 +193,6 @@ def sample_delta(spec: DistributionSpec, stream: np.random.Generator) -> float:
     if spec.kind is DistributionKind.BETA:
         return float(stream.beta(spec.alpha_shape, spec.beta_shape))
     return float(spec.delta_high if stream.random() < spec.p_high else spec.delta_low)
-
-
-def _nearest_rank_quantiles(sorted_values: np.ndarray) -> dict[float, float]:
-    n = len(sorted_values)
-    out: dict[float, float] = {}
-    for q in QUANTILE_LEVELS:
-        rank = max(1, math.ceil(q * n))
-        out[q] = float(sorted_values[rank - 1])
-    return out
 
 
 def positive_rate(roi_values: np.ndarray) -> float:
@@ -234,11 +212,11 @@ def run_monte_carlo(
 
     Returns the summary plus the raw per-draw records as a structured array
     with fields (draw_index, delta, total_cost, roi_percent), in draw-index
-    order.  Each draw is sampled from its own substream, reproduced on one
-    reused generator (see module doc); the engine then evaluates the draws
-    in fixed-size chunks (see ``costmodel.arm_costs``), each row of which
-    equals a one-arm run bit for bit, so the output does not depend on the
-    chunk size.  A failure names the first failing draw.
+    order.  Each draw is sampled from its own substream (see module doc);
+    the engine then evaluates the draws in fixed-size chunks (see
+    ``costmodel.arm_costs``), each row of which equals a one-arm run bit for
+    bit, so the output does not depend on the chunk size.  A failure names
+    the first failing draw.
     """
     check_draw_keys(master_seed, n)
     c_base = baseline_cost(params)
@@ -275,7 +253,9 @@ def run_monte_carlo(
         master_seed=master_seed,
         roi_mean=float(np.mean(rois)),
         roi_sd=roi_sd,
-        roi_quantiles=_nearest_rank_quantiles(np.sort(rois)),
+        # inverted_cdf is the nearest-rank rule: the value of rank max(1, ceil(q n)).
+        roi_quantiles=dict(zip(QUANTILE_LEVELS,
+                               np.quantile(rois, QUANTILE_LEVELS, method="inverted_cdf").tolist())),
         prob_roi_positive=p_positive,
         cost_mean=float(np.mean(costs)),
         cost_sd=float(np.std(costs, ddof=0)),

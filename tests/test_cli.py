@@ -129,6 +129,16 @@ class TestManifest:
         assert rc == 2
         assert sorted(p.name for p in out.iterdir()) == ["precious.txt"]
 
+    def test_blocked_write_names_its_key_and_leaves_no_staged_file(self, tmp_path, capsys):
+        out = tmp_path / "blocked"
+        (out / "policy_trajectory.csv.tmp").mkdir(parents=True)
+        rc = _run(["--out", out, "compare", "--scenario", "adaptive_nudges"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: output_dir: ")
+        assert "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == ["policy_trajectory.csv.tmp"]
+
 
 class TestMonteCarloCommand:
     def test_mc_requires_seed(self, tmp_path, capsys):

@@ -1,13 +1,19 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import adhersim
 from adhersim import costmodel
 from adhersim.analytics import baseline_cost, roi
 from adhersim.costmodel import simulate_trajectory
 from adhersim.montecarlo import (
+    QUANTILE_LEVELS,
     DistributionSpec,
     positive_rate,
     run_monte_carlo,
@@ -99,14 +105,17 @@ class TestRunMonteCarlo:
         assert np.array_equal(d1, d2)
 
     def test_quantiles_monotone_and_nearest_rank(self, ref_params):
+        # q n is whole at every level for n = 20 and 300, and below 1 at
+        # every level for n = 1 and 2, where the rank clamps to 1.
         spec = DistributionSpec.beta_from_mean(0.3)
-        summary, draws = run_monte_carlo(ref_params, EARLY, spec, 101, master_seed=3)
-        q = summary.roi_quantiles
-        levels = sorted(q)
-        assert all(q[a] <= q[b] for a, b in zip(levels, levels[1:]))
-        ranked = np.sort(draws["roi_percent"])
-        assert q[0.5] == ranked[math.ceil(0.5 * 101) - 1]
-        assert q[0.05] == ranked[math.ceil(0.05 * 101) - 1]
+        for n in (1, 2, 20, 101, 300):
+            summary, draws = run_monte_carlo(ref_params, EARLY, spec, n, master_seed=3)
+            q = summary.roi_quantiles
+            levels = sorted(q)
+            assert all(q[a] <= q[b] for a, b in zip(levels, levels[1:]))
+            ranked = np.sort(draws["roi_percent"])
+            nearest_rank = {level: float(ranked[max(1, math.ceil(level * n)) - 1]) for level in QUANTILE_LEVELS}
+            assert q == nearest_rank, n
 
     def test_prob_roi_positive_matches_empirical_fraction(self, ref_params):
         spec = DistributionSpec.beta_from_mean(0.3)
@@ -183,3 +192,11 @@ class TestRunMonteCarlo:
     def test_n_must_be_positive(self, ref_params):
         with pytest.raises(ValueError):
             run_monte_carlo(ref_params, EARLY, DistributionSpec.beta_from_mean(0.3), 0, 1)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random adds several milliseconds to every run's start-up; only a
+    # Monte Carlo run may load it.
+    env = dict(os.environ, PYTHONPATH=str(Path(adhersim.__file__).parents[1]))
+    code = "import sys, adhersim, adhersim.cli; sys.exit('numpy.random' in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

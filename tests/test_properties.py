@@ -487,6 +487,14 @@ master_seeds = st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**63), st.in
 
 @PROPERTY
 @given(master_seeds, st.integers(1, 40))
+# Where the seed's count of 32-bit words, and with it the hash-constant
+# exponent, changes.
+@example(0, 3)
+@example(2**32 - 1, 3)
+@example(2**32, 3)
+@example(2**128 - 1, 3)
+@example(2**128, 3)
+@example(2**160, 3)
 def test_draw_streams_start_where_substreams_do(master_seed, n):
     words = _spawn_seed_words(master_seed, n)
     expected = [np.random.SeedSequence(master_seed, spawn_key=(i,)).generate_state(4, np.uint64) for i in range(n)]
