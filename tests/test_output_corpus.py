@@ -2,7 +2,7 @@
 
 The matrix drives ``cli.main`` in-process: simulate, compare and both stresses
 on every preset; sweep and breakeven on every preset over a delta axis that
-includes 0, 0.001 and 1; mc with 300 draws on each policy preset; every
+includes 0, 0.001 and 1; mc with 300 draws on every preset; every
 export-plots family; and one ``--config`` run with ``policy.*`` overrides.
 
 ``data/output_corpus.json`` holds, for each run, its summary line and, for
@@ -61,8 +61,7 @@ def _matrix() -> dict[str, list[str]]:
         runs[f"sweep-{name}"] = ["sweep", "--scenario", name,
                                  "--delta-axis", DELTA_AXIS, "--gamma-axis", GAMMA_AXIS]
         runs[f"breakeven-{name}"] = ["breakeven", "--scenario", name, "--delta-axis", DELTA_AXIS]
-        if name != "baseline":
-            runs[f"mc-{name}"] = ["--seed", "11", "mc", "--scenario", name, "--n-draws", "300"]
+        runs[f"mc-{name}"] = ["--seed", "11", "mc", "--scenario", name, "--n-draws", "300"]
     for family in PLOT_FAMILIES:
         mc = ["--n-draws", "120"] if family == "mc" else []
         runs[f"export-plots-{family}"] = ["--seed", "3", "export-plots", "--family", family, *mc]
