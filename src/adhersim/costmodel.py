@@ -33,8 +33,8 @@ The kernel evaluates B arms of one policy that differ only in the adherence
 gain delta, on (B, n) node arrays.  What no gain changes is built once and
 cached as read-only arrays: the grid with its discount factors (``_grid``)
 and, per tau node, the spend of an arm no nudge fires in, P = 1[node >= i0]
-with its discounted trapezoid (``_unnudged_spend``).  That is every kind but
-BASELINE (which spends nothing) when its period is 0.  The nudge logs enter
+with its discounted trapezoid (``_unnudged_spend``).  That is every arm whose
+period is 0, the no-policy arm too, whose P is 0.  The nudge logs enter
 as integers, a period per gain (``scenarios._nudge_periods``); the spend
 channel depends on a gain only through it, so ``arm_costs`` runs it once per
 distinct period, and runs the rest channel (adherence, severity,
@@ -281,14 +281,11 @@ def _spend_rows(policy: PolicyConfig, grid, nudges):
     """P at the nodes and the cumulative spend channel, one row per log."""
     times, disc, nodes = grid[:3]
     p = _spend_at_nodes(policy, nudges, nodes)
-    if policy.kind is PolicyKind.BASELINE:
-        # Nothing is spent: the trapezoid of P = 0 is 0.0 at every node.
-        return p, np.zeros(p.shape)
     # P is constant on each panel: its value at the end is the one at the start.
     return p, _discounted_trapezoid(disc, times[1], p[:, :-1], p[:, :-1], np.empty_like(p))
 
 
-# Every kind but BASELINE spends the step 1[node >= i0] while no nudge fires.
+# A log that fires no nudge spends the step 1[node >= i0], whatever the kind.
 _STEP_POLICY = PolicyConfig(kind=PolicyKind.EARLY_ADHERENCE)
 
 
@@ -305,8 +302,8 @@ def _unnudged_spend(i0: int, horizon: float, steps_per_year: int, rho: float) ->
 
 def _spend(params: ModelParams, policy: PolicyConfig, steps_per_year: int, grid, nudges):
     """``_spend_rows`` of logs with distinct periods, from the cache when the
-    one log is period 0 and the kind spends."""
-    if policy.kind is PolicyKind.BASELINE or nudges[1].any():
+    one log is period 0."""
+    if nudges[1].any():
         return _spend_rows(policy, grid, nudges)
     return _unnudged_spend(nudges[0], params.horizon_T, steps_per_year, params.discount_rate_rho)
 

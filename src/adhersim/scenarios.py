@@ -186,14 +186,12 @@ def _gain_law(policy: PolicyConfig, delta: np.ndarray) -> tuple[np.ndarray, floa
     """(delta, theta) of the gain delta * exp(-theta * (s - last boost)) from tau on,
     for an array of gains ``delta`` that replace the policy's.
 
-    The one place that says which fields each kind ignores: BASELINE has no
-    gain, the step kinds (EARLY_ADHERENCE, DELAYED, LOW_IMPACT) ignore
-    ``decay_theta``, and REGRESSIVE, CUSTOM and ADAPTIVE_NUDGES use both.
+    The one place that says which fields each kind ignores: BASELINE, whose
+    gain never starts (``_nudge_periods``), and the step kinds (EARLY_ADHERENCE,
+    DELAYED, LOW_IMPACT) ignore ``decay_theta``; REGRESSIVE, CUSTOM and
+    ADAPTIVE_NUDGES use both.
     """
-    kind = policy.kind
-    if kind is PolicyKind.BASELINE:
-        return 0.0 * delta, 0.0
-    if kind in (PolicyKind.EARLY_ADHERENCE, PolicyKind.DELAYED, PolicyKind.LOW_IMPACT):
+    if policy.kind in (PolicyKind.BASELINE, PolicyKind.EARLY_ADHERENCE, PolicyKind.DELAYED, PolicyKind.LOW_IMPACT):
         return delta, 0.0
     return delta, policy.decay_theta
 
@@ -222,8 +220,9 @@ def _nudge_periods(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[i
     elapsed time restarts from zero.  Every reset returns the rule to the same
     state, so m is the first step count whose value is below the threshold.
     It holds a (gains, nodes) array: pass the gains in bounded blocks."""
-    i0 = _tau_node(policy)
     i_last = round(params.horizon_T * STEPS_PER_YEAR)
+    # The no-policy arm is a policy that never starts: no node reaches its tau.
+    i0 = i_last + 1 if policy.kind is PolicyKind.BASELINE else _tau_node(policy)
     if policy.kind is not PolicyKind.ADAPTIVE_NUDGES or i0 == i_last:
         return i0, np.zeros(len(deltas), dtype=np.int64)
     deltas = np.asarray(deltas, dtype=float)
@@ -300,18 +299,14 @@ def _spend_at_nodes(policy: PolicyConfig, nudges: tuple[int, np.ndarray], nodes:
 
     P is right-continuous: 1 from tau's node on, plus ``nudge_unit_cost`` for
     each window open at the node.  A window opens at its activation's node and
-    closes NUDGE_WINDOW_YEARS later, on a node too.
+    closes NUDGE_WINDOW_YEARS later, on a node too.  A log that never fires
+    adds nudge_unit_cost * 0 = 0.0 to the step.
     """
-    shape = (len(nudges[1]), len(nodes))
-    if policy.kind is PolicyKind.BASELINE:
-        return np.zeros(shape)
     # The step, 1.0 from tau's node on, in every row.
-    p = np.greater_equal(nodes, nudges[0], out=np.empty(shape))
-    if nudges[1].any():
-        # Without an open window the nudge term would add nudge_unit_cost * 0 = 0.0.
-        _, opened = _activations_by(nudges, nodes)
-        _, closed = _activations_by(nudges, nodes - round(NUDGE_WINDOW_YEARS * STEPS_PER_YEAR))
-        p += policy.nudge_unit_cost * (opened - closed)
+    p = np.greater_equal(nodes, nudges[0], out=np.empty((len(nudges[1]), len(nodes))))
+    _, opened = _activations_by(nudges, nodes)
+    _, closed = _activations_by(nudges, nodes - round(NUDGE_WINDOW_YEARS * STEPS_PER_YEAR))
+    p += policy.nudge_unit_cost * (opened - closed)
     return p
 
 

@@ -261,6 +261,18 @@ class TestCachedRowsStayPrivate:
         with pytest.raises(ValueError):
             step[0][0, -1] = 0.0
 
+    def test_no_policy_arm_reads_the_nudge_free_cache(self, ref_params):
+        # The no-policy arm starts past the last node, so it spends nothing
+        # and its spend rows are the cache's read-only rows for that node.
+        i_last = node(ref_params.horizon_T)
+        i0, periods = scenarios._nudge_periods(ref_params, BASELINE, [0.0, 0.3, 1.0])
+        assert (i0, periods.tolist()) == (i_last + 1, [0, 0, 0])
+        traj = simulate_trajectory(ref_params, BASELINE)
+        cached = costmodel._unnudged_spend(i0, ref_params.horizon_T, 100, ref_params.discount_rate_rho)
+        for row, rows in zip((traj._rows[1], traj._rows[3]), cached):
+            assert np.shares_memory(row, rows) and not row.flags.writeable
+            assert row.tobytes() == np.zeros(i_last + 1).tobytes()
+
 
 class TestAdherenceReads:
     """Adherence is read only where it can change: at the n nodes where it is
