@@ -32,6 +32,7 @@ from .scenarios import PolicyConfig
 
 QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
 DEFAULT_DELTA_SD = 0.05
+MAX_DRAWS = 1_000_000  # 100 times the documented 10 000; a run holds a few hundred bytes per draw
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), kept as Python
 # ints below 2**32 so that no numpy scalar arithmetic can overflow.
@@ -124,6 +125,8 @@ def check_draw_keys(seed: int | None, n_draws: int | None) -> None:
         raise ValueError("seed: must be >= 0")
     if n_draws is not None and n_draws < 1:
         raise ValueError("n_draws: must be >= 1")
+    if n_draws is not None and n_draws > MAX_DRAWS:
+        raise ValueError(f"n_draws: must be <= {MAX_DRAWS}")
 
 
 def substream(master_seed: int, draw_index: int) -> np.random.Generator:

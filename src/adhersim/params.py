@@ -14,6 +14,8 @@ from pathlib import Path
 
 from .numerics import STEPS_PER_YEAR, check_finite
 
+MAX_HORIZON_YEARS = 1000  # 100 times the reference horizon: a grid of 100 001 nodes
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -46,6 +48,8 @@ class ModelParams:
             raise ValueError("discount_rate_rho: must be >= 0")
         if self.horizon_T <= 0:
             raise ValueError("horizon_T: must be > 0")
+        if self.horizon_T > MAX_HORIZON_YEARS:
+            raise ValueError(f"horizon_T: must be <= {MAX_HORIZON_YEARS}")
         steps = self.horizon_T * STEPS_PER_YEAR
         if round(steps) < 1 or abs(round(steps) - steps) > 1e-9:
             # The horizon is the last node of the canonical grid.

@@ -337,6 +337,8 @@ class TestInputErrors:
         (["export-plots", "--family", "mc", "--n-draws", "5"], "seed: the mc family requires a seed"),
         (["--seed", "1", "export-plots", "--family", "mc"], "n_draws: the mc family requires a draw count"),
         (["export-plots", "--family", "severity", "--n-draws", "0"], "n_draws: must be >= 1"),
+        (["--seed", "1", "mc", "--n-draws", str(10**30)], "n_draws: must be <= 1000000"),
+        (["--seed", "1", "export-plots", "--family", "mc", "--n-draws", "1000001"], "n_draws: must be <= 1000000"),
         (["breakeven", "--delta-axis", "nan"], "delta_axis: values must be finite"),
         (["breakeven", "--delta-axis", "inf"], "delta_axis: values must be finite"),
         (["breakeven", "--delta-axis", "0.1,nan"], "delta_axis: values must be finite"),
@@ -347,6 +349,7 @@ class TestInputErrors:
         (["stress", "--kind", "accelerated_progression", "--value", "nan"], "stress_value: must be finite, got nan"),
     ], ids=["negative_seed", "zero_plot_draws", "plots_with_config",
             "plots_negative_seed", "plots_mc_without_seed", "plots_mc_without_draws", "plots_zero_draws",
+            "oversize_draws", "plots_oversize_draws",
             "breakeven_nan_delta", "breakeven_inf_delta", "breakeven_trailing_nan_delta",
             "breakeven_delta_above_one", "sweep_delta_above_one", "sweep_nan_gamma",
             "deflating_stress", "nan_compression"])
@@ -363,6 +366,14 @@ class TestInputErrors:
         rc = _run(["--params", params, "--out", tmp_path / "out", "simulate"])
         assert rc == 2
         assert "error: horizon_T: must be a whole number of 1/100-year steps, got 10.005" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_oversize_horizon_names_its_key(self, tmp_path, capsys):
+        params = tmp_path / "params.txt"
+        params.write_text(reference_params_path().read_text().replace("horizon_T = 10.0", "horizon_T = 1e30"))
+        rc = _run(["--params", params, "--out", tmp_path / "out", "simulate"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: horizon_T: must be <= 1000\n"
         assert not (tmp_path / "out").exists()
 
     def test_out_of_range_parameter_names_its_key(self, tmp_path, capsys):

@@ -13,8 +13,10 @@ from adhersim import costmodel
 from adhersim.analytics import baseline_cost, roi
 from adhersim.costmodel import simulate_trajectory
 from adhersim.montecarlo import (
+    MAX_DRAWS,
     QUANTILE_LEVELS,
     DistributionSpec,
+    check_draw_keys,
     positive_rate,
     run_monte_carlo,
     sample_delta,
@@ -89,6 +91,12 @@ class TestSampling:
 
 
 class TestRunMonteCarlo:
+    def test_draw_count_has_a_ceiling(self, ref_params):
+        check_draw_keys(None, MAX_DRAWS)
+        for n in (MAX_DRAWS + 1, 10**30):
+            with pytest.raises(ValueError, match=f"^n_draws: must be <= {MAX_DRAWS}$"):
+                run_monte_carlo(ref_params, EARLY, DistributionSpec.beta_from_mean(0.3), n, master_seed=1)
+
     def test_single_degenerate_draw_equals_deterministic(self, ref_params):
         spec = DistributionSpec.binary(0.3, 0.3, 1.0)
         summary, draws = run_monte_carlo(ref_params, EARLY, spec, 1, master_seed=5)

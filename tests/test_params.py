@@ -82,6 +82,8 @@ class TestModelParamsValidation:
         ("severity_coupling_eta", -1.0),
         ("policy_unit_cost", -1.0),
         ("horizon_T", 0.0),
+        ("horizon_T", 1000.01),
+        ("horizon_T", 1e30),
     ])
     def test_out_of_range_field_is_named(self, field, bad):
         with pytest.raises(ValueError, match=f"^{field}: must"):
@@ -92,6 +94,7 @@ class TestModelParamsValidation:
             make_params(horizon_T=10.005)
         assert make_params(horizon_T=0.01).horizon_T == 0.01
         assert make_params(horizon_T=3.0).horizon_T == 3.0
+        assert make_params(horizon_T=1000.0).horizon_T == 1000.0
 
     def test_health_weight_lambda_is_read_by_no_engine_term(self):
         plain = make_params()

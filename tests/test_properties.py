@@ -25,6 +25,7 @@ from adhersim import costmodel
 from adhersim.costmodel import arm_costs, simulate_trajectory, total_cost
 from adhersim.exports import csv_bytes, trajectory_csv
 from adhersim.montecarlo import (
+    MAX_DRAWS,
     DistributionSpec,
     _draw_streams,
     _spawn_seed_words,
@@ -638,7 +639,7 @@ def run_configs(draw):
         mode=mode,
         output_dir=draw(paths),
         seed=maybe(st.integers(0, 2**63), mode is RunMode.MONTE_CARLO),
-        n_draws=maybe(st.integers(1, 10**9), mode is RunMode.MONTE_CARLO),
+        n_draws=maybe(st.integers(1, MAX_DRAWS), mode is RunMode.MONTE_CARLO),
         delta_axis=maybe(config_axis(st.floats(0.0, 1.0)), mode in (RunMode.SWEEP, RunMode.BREAKEVEN)) or (),
         gamma_axis=maybe(config_axis(finite), mode is RunMode.SWEEP) or (),
         stress_kind=stress_kind,
