@@ -68,7 +68,6 @@ from .scenarios import (
     _nudge_periods,
     _spend_at_nodes,
     adherence_array,
-    validate_pair,
 )
 
 
@@ -315,7 +314,6 @@ def simulate_trajectory(
 ) -> Trajectory:
     """Simulate one policy arm on the fixed grid."""
     grid = _grid(params.horizon_T, steps_per_year, params.discount_rate_rho)
-    validate_pair(params, policy)
     deltas = [policy.adherence_gain_delta]
     nudges = _nudge_periods(params, policy, deltas)
     a, severity, rest_nodes, rest = _rest_rows(params, policy, grid, deltas, nudges)
@@ -350,7 +348,6 @@ def arm_costs(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[np.nda
     """
     deltas = np.asarray(deltas, dtype=float)
     grid = _grid(params.horizon_T, STEPS_PER_YEAR, params.discount_rate_rho)
-    validate_pair(params, policy)
     periods = np.empty(deltas.size, dtype=np.int64)
     for lo in range(0, deltas.size, _CHUNK_ARMS):
         chunk = slice(lo, lo + _CHUNK_ARMS)

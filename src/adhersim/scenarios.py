@@ -2,13 +2,14 @@
 the adaptive-nudge feedback rule, and the stress transforms.
 
 All adherence and expenditure functions are right-continuous in time; a policy
-active from time tau contributes from s = tau onward.  Every policy event (the
-snapped start, each nudge activation and each window closure) sits on a node
-of the canonical 0.01-year grid, so between two nodes the policy stays on the
-piece in force at the earlier one.  ``adherence_array`` takes the canonical
-node whose piece to read, which lets the integrator evaluate a panel's
-interior and right end on the piece its start node set; spend is constant on
-a panel.
+active from time tau contributes from s = tau onward.  A policy never starts if
+it is the no-policy arm or its tau lies past the horizon: its tau node is one
+past the grid's last, so it is priced as the no-policy arm.  Every policy event
+(the snapped start, each nudge activation and each window closure) sits on a
+node of the canonical 0.01-year grid, so between two nodes the policy stays on
+the piece in force at the earlier one.  ``adherence_array`` takes the canonical
+node whose piece to read, which lets the integrator evaluate a panel's interior
+and right end on the piece its start node set; spend is constant on a panel.
 
 The engine keeps nudge logs in period form: the adaptive rule fires every m
 canonical nodes after tau's node i0 (``_nudge_periods``; m = 0 never fires).
@@ -153,24 +154,16 @@ def build_preset(name: str) -> PolicyConfig:
     return PolicyConfig(**_PRESETS[key])
 
 
-def validate_pair(params: ModelParams, policy: PolicyConfig) -> None:
-    """Cross-checks that couple the parameter vector with a policy design.
+def validate_authored_pair(params: ModelParams, policy: PolicyConfig) -> None:
+    """Strict invariants for hand-authored configurations.
 
-    Only conditions the engine cannot evaluate past are rejected here.
-    A0 + delta above 1 is tolerated (adherence is clamped to [0, 1]) and an
-    unreachable nudge threshold simply never triggers: stochastic draws near
-    the edges of their support must propagate through the engine rather than
-    abort a whole Monte Carlo run.  Hand-authored run configurations enforce
-    the stricter A0 + delta <= 1 and threshold < A0 + delta invariants at
-    parse time instead (see cli/runconfig).
+    The engine evaluates any pair, so that stochastic draws near the edges of
+    their support propagate through it rather than abort a whole Monte Carlo
+    run: a policy that starts after the horizon never starts, adherence is
+    clamped to [0, 1] and an unreachable nudge threshold never triggers.
     """
     if policy.start_tau > params.horizon_T:
         raise ValueError(f"start_tau: {policy.start_tau} lies beyond horizon_T {params.horizon_T}")
-
-
-def validate_authored_pair(params: ModelParams, policy: PolicyConfig) -> None:
-    """Strict invariants for hand-authored configurations."""
-    validate_pair(params, policy)
     a_top = params.adherence_baseline_A0 + policy.adherence_gain_delta
     if a_top > 1.0 + 1e-12:
         raise ValueError(
@@ -221,9 +214,10 @@ def _nudge_periods(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[i
     state, so m is the first step count whose value is below the threshold.
     It holds a (gains, nodes) array: pass the gains in bounded blocks."""
     i_last = round(params.horizon_T * STEPS_PER_YEAR)
-    # The no-policy arm is a policy that never starts: no node reaches its tau.
-    i0 = i_last + 1 if policy.kind is PolicyKind.BASELINE else _tau_node(policy)
-    if policy.kind is not PolicyKind.ADAPTIVE_NUDGES or i0 == i_last:
+    # The no-policy arm and a policy whose unsnapped tau is past the horizon never start.
+    never = policy.kind is PolicyKind.BASELINE or policy.start_tau > params.horizon_T
+    i0 = i_last + 1 if never else _tau_node(policy)
+    if policy.kind is not PolicyKind.ADAPTIVE_NUDGES or i0 >= i_last:
         return i0, np.zeros(len(deltas), dtype=np.int64)
     deltas = np.asarray(deltas, dtype=float)
     a0 = params.adherence_baseline_A0

@@ -387,8 +387,7 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("args", [
         ["simulate", "--scenario", "delayed"],
-        ["export-plots", "--family", "severity"],
-    ], ids=["simulate", "export_plots"])
+    ], ids=["simulate"])
     def test_start_past_horizon_names_its_key(self, tmp_path, capsys, args):
         params = tmp_path / "params.txt"
         params.write_text(reference_params_path().read_text().replace("horizon_T = 10.0", "horizon_T = 3.0"))
@@ -397,6 +396,15 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err == "error: start_tau: 5.0 lies beyond horizon_T 3.0\n"
         assert not (tmp_path / "out").exists()
+
+    def test_preset_starting_past_horizon_plots_as_no_policy_arm(self, tmp_path):
+        # The delayed preset starts at tau = 5: at a 3-year horizon it never starts.
+        params = tmp_path / "params.txt"
+        params.write_text(reference_params_path().read_text().replace("horizon_T = 10.0", "horizon_T = 3.0"))
+        out = tmp_path / "out"
+        assert _run(["--params", params, "--out", out, "export-plots", "--family", "severity"]) == 0
+        assert len(list(out.glob("severity_*.csv"))) == 7
+        assert (out / "severity_delayed.csv").read_bytes() == (out / "severity_baseline.csv").read_bytes()
 
     @pytest.mark.parametrize("flag, value, expected", [
         ("--out", "run#3", "output_dir: must not contain '#'"),

@@ -5,6 +5,7 @@ deterministic and its run time does not depend on the host.
 """
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -395,6 +396,26 @@ def test_batched_rows_equal_plain_numpy_reference(params, policy, deltas):
         expected = kernel_reference(params, replace(policy, adherence_gain_delta=delta))
         assert rest[i:i + 1].tobytes() == expected["rest_cost"].tobytes(), delta
         assert spend[i:i + 1].tobytes() == expected["spend_integral"].tobytes(), delta
+
+
+TRAJECTORY_COLUMNS = ("times", "adherence", "severity", "policy_cost", "instantaneous_cost",
+                      "cumulative_cost", "rest_cost", "spend_integral", "final_cost")
+# Every kind with tau anywhere past the horizon, up to the largest float.
+late_policies = st.builds(replace, kernel_policies,
+                          start_tau=st.floats(PARAMS.horizon_T, sys.float_info.max, exclude_min=True))
+
+
+@PROPERTY
+@given(kernel_params, late_policies, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2 * costmodel._CHUNK_ARMS + 1))
+@example(PARAMS, replace(build_preset("adaptive_nudges"), start_tau=sys.float_info.max), [0.3])
+def test_policy_starting_past_horizon_is_the_no_policy_arm(params, policy, deltas):
+    never = replace(policy, kind=PolicyKind.BASELINE)
+    traj, expected = simulate_trajectory(params, policy), simulate_trajectory(params, never)
+    for name in TRAJECTORY_COLUMNS:
+        got, want = (np.asarray(getattr(run, name), dtype=float) for run in (traj, expected))
+        assert got.tobytes() == want.tobytes(), name
+    for got, want in zip(arm_costs(params, policy, deltas), arm_costs(params, never, deltas)):
+        assert got.tobytes() == want.tobytes()
 
 
 @PROPERTY

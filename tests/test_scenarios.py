@@ -16,7 +16,6 @@ from adhersim.scenarios import (
     apply_stress,
     build_preset,
     validate_authored_pair,
-    validate_pair,
 )
 
 from conftest import make_params
@@ -261,7 +260,7 @@ class TestValidation:
         bad = PolicyConfig(kind=PolicyKind.EARLY_ADHERENCE, start_tau=11.0,
                            adherence_gain_delta=0.3, cost_scale_gamma=1.5)
         with pytest.raises(ValueError, match="^start_tau: 11.0 lies beyond horizon_T 10.0$"):
-            validate_pair(ref_params, bad)
+            validate_authored_pair(ref_params, bad)
 
     def test_field_range_checks(self):
         with pytest.raises(ValueError):
