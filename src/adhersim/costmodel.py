@@ -335,7 +335,8 @@ def arm_costs(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[np.nda
 
     Row i equals ``simulate_trajectory`` of ``policy`` with gain ``deltas[i]``
     bit for bit: ``total_cost`` of the pair is that run's ``final_cost``.  The
-    gains are taken as given (the caller checks they lie in [0, 1]).
+    gains are taken as given: the sweep checks its axis lies in [0, 1], and
+    every ``DistributionSpec`` draws in [0, 1].
 
     The nudge periods are computed first, ``_CHUNK_ARMS`` gains at a time.
     The rest channel then takes the gains in chunks in stable period order

@@ -235,21 +235,15 @@ def run_monte_carlo(
     draws["draw_index"] = np.arange(n)
     deltas = draws["delta"]
     deltas[:] = [sample_delta(spec, stream) for stream in _draw_streams(master_seed, n)]
-
-    def name(i: int) -> str:
-        return f"draw {i} (delta={deltas[i]:.6f})"
-
-    in_range = (deltas >= 0.0) & (deltas <= 1.0)
-    if not in_range.all():
-        raise ValueError(f"{name(int(in_range.argmin()))} failed: adherence_gain_delta: must be in [0, 1]")
     rest, spend = arm_costs(params, policy_template, deltas)
     costs = total_cost(params, policy_template, rest, spend)
     try:
         rois = roi(c_base, costs)
     except RejectedCost as exc:
-        raise ValueError(f"{name(exc.index)} failed: {exc}") from exc
+        raise ValueError(f"draw {exc.index} (delta={deltas[exc.index]:.6f}) failed: {exc}") from exc
     draws["total_cost"], draws["roi_percent"] = costs, rois
-    roi_sd = float(np.std(rois, ddof=0))
+    # Centred on a draw, a series of one value has an sd of exactly 0.
+    roi_sd = float(np.std(rois - rois[0], ddof=0))
     p_positive = positive_rate(rois)
     summary = McSummary(
         n_draws=n,
@@ -261,7 +255,7 @@ def run_monte_carlo(
                                np.quantile(rois, QUANTILE_LEVELS, method="inverted_cdf").tolist())),
         prob_roi_positive=p_positive,
         cost_mean=float(np.mean(costs)),
-        cost_sd=float(np.std(costs, ddof=0)),
+        cost_sd=float(np.std(costs - costs[0], ddof=0)),
         roi_mean_se=roi_sd / math.sqrt(n),
         prob_roi_positive_se=math.sqrt(p_positive * (1.0 - p_positive) / n),
     )

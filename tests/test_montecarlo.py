@@ -105,6 +105,15 @@ class TestRunMonteCarlo:
         assert summary.roi_sd == 0.0
         assert summary.n_draws == 1 and draws.shape == (1,)
 
+    @pytest.mark.parametrize("preset", ["baseline", "early_adherence"])
+    def test_point_mass_run_has_zero_spread(self, ref_params, preset):
+        # The mean of 300 copies of a cost need not be that cost, so an sd
+        # taken about the mean would read a few ulps above 0.
+        design = build_preset(preset)
+        spec = DistributionSpec.binary(design.adherence_gain_delta, design.adherence_gain_delta, 1.0)
+        summary, _ = run_monte_carlo(ref_params, design, spec, 300, master_seed=5)
+        assert summary.cost_sd == summary.roi_sd == summary.roi_mean_se == 0.0
+
     def test_same_seed_is_bit_identical(self, ref_params):
         spec = DistributionSpec.beta_from_mean(0.3)
         s1, d1 = run_monte_carlo(ref_params, EARLY, spec, 64, master_seed=42)
