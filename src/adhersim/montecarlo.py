@@ -65,8 +65,9 @@ class DistributionSpec:
 
     def __post_init__(self) -> None:
         if self.kind is DistributionKind.BETA:
-            if self.alpha_shape <= 0 or self.beta_shape <= 0:
-                raise ValueError("beta shapes must be > 0")
+            # numpy's Beta draws NaN for a NaN or infinite shape.
+            if not (0 < self.alpha_shape < math.inf and 0 < self.beta_shape < math.inf):
+                raise ValueError("beta shapes must be finite and > 0")
         elif self.kind is DistributionKind.BINARY:
             for name in ("delta_high", "delta_low"):
                 v = getattr(self, name)

@@ -38,6 +38,12 @@ class TestDistributionSpec:
         with pytest.raises(ValueError):
             DistributionSpec.binary(0.3, 0.1, 1.5)
 
+    @pytest.mark.parametrize("shapes", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf)])
+    def test_beta_shapes_must_be_finite(self, shapes):
+        # Every draw of a valid spec lies in [0, 1]; no engine check repeats it.
+        with pytest.raises(ValueError, match="^beta shapes must be finite and > 0$"):
+            DistributionSpec.beta(*shapes)
+
     def test_beta_from_mean_matches_requested_moments(self):
         spec = DistributionSpec.beta_from_mean(0.3, 0.05)
         a, b = spec.alpha_shape, spec.beta_shape
