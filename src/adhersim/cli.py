@@ -4,7 +4,8 @@ Subcommands: simulate, compare, sweep, breakeven, mc, stress, export-plots.
 Global flags --params/--out/--seed apply to every subcommand; --config loads a
 run-configuration file whose keys the flags then override.  A flag's argparse
 dest is the run-configuration key it sets (--out is ``output_dir``, --kind is
-``stress_kind``), so the overrides are read off the ``RunConfig`` fields.
+``stress_kind``), and a flag is its key's text: it is laid over the document's
+line and parsed like one, so a malformed flag names its key as a line does.
 Each run writes its mode-specific CSV/JSON outputs plus a manifest.json with
 checksums, and prints a one-line summary.
 
@@ -19,7 +20,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -47,14 +48,15 @@ from .exports import (
     write_run_outputs,
 )
 from .montecarlo import DEFAULT_DELTA_SD, DistributionSpec, check_draw_keys, run_monte_carlo
-from .params import load_params, read_text, reference_params_path
+from .params import document_lines, load_params, read_text, reference_params_path
 from .runconfig import (
     RunConfig,
     RunMode,
+    _KEYS,
     _STRESS_KINDS,
-    _parse_axis,
-    _parse_document,
     effective_stress_value,
+    parse_keys,
+    parse_value,
     serialize_run_config,
     validate_run_config,
 )
@@ -239,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--params", dest="params_file", metavar="PARAMS",
                         help="model parameter file (default: packaged reference)")
     parser.add_argument("--out", dest="output_dir", metavar="OUT", help="output directory")
-    parser.add_argument("--seed", type=int, help="master random seed")
+    parser.add_argument("--seed", help="master random seed")
     parser.add_argument("--config", help="run-configuration file; flags override its keys")
 
     delta_axis = ("--delta-axis", {"help": "comma-separated increasing deltas"})
@@ -250,10 +252,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "simulate": ("simulate one scenario trajectory", ()),
         "compare": ("compare a scenario against the baseline arm", ()),
         "mc": ("Monte Carlo over stochastic adherence gains",
-               (("--n-draws", {"type": int, "help": "number of Monte Carlo draws"}),)),
+               (("--n-draws", {"help": "number of Monte Carlo draws"}),)),
         "stress": ("paired unstressed/stressed run", (
             ("--kind", {"dest": "stress_kind", "choices": _STRESS_KINDS}),
-            ("--value", {"dest": "stress_value", "metavar": "VALUE", "type": float,
+            ("--value", {"dest": "stress_value", "metavar": "VALUE",
                          "help": f"stress multiplier (default {defaults})"}),
         )),
         "sweep": ("ROI sweep over the (delta, gamma) design space",
@@ -263,36 +265,25 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
     for name, (help_text, flags) in run_commands.items():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(mode=RunMode(name))
-        p.add_argument("--scenario", type=str.lower,
+        p.set_defaults(mode=name)
+        p.add_argument("--scenario",
                        help=f"preset name ({', '.join(PRESET_NAMES)}) or custom; default early_adherence")
         for flag, kwargs in flags:
             p.add_argument(flag, **kwargs)
     plots = sub.add_parser("export-plots", help="CSV series reproducing the figure families")
     plots.add_argument("--family", required=True, choices=PLOT_FAMILIES)
-    plots.add_argument("--n-draws", type=int, help="draws for the mc family")
+    plots.add_argument("--n-draws", help="draws for the mc family")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.config:
-        config = _parse_document(read_text("config", args.config))
-    elif args.output_dir:
-        config = RunConfig(
-            params_file=str(reference_params_path()),
-            scenario="early_adherence",
-            mode=args.mode,
-            output_dir=args.output_dir,
-        )
+        raw = {key: value for _, key, value in document_lines(read_text("config", args.config))}
     else:
-        raise ValueError("missing --out (or provide --config with output_dir)")
-
-    # Flags override the document's keys.
-    updates = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
-    for key in ("delta_axis", "gamma_axis"):
-        if updates[key] is not None:
-            updates[key] = _parse_axis(key, updates[key])
-    config = replace(config, **{key: v for key, v in updates.items() if v is not None})
+        raw = {"params_file": str(reference_params_path()), "scenario": "early_adherence"}
+    # A flag is its key's text, laid over the document's line.
+    raw.update((key, text) for key, text in vars(args).items() if key in _KEYS and text is not None)
+    config = parse_keys(raw)
     validate_run_config(config)
     return config
 
@@ -311,8 +302,8 @@ def main(argv: list[str] | None = None) -> int:
                 params_file=args.params_file or str(reference_params_path()),
                 family=args.family,
                 output_dir=args.output_dir or "plot_data",
-                seed=args.seed,
-                n_draws=args.n_draws,
+                **{key: parse_value(key, text) for key in ("seed", "n_draws")
+                   if (text := getattr(args, key)) is not None},
             )
         else:
             run(_config_from_args(args))

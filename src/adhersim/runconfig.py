@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .montecarlo import check_draw_keys
 from .params import document_lines
@@ -107,8 +107,8 @@ def _check_document_value(key: str, value: str) -> None:
 def validate_run_config(config: RunConfig) -> None:
     """Range and mode-requirement rules of a run configuration.
 
-    Checked once a document is parsed, or by the CLI once its flags have
-    overridden the document's keys.  Every message names the key.
+    Checked once ``parse_keys`` has read a document's keys, with any flags
+    laid over them by the CLI.  Every message names the key.
     """
     for key in ("params_file", "output_dir"):
         _check_document_value(key, getattr(config, key))
@@ -148,76 +148,58 @@ def validate_run_config(config: RunConfig) -> None:
 
 def parse_run_config(text: str) -> RunConfig:
     """Parse and fully validate a run-configuration document."""
-    config = _parse_document(text)
+    config = parse_keys({key: value for _, key, value in document_lines(text)})
     validate_run_config(config)
     return config
 
 
-def _parse_document(text: str) -> RunConfig:
-    """Parse a run-configuration document; the mode and range rules are left
-    to ``validate_run_config``."""
-    raw = {key: value for _, key, value in document_lines(text)}
-
-    def take(key: str, kind: type = str):
-        value = raw.pop(key, None)
-        if value is None or kind is str:
-            return value
+def parse_value(key: str, text: str):
+    """One key's value from its text, as a document line or a flag gives it."""
+    if key in ("params_file", "output_dir"):
+        return text
+    if key in ("delta_axis", "gamma_axis"):
+        return _parse_axis(key, text)
+    if key == "mode":
         try:
-            return kind(value)
+            return RunMode(text.lower())
         except ValueError:
-            expected = "an integer" if kind is int else "a number"
-            raise ValueError(f"{key}: expected {expected}, got {value!r}") from None
-
-    def required(key: str) -> str:
-        value = take(key)
-        if not value:
-            raise ValueError(f"missing required key: {key}")
-        return value
-
-    params_file = required("params_file")
-    scenario = required("scenario").lower()
-    mode_raw = required("mode")
+            raise ValueError(
+                f"mode: unknown mode {text!r}; valid: {', '.join(m.value for m in RunMode)}"
+            ) from None
+    if key in ("seed", "n_draws"):
+        kind, expected = int, "an integer"
+    elif key == "stress_value" or key.startswith("policy."):
+        kind, expected = float, "a number"
+    else:
+        return text.lower()
     try:
-        mode = RunMode(mode_raw.lower())
+        return kind(text)
     except ValueError:
-        raise ValueError(
-            f"mode: unknown mode {mode_raw!r}; valid: {', '.join(m.value for m in RunMode)}"
-        ) from None
-    output_dir = required("output_dir")
+        raise ValueError(f"{key}: expected {expected}, got {text!r}") from None
 
-    seed = take("seed", int)
-    n_draws = take("n_draws", int)
-    delta_axis = take("delta_axis")
-    gamma_axis = take("gamma_axis")
-    stress_kind = take("stress_kind")
-    stress_value = take("stress_value", float)
 
-    overrides: dict[str, float] = {}
-    for key in list(raw):
-        if key.startswith("policy."):
-            name = key[len("policy."):]
-            if name not in _POLICY_OVERRIDE_FIELDS:
-                raise ValueError(
-                    f"{key}: unknown policy field; valid: "
-                    + ", ".join("policy." + f for f in _POLICY_OVERRIDE_FIELDS)
-                )
-            overrides[name] = take(key, float)
-    if raw:
-        raise ValueError(f"unknown key: {', '.join(sorted(raw))}")
+# Every key, mapped to whether a run needs it: the RunConfig fields in order,
+# a field with no default being required, then one policy.<field> key per
+# preset override.
+_KEYS = {f.name: f.default is MISSING for f in fields(RunConfig) if f.name != "policy_overrides"}
+_KEYS.update(("policy." + name, False) for name in _POLICY_OVERRIDE_FIELDS)
 
-    return RunConfig(
-        params_file=params_file,
-        scenario=scenario,
-        mode=mode,
-        output_dir=output_dir,
-        seed=seed,
-        n_draws=n_draws,
-        delta_axis=() if delta_axis is None else _parse_axis("delta_axis", delta_axis),
-        gamma_axis=() if gamma_axis is None else _parse_axis("gamma_axis", gamma_axis),
-        stress_kind=None if stress_kind is None else stress_kind.lower(),
-        stress_value=stress_value,
-        policy_overrides=overrides,
-    )
+
+def parse_keys(raw: dict[str, str]) -> RunConfig:
+    """A configuration from each key's text; the mode and range rules are left
+    to ``validate_run_config``."""
+    unknown = raw.keys() - _KEYS.keys()
+    if unknown:
+        raise ValueError(f"unknown key: {', '.join(sorted(unknown))}; valid: {', '.join(_KEYS)}")
+    values, overrides = {}, {}
+    for key, required in _KEYS.items():
+        text = raw.get(key)
+        if required and not text:
+            raise ValueError(f"missing required key: {key}")
+        if text is not None:
+            target = overrides if key.startswith("policy.") else values
+            target[key.removeprefix("policy.")] = parse_value(key, text)
+    return RunConfig(**values, policy_overrides=overrides)
 
 
 def effective_stress_value(config: RunConfig) -> float:
