@@ -87,6 +87,8 @@ class DistributionSpec:
         """Shapes matched to a target mean and standard deviation."""
         if not (0.0 < mean < 1.0):
             raise ValueError("mean must be in (0, 1)")
+        if not (0.0 < sd < math.inf and sd * sd > 0.0):
+            raise ValueError(f"sd: must be finite and > 0, with a square > 0; got {sd!r}")
         nu = mean * (1.0 - mean) / (sd * sd) - 1.0
         if nu <= 0:
             raise ValueError(f"{mean!r} is too close to 0 or 1 for a Beta draw with sd {sd!r}")

@@ -51,6 +51,12 @@ class TestDistributionSpec:
         var = a * b / ((a + b) ** 2 * (a + b + 1))
         assert math.sqrt(var) == pytest.approx(0.05, rel=1e-9)
 
+    @pytest.mark.parametrize("sd", [0.0, 1e-200, -0.05, math.nan, math.inf])
+    def test_beta_from_mean_rejects_an_sd_it_cannot_match(self, sd):
+        # 1e-200 squares to 0; -0.05 squares to the same shapes as 0.05.
+        with pytest.raises(ValueError, match="^sd: "):
+            DistributionSpec.beta_from_mean(0.3, sd)
+
 
 class TestSampling:
     def test_degenerate_binary(self):
