@@ -30,6 +30,7 @@ from .scenarios import PolicyConfig, StressKind, apply_stress, build_preset
 CONTOUR_LEVELS_SIGN = (-5.0, 0.0, 5.0)
 CONTOUR_LEVELS_DESIGN = (0.0, 50.0, 100.0)
 CONTOUR_LEVELS = tuple(sorted(set(CONTOUR_LEVELS_SIGN + CONTOUR_LEVELS_DESIGN)))
+MAX_SWEEP_CELLS = 1_000_000  # as many as MAX_DRAWS; the grids hold a few 8-byte floats per cell
 
 
 @dataclass(frozen=True)
@@ -150,6 +151,8 @@ def sweep_design_space(
         raise ValueError("delta_axis: values must be in [0, 1]")
     if not (np.all(np.isfinite(gamma_axis)) and gamma_axis[0] >= 0):
         raise ValueError("gamma_axis: values must be finite and >= 0")
+    if delta_axis.size * gamma_axis.size > MAX_SWEEP_CELLS:
+        raise ValueError(f"gamma_axis: {delta_axis.size} x {gamma_axis.size} cells; at most {MAX_SWEEP_CELLS}")
 
     c_base = baseline_cost(params)
     rest, spend = arm_costs(params, template, delta_axis)

@@ -93,6 +93,15 @@ class TestSweep:
         _, rows = _read_csv(out / "breakeven.csv")
         assert rows == [["0", ""], ["0.5", ""]]
 
+    def test_sweep_over_the_cell_ceiling_is_rejected(self, tmp_path, capsys):
+        # 1 001 x 1 000 cells: the check runs before any arm, so nothing large is allocated.
+        out = tmp_path / "sw"
+        deltas = ",".join(repr(i / 1000) for i in range(1001))
+        gammas = ",".join(str(i) for i in range(1000))
+        assert _run(["--out", out, "sweep", "--delta-axis", deltas, "--gamma-axis", gammas]) == 2
+        assert capsys.readouterr().err == "error: gamma_axis: 1001 x 1000 cells; at most 1000000\n"
+        assert not out.exists()
+
     def test_reproducible_byte_identical_runs(self, tmp_path):
         out = tmp_path / "a"
         names = ("roi_grid.csv", "contours.json", "breakeven.csv", "manifest.json")
