@@ -280,6 +280,13 @@ class TestConfigFile:
         assert _run(["--config", cfg] + flags) == 0
         assert (out / output).exists()
 
+    def test_out_supplies_output_dir_the_config_leaves_out(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        cfg.write_text(f"params_file = {reference_params_path()}\nscenario = baseline\nmode = simulate\n")
+        assert _run(["--config", cfg, "--out", out, "simulate"]) == 0
+        assert (out / "trajectory.csv").exists()
+
     def test_authoring_rejects_overfull_adherence(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(

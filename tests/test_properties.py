@@ -4,9 +4,13 @@ Examples are derandomized and have no deadline, so the suite stays
 deterministic and its run time does not depend on the host.
 """
 
+import contextlib
+import io
 import math
 import sys
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from adhersim.analytics import (
     sweep_design_space,
 )
 from adhersim import costmodel
+from adhersim.cli import main
 from adhersim.costmodel import arm_costs, simulate_trajectory, total_cost
 from adhersim.exports import csv_bytes, trajectory_csv
 from adhersim.montecarlo import (
@@ -805,3 +810,30 @@ def test_malformed_config_names_its_key(case):
     with pytest.raises(ValueError) as exc:
         parse_run_config(document(broken))
     assert key in str(exc.value)
+
+
+# Each typed flag on every command that takes it: the key its error names,
+# and the arguments after --out, the malformed text standing at None.
+TYPED_FLAGS = (
+    ("seed", ["--seed", None, "mc", "--n-draws", "5"]),
+    ("n_draws", ["--seed", "1", "mc", "--n-draws", None]),
+    ("seed", ["--seed", None, "export-plots", "--family", "mc", "--n-draws", "5"]),
+    ("n_draws", ["--seed", "1", "export-plots", "--family", "mc", "--n-draws", None]),
+    ("stress_value", ["stress", "--kind", "cost_inflation", "--value", None]),
+    ("delta_axis", ["sweep", "--delta-axis", None, "--gamma-axis", "1"]),
+    ("gamma_axis", ["sweep", "--delta-axis", "0.1", "--gamma-axis", None]),
+)
+
+
+@pytest.mark.parametrize("key, args", TYPED_FLAGS, ids=[
+    "mc-seed", "mc-n_draws", "export_plots-seed", "export_plots-n_draws", "stress-value", "sweep-delta", "sweep-gamma"])
+@PROPERTY
+# argparse reads "--1" as an option, not as a flag's value.
+@given(text=st.sampled_from([text for text in NOT_NUMBERS if text != "--1"]))
+def test_malformed_flag_names_its_key(key, args, text):
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+        out = Path(tmp) / "out"
+        assert main(["--out", str(out)] + [text if a is None else a for a in args]) == 2
+        assert not out.exists()
+    assert err.getvalue().startswith(f"error: {key}: ")
+    assert "Traceback" not in err.getvalue()
