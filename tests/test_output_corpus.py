@@ -16,8 +16,13 @@ each file it writes:
 
 A change that moves an output on purpose regenerates the corpus with
 ``PYTHONPATH=src python tests/test_output_corpus.py`` and names every entry
-that moved in CHANGES.md.  The corpus is never regenerated in CI.  Whether
-the digests match on other CPUs is not verified.
+that moved in CHANGES.md.  The corpus is never regenerated in CI.
+
+Reproducibility has two tiers.  Reruns on one host with one numpy are byte
+for byte the same.  Across hosts, this corpus holds: the CSV digests over
+6-digit cells, and the JSON numbers to rel 1e-12.  CI runs this file a
+second time with every SIMD feature numpy dispatches disabled
+(``NPY_DISABLE_CPU_FEATURES``), so the corpus is checked on two code paths.
 """
 
 import contextlib
