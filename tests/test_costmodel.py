@@ -7,7 +7,7 @@ import pytest
 from adhersim import costmodel, scenarios
 from adhersim.costmodel import arm_costs, simulate_trajectory
 from adhersim.montecarlo import DistributionSpec, sample_delta, substream
-from adhersim.scenarios import PRESET_NAMES, PolicyConfig, PolicyKind, build_preset
+from adhersim.scenarios import PRESET_NAMES, PolicyConfig, PolicyKind, StressKind, apply_stress, build_preset
 
 from conftest import make_params
 
@@ -261,6 +261,35 @@ class TestCachedRowsStayPrivate:
         with pytest.raises(ValueError):
             step[0][0, -1] = 0.0
 
+    def test_writing_never_started_columns_leaves_the_next_run_unchanged(self, ref_params):
+        # adherence and severity are copies of the never-started cache's rows.
+        first = simulate_trajectory(ref_params, BASELINE)
+        expected = {field: getattr(first, field).tobytes() for field in COLUMNS}
+        for field in COLUMNS[1:]:
+            getattr(first, field)[:] = -1.0
+        again = simulate_trajectory(ref_params, BASELINE)
+        for field in COLUMNS:
+            assert getattr(again, field).tobytes() == expected[field], field
+
+    def test_params_differing_in_a_signed_zero_take_separate_entries(self, ref_params):
+        # ModelParams compares 0.0 equal to -0.0: the cache keys on bit patterns.
+        assert ref_params.disease_midpoint_s0 == 0.0
+        signed = replace(ref_params, disease_midpoint_s0=-0.0)
+        assert signed == ref_params
+        costmodel._never_started_rows.cache_clear()
+        for params in (ref_params, signed, ref_params, signed):
+            simulate_trajectory(params, BASELINE)
+        info = costmodel._never_started_rows.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
+
+    def test_gains_differing_in_a_signed_zero_take_separate_entries(self):
+        # With A0 = -0.0 the never-started adherence A0 + 0 * delta carries the gain's sign.
+        params = make_params(adherence_baseline_A0=-0.0)
+        costmodel._never_started_rows.cache_clear()
+        runs = [simulate_trajectory(params, replace(BASELINE, adherence_gain_delta=d)) for d in (0.0, -0.0)]
+        assert costmodel._never_started_rows.cache_info().misses == 2
+        assert [np.signbit(traj.adherence).tolist() for traj in runs] == [[False] * 1001, [True] * 1001]
+
     def test_no_policy_arm_reads_the_nudge_free_cache(self, ref_params):
         # The no-policy arm starts past the last node, so it spends nothing
         # and its spend rows are the cache's read-only rows for that node.
@@ -274,12 +303,70 @@ class TestCachedRowsStayPrivate:
             assert row.tobytes() == np.zeros(i_last + 1).tobytes()
 
 
+# Arms that never start: the no-policy arm, its decaying-baseline and
+# accelerated-progression variants, and policies whose tau lies past the
+# horizon.  The last case's A0 and gain are -0.0, so its adherence column is
+# -0.0 throughout: the gain's sign reaches it.
+NEVER_STARTED = {
+    "baseline": (None, BASELINE),
+    "decaying": (None, replace(BASELINE, baseline_decay=0.05)),
+    "accelerated": (None, apply_stress(BASELINE, StressKind.ACCELERATED_PROGRESSION, 0.85)),
+    "custom_late": (None, PolicyConfig(kind=PolicyKind.CUSTOM, start_tau=12.0, adherence_gain_delta=0.3,
+                                       cost_scale_gamma=1.0, decay_theta=0.5)),
+    "custom_late_signed_zero": (dict(adherence_baseline_A0=-0.0, severity_coupling_eta=2.0),
+                                PolicyConfig(kind=PolicyKind.CUSTOM, start_tau=10.5, adherence_gain_delta=-0.0,
+                                             decay_theta=0.5, baseline_decay=0.05)),
+}
+RUN_FIELDS = COLUMNS + ("rest_cost", "spend_integral", "final_cost")
+
+
+def run_bytes(traj) -> dict:
+    return {field: np.asarray(getattr(traj, field)).tobytes() for field in RUN_FIELDS}
+
+
+class TestNeverStartedCache:
+    """An arm that never starts reads its rows from ``_never_started_rows``."""
+
+    @pytest.fixture(params=NEVER_STARTED.values(), ids=NEVER_STARTED.keys())
+    def arm(self, request, ref_params):
+        overrides, policy = request.param
+        return (ref_params if overrides is None else make_params(**overrides)), policy
+
+    def test_warm_run_equals_cold_run_and_the_direct_kernel(self, arm):
+        params, policy = arm
+        assert scenarios._start_node(params, policy) > node(params.horizon_T)
+        costmodel._never_started_rows.cache_clear()
+        cold = simulate_trajectory(params, policy)
+        warm = simulate_trajectory(params, policy)
+        assert costmodel._never_started_rows.cache_info().hits == 1
+        assert run_bytes(warm) == run_bytes(cold)
+        # The policy's own kernel rows, past the cache.
+        grid = costmodel._grid(params.horizon_T, 100, params.discount_rate_rho)
+        deltas = [policy.adherence_gain_delta]
+        a, severity, rest_nodes, rest = costmodel._rest_rows(
+            params, policy, grid, deltas, scenarios._nudge_periods(params, policy, deltas))
+        for got, want in zip((warm.adherence, warm.severity, *warm._rows[::2]), (a, severity, rest_nodes, rest)):
+            assert got.tobytes() == want[0].tobytes()
+        assert warm.adherence.flags.writeable and warm.severity.flags.writeable
+
+    def test_arm_costs_rows_equal_the_runs(self, arm):
+        params, policy = arm
+        deltas = [0.0, 0.3, 1.0, policy.adherence_gain_delta]
+        rest, spend = arm_costs(params, policy, deltas)
+        for i, delta in enumerate(deltas):
+            traj = simulate_trajectory(params, replace(policy, adherence_gain_delta=delta))
+            assert (rest[i], spend[i]) == (traj.rest_cost, traj.spend_integral)
+            assert rest[i].tobytes() == np.float64(traj.rest_cost).tobytes()
+
+
 class TestAdherenceReads:
     """Adherence is read only where it can change: at the n nodes where it is
     constant on each piece, else at the 3n - 2 points of Simpson's rule."""
 
     @pytest.fixture
     def reads(self, monkeypatch):
+        # A cold cache, so that a never-started arm's one read shows.
+        costmodel._never_started_rows.cache_clear()
         calls = []
 
         def recorder(params, policy, deltas, nudges, s, piece, out=None):
@@ -301,7 +388,10 @@ class TestAdherenceReads:
         deltas = np.linspace(0.0, 0.6, 2 * costmodel._CHUNK_ARMS + 1)
         simulate_trajectory(ref_params, policy)
         arm_costs(ref_params, policy, deltas)
-        assert sum(len(periods) for _, periods in reads) == 1 + len(deltas)
+        # An arm that never starts reads adherence on its first run, into the
+        # cache, and never after.
+        never = scenarios._start_node(ref_params, policy) > node(ref_params.horizon_T)
+        assert sum(len(periods) for _, periods in reads) == 1 + (0 if never else len(deltas))
         assert {size for size, _ in reads} == {n if node_only else 3 * n - 2}
 
     def test_never_firing_gains_share_their_chunks(self, ref_params, reads):
