@@ -44,6 +44,18 @@ def sigmoid(z: np.ndarray | float, out: np.ndarray | None = None) -> np.ndarray 
     return np.divide(numerator, e, out=e)
 
 
+def parse_number(text: str, kind: type = float):
+    """``kind(text)`` of numeric text in ASCII with no underscores.
+
+    Python's int and float also read digit-group underscores (``1_0``) and
+    non-ASCII digits (``５``), so a mistyped value would run silently; such
+    text raises ValueError, as any other non-number does.
+    """
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not a plain number: {text!r}")
+    return kind(text)
+
+
 def check_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):

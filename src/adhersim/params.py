@@ -12,7 +12,7 @@ from collections.abc import Iterator
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-from .numerics import STEPS_PER_YEAR, check_finite
+from .numerics import STEPS_PER_YEAR, check_finite, parse_number
 
 MAX_HORIZON_YEARS = 1000  # 100 times the reference horizon: a grid of 100 001 nodes
 
@@ -102,7 +102,7 @@ def parse_params(text: str) -> ModelParams:
                 f"line {lineno}: unknown key {key!r} (valid keys: {', '.join(_FIELD_NAMES)})"
             )
         try:
-            values[key] = float(value)
+            values[key] = parse_number(value)
         except ValueError:
             raise ValueError(f"line {lineno}: value for {key!r} is not a number: {value!r}") from None
 

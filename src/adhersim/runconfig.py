@@ -24,6 +24,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .montecarlo import check_draw_keys
+from .numerics import parse_number
 from .params import document_lines
 from .scenarios import (
     PRESET_NAMES,
@@ -82,7 +83,7 @@ class RunConfig:
 
 def _parse_axis(key: str, raw: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(tok) for tok in raw.replace(",", " ").split())
+        values = tuple(map(parse_number, raw.replace(",", " ").split()))
     except ValueError:
         raise ValueError(f"{key}: expected a list of numbers, got {raw!r}") from None
     if not values:
@@ -173,7 +174,7 @@ def parse_value(key: str, text: str):
     else:
         return text.lower()
     try:
-        return kind(text)
+        return parse_number(text, kind)
     except ValueError:
         raise ValueError(f"{key}: expected {expected}, got {text!r}") from None
 

@@ -376,6 +376,31 @@ class TestInputErrors:
         assert f"error: {expected}" in capsys.readouterr().err
         assert not out.exists()
 
+    # int and float read digit-group underscores and non-ASCII digits; no key does.
+    @pytest.mark.parametrize("args, expected", [
+        (["--seed", "1_0", "mc", "--n-draws", "\uff15"], "seed: expected an integer, got '1_0'"),
+        (["--seed", "10", "mc", "--n-draws", "\uff15"], "n_draws: expected an integer, got '\uff15'"),
+        (["--seed", "1", "export-plots", "--family", "mc", "--n-draws", "2_0"], "n_draws: expected an integer"),
+        (["stress", "--kind", "cost_inflation", "--value", "1_5"], "stress_value: expected a number"),
+        (["sweep", "--delta-axis", "0.1,0.\u0663", "--gamma-axis", "1"], "delta_axis: expected a list of numbers"),
+        (["sweep", "--delta-axis", "0.1", "--gamma-axis", "1_0"], "gamma_axis: expected a list of numbers"),
+    ], ids=["grouped_seed", "fullwidth_draws", "plots_grouped_draws", "grouped_stress_value",
+            "arabic_indic_delta", "grouped_gamma"])
+    def test_grouped_or_non_ascii_digits_name_their_key(self, tmp_path, capsys, args, expected):
+        out = tmp_path / "out"
+        rc = _run(["--out", out] + args)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {expected}")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_grouped_override_names_its_key(self, tmp_path, capsys):
+        rc = _run(["--config", self._config(tmp_path, "simulate", "policy.start_tau = 1_0\n"), "simulate"])
+        assert rc == 2
+        assert "error: policy.start_tau: expected a number, got '1_0'\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_off_grid_horizon_names_its_key(self, tmp_path, capsys):
         params = tmp_path / "params.txt"
         params.write_text(reference_params_path().read_text().replace("horizon_T = 10.0", "horizon_T = 10.005"))

@@ -58,6 +58,13 @@ class TestParseParams:
         with pytest.raises(ValueError, match="^line 9: value for 'horizon_T' is not a number: 'ten'$"):
             parse_params(REQUIRED + "horizon_T = ten\n")
 
+    @pytest.mark.parametrize("text", ["1_0.0", "\uff11\uff10", "1e0_1", "\u0661\u0660.0"])
+    def test_grouped_or_non_ascii_digits_are_not_numbers(self, text):
+        # float() reads each of these as 10.0.
+        assert float(text) == 10.0
+        with pytest.raises(ValueError, match=f"^line 9: value for 'horizon_T' is not a number: {text!r}$"):
+            parse_params(REQUIRED + f"horizon_T = {text}\n")
+
 
 class TestModelParamsValidation:
     def test_every_field_must_be_finite(self):

@@ -693,7 +693,7 @@ def test_run_config_round_trips_or_is_rejected(config):
 
 NUMERIC_KEYS = ("seed", "n_draws", "stress_value", "delta_axis", "gamma_axis") + tuple(
     "policy." + name for name in _POLICY_OVERRIDE_FIELDS)
-NOT_NUMBERS = ("abc", "", "1.2.3", "one", "--1", "0x1g", "1e", "2 x")
+NOT_NUMBERS = ("abc", "", "1.2.3", "one", "--1", "0x1g", "1e", "2 x", "1_0", "\uff15", "0.\u0663")
 # Values each field rejects: out of its range, or not finite.
 OUT_OF_RANGE = {
     "start_tau": st.floats(max_value=0.0, exclude_max=True),
