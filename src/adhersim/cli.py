@@ -295,18 +295,24 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 2
     try:
-        if args.command == "export-plots":
-            if args.config:
-                raise ValueError("config: export-plots reads no run configuration")
-            export_plots(
-                params_file=args.params_file or str(reference_params_path()),
-                family=args.family,
-                output_dir=args.output_dir or "plot_data",
-                **{key: parse_value(key, text) for key in ("seed", "n_draws")
-                   if (text := getattr(args, key)) is not None},
-            )
-        else:
-            run(_config_from_args(args))
+        # Inputs that take the costs out of the float range end in an error,
+        # not in inf or NaN columns.
+        with np.errstate(over="raise", invalid="raise"):
+            if args.command == "export-plots":
+                if args.config:
+                    raise ValueError("config: export-plots reads no run configuration")
+                export_plots(
+                    params_file=args.params_file or str(reference_params_path()),
+                    family=args.family,
+                    output_dir=args.output_dir or "plot_data",
+                    **{key: parse_value(key, text) for key in ("seed", "n_draws")
+                       if (text := getattr(args, key)) is not None},
+                )
+            else:
+                run(_config_from_args(args))
+    except FloatingPointError as exc:
+        print(f"error: costs: {exc}; the inputs take them out of the float range", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -401,6 +401,20 @@ class TestInputErrors:
         assert "error: policy.start_tau: expected a number, got '1_0'\n" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("line", ["disease_cost_alpha = 1e308", "discount_rate_rho = 1e308",
+                                      "disease_steepness_k = 1e308"])
+    def test_costs_out_of_the_float_range_end_in_an_error(self, tmp_path, capsys, line):
+        key = line.partition(" ")[0]
+        text = "".join(line + "\n" if old.startswith(key + " ") else old + "\n"
+                       for old in reference_params_path().read_text().splitlines())
+        params = tmp_path / "params.txt"
+        params.write_text(text)
+        rc = _run(["--params", params, "--out", tmp_path / "out", "compare"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: costs: ") and err.endswith("the inputs take them out of the float range\n")
+        assert not (tmp_path / "out").exists()
+
     def test_off_grid_horizon_names_its_key(self, tmp_path, capsys):
         params = tmp_path / "params.txt"
         params.write_text(reference_params_path().read_text().replace("horizon_T = 10.0", "horizon_T = 10.005"))

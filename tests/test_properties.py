@@ -40,7 +40,7 @@ from adhersim.montecarlo import (
     substream,
 )
 from adhersim.numerics import STEPS_PER_YEAR, sigmoid, time_grid
-from adhersim.params import reference_params
+from adhersim.params import MAX_HORIZON_YEARS, reference_params, reference_params_path
 from adhersim.runconfig import (
     _POLICY_OVERRIDE_FIELDS,
     RunConfig,
@@ -837,3 +837,38 @@ def test_malformed_flag_names_its_key(key, args, text):
         assert not out.exists()
     assert err.getvalue().startswith(f"error: {key}: ")
     assert "Traceback" not in err.getvalue()
+
+
+REFERENCE_LINES = reference_params_path().read_text().splitlines()
+# Text for one line of a parameter file: any text, a number of any size or
+# form, or a non-number.
+line_texts = (st.text(st.characters(exclude_categories=("Cs",)), max_size=16)
+              | st.floats().map(repr) | st.integers().map(str) | st.sampled_from(NOT_NUMBERS))
+
+
+@settings(PROPERTY, max_examples=50)
+@given(st.sampled_from(range(len(REFERENCE_LINES))), st.booleans(), line_texts)
+# A cost weight whose integral overflows.
+@example(REFERENCE_LINES.index("disease_cost_alpha = 121.1"), False, "1e308")
+@example(REFERENCE_LINES.index("horizon_T = 10.0"), False, "1_0.0")
+@example(REFERENCE_LINES.index("horizon_T = 10.0"), False, repr(float(MAX_HORIZON_YEARS)))
+def test_a_parameter_line_runs_or_names_its_error(index, whole_line, text):
+    # The line's value, or the whole line, carries the text.
+    lines = list(REFERENCE_LINES)
+    key, equals, _ = lines[index].partition("=")
+    lines[index] = f"{key}= {text}" if equals and not whole_line else text
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err, \
+            contextlib.redirect_stdout(io.StringIO()):
+        params, out = Path(tmp) / "params.txt", Path(tmp) / "out"
+        params.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["--params", str(params), "--out", str(out), "simulate"])
+        if code == 0:
+            # Validation caps the horizon, so the grid has at most this many nodes.
+            rows = (out / "trajectory.csv").read_text().count("\n") - 1
+            assert rows <= MAX_HORIZON_YEARS * STEPS_PER_YEAR + 1
+        else:
+            assert not out.exists()
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert "Traceback" not in err.getvalue()
