@@ -73,7 +73,6 @@ from .scenarios import (
     _gain_law,
     _nudge_periods,
     _spend_at_nodes,
-    _start_node,
     adherence_array,
 )
 
@@ -389,8 +388,6 @@ def arm_costs(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[np.nda
     The rest channel then takes the gains in chunks in stable period order
     and scatters each chunk's horizon values back to the gains' indices, so
     the gains no nudge fires in share chunks that read one adherence profile.
-    An arm that never starts runs no chunk: its rest is the horizon value of
-    ``_never_started_rows``, which no gain changes.
     Every chunk reads adherence into the first elements of one buffer of
     ``_CHUNK_ARMS * (3n - 2)`` elements and works in another, so that their
     pages are not handed back to the system and faulted in again from chunk
@@ -398,15 +395,10 @@ def arm_costs(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[np.nda
     """
     deltas = np.asarray(deltas, dtype=float)
     grid = _grid(params.horizon_T, STEPS_PER_YEAR, params.discount_rate_rho)
-    i0 = _start_node(params, policy)
-    if i0 > grid[2][-1]:
-        # Never starts: every row is the cached arm's horizon value, and spends nothing.
-        rest = _never_started(params, policy, STEPS_PER_YEAR)[-1][0, -1]
-        return np.full(deltas.size, rest), np.zeros(deltas.size)
     periods = np.empty(deltas.size, dtype=np.int64)
     for lo in range(0, deltas.size, _CHUNK_ARMS):
         chunk = slice(lo, lo + _CHUNK_ARMS)
-        periods[chunk] = _nudge_periods(params, policy, deltas[chunk])[1]
+        i0, periods[chunk] = _nudge_periods(params, policy, deltas[chunk])
     order = np.argsort(periods, kind="stable")
     rest = np.empty(deltas.size)
     buffers = [np.empty(min(_CHUNK_ARMS, deltas.size) * len(grid[3])) for _ in range(2)]

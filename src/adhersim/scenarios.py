@@ -194,15 +194,6 @@ def _tau_node(policy: PolicyConfig) -> int:
     return round(policy.tau_snapped * STEPS_PER_YEAR)
 
 
-def _start_node(params: ModelParams, policy: PolicyConfig) -> int:
-    """Tau's canonical node, or one past the grid's last node for a policy that
-    never starts: the no-policy arm, or one whose unsnapped tau is past the
-    horizon."""
-    if policy.kind is PolicyKind.BASELINE or policy.start_tau > params.horizon_T:
-        return round(params.horizon_T * STEPS_PER_YEAR) + 1
-    return _tau_node(policy)
-
-
 @functools.lru_cache(maxsize=8)
 def _decay_factors(theta: float, n_steps: int) -> np.ndarray:
     """exp(-theta * elapsed) at the k = 1 .. n_steps canonical steps after tau,
@@ -223,7 +214,9 @@ def _nudge_periods(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[i
     state, so m is the first step count whose value is below the threshold.
     It holds a (gains, nodes) array: pass the gains in bounded blocks."""
     i_last = round(params.horizon_T * STEPS_PER_YEAR)
-    i0 = _start_node(params, policy)
+    # The no-policy arm and a policy whose unsnapped tau is past the horizon never start.
+    never = policy.kind is PolicyKind.BASELINE or policy.start_tau > params.horizon_T
+    i0 = i_last + 1 if never else _tau_node(policy)
     if policy.kind is not PolicyKind.ADAPTIVE_NUDGES or i0 >= i_last:
         return i0, np.zeros(len(deltas), dtype=np.int64)
     deltas = np.asarray(deltas, dtype=float)

@@ -334,7 +334,7 @@ class TestNeverStartedCache:
 
     def test_warm_run_equals_cold_run_and_the_direct_kernel(self, arm):
         params, policy = arm
-        assert scenarios._start_node(params, policy) > node(params.horizon_T)
+        assert scenarios._nudge_periods(params, policy, [0.0])[0] > node(params.horizon_T)
         costmodel._never_started_rows.cache_clear()
         cold = simulate_trajectory(params, policy)
         warm = simulate_trajectory(params, policy)
@@ -388,10 +388,7 @@ class TestAdherenceReads:
         deltas = np.linspace(0.0, 0.6, 2 * costmodel._CHUNK_ARMS + 1)
         simulate_trajectory(ref_params, policy)
         arm_costs(ref_params, policy, deltas)
-        # An arm that never starts reads adherence on its first run, into the
-        # cache, and never after.
-        never = scenarios._start_node(ref_params, policy) > node(ref_params.horizon_T)
-        assert sum(len(periods) for _, periods in reads) == 1 + (0 if never else len(deltas))
+        assert sum(len(periods) for _, periods in reads) == 1 + len(deltas)
         assert {size for size, _ in reads} == {n if node_only else 3 * n - 2}
 
     def test_never_firing_gains_share_their_chunks(self, ref_params, reads):
