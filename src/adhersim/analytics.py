@@ -122,10 +122,12 @@ def breakeven_gamma(params: ModelParams, policy_template: PolicyConfig, delta: f
     """Cost intensity gamma* at which ROI is zero, from one arm: ``gamma_at_roi``
     at level 0.  None when the design already loses money at gamma = 0 or
     spends nothing (I_P = 0).  ``delta`` replaces the template's gain, so
-    PolicyConfig checks it."""
+    PolicyConfig checks it; a baseline cost that is not finite raises
+    ValueError, as in ``roi``."""
     policy = replace(policy_template, adherence_gain_delta=delta)
     arm = simulate_trajectory(params, policy)
-    return reachable(gamma_at_roi(params, policy, baseline_cost(params), arm.rest_cost, arm.spend_integral))
+    c_base = check_finite("cost_baseline", baseline_cost(params))
+    return reachable(gamma_at_roi(params, policy, c_base, arm.rest_cost, arm.spend_integral))
 
 
 def sweep_design_space(

@@ -295,9 +295,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 2
     try:
-        # Inputs that take the costs out of the float range end in an error,
-        # not in inf or NaN columns.
-        with np.errstate(over="raise", invalid="raise"):
+        # An overflow or invalid operation that reaches no output is no error
+        # and prints nothing; a written cell it reaches names its column.
+        with np.errstate(over="ignore", invalid="ignore"):
             if args.command == "export-plots":
                 if args.config:
                     raise ValueError("config: export-plots reads no run configuration")
@@ -310,9 +310,6 @@ def main(argv: list[str] | None = None) -> int:
                 )
             else:
                 run(_config_from_args(args))
-    except FloatingPointError as exc:
-        print(f"error: costs: {exc}; the inputs take them out of the float range", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

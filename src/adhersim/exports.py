@@ -13,8 +13,10 @@ run's cells enter the ``%`` pass as that text; runs are found on the bit
 pattern, so ``0.0`` and ``-0.0`` stay apart.  The grid's time column, the
 same in every trajectory and curve file, is formatted once per grid
 (``_time_cells``, cached by its bytes: the cache holds only this grid
-constant, never a result column).  Every JSON file, the manifest too, is
-written by ``json_bytes``.  A run stages every payload and the manifest,
+constant, never a result column).  A trajectory or curve cell that is not
+finite is an error that names its column; the analyses check their own
+costs (``roi``, ``breakeven_gamma``).  Every JSON file, the manifest too,
+is written by ``json_bytes``.  A run stages every payload and the manifest,
 then renames them into place, the manifest last.  A failed write names its
 path and removes the staged files; renames already made are not undone.
 Reruns on one host with one numpy write the same bytes.  Across hosts the
@@ -93,10 +95,20 @@ def _time_cells(raw: bytes) -> tuple[str, ...]:
     return tuple("%.6g" % t for t in np.frombuffer(raw).tolist())
 
 
+def _finite(name: str, values: np.ndarray) -> np.ndarray:
+    """An engine column, checked: no analysis guards these, so an overflow or
+    invalid operation that reached one is an error that names the column."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise ValueError(f"{name}: row {i + 1} is {values[i]}; the inputs take it out of the float range")
+    return values
+
+
 def trajectory_csv(traj: Trajectory) -> bytes:
     header = ["time", "adherence", "severity", "policy_cost", "instantaneous_cost", "cumulative_cost"]
-    return csv_bytes(header, [_time_cells(traj.times.tobytes()), traj.adherence, traj.severity,
-                              traj.policy_cost, traj.instantaneous_cost, traj.cumulative_cost])
+    columns = [traj.adherence, traj.severity, traj.policy_cost, traj.instantaneous_cost, traj.cumulative_cost]
+    return csv_bytes(header, [_time_cells(traj.times.tobytes()), *map(_finite, header[1:], columns)])
 
 
 def roi_grid_csv(grid: RoiGrid) -> bytes:
@@ -148,7 +160,7 @@ def histogram_csv(values: np.ndarray, n_bins: int = 40) -> bytes:
 
 
 def curve_csv(times: np.ndarray, values: np.ndarray) -> bytes:
-    return csv_bytes(["time", "value"], [_time_cells(times.tobytes()), values])
+    return csv_bytes(["time", "value"], [_time_cells(times.tobytes()), _finite("value", values)])
 
 
 def stress_csv(pairs: dict[str, tuple[float, float]]) -> bytes:

@@ -401,19 +401,38 @@ class TestInputErrors:
         assert "error: policy.start_tau: expected a number, got '1_0'\n" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("line", ["disease_cost_alpha = 1e308", "discount_rate_rho = 1e308",
-                                      "disease_steepness_k = 1e308"])
-    def test_costs_out_of_the_float_range_end_in_an_error(self, tmp_path, capsys, line):
+    @staticmethod
+    def _params_with(tmp_path, line):
+        """The reference parameter file with ``line`` in place of its key's line."""
         key = line.partition(" ")[0]
         text = "".join(line + "\n" if old.startswith(key + " ") else old + "\n"
                        for old in reference_params_path().read_text().splitlines())
         params = tmp_path / "params.txt"
         params.write_text(text)
-        rc = _run(["--params", params, "--out", tmp_path / "out", "compare"])
+        return params
+
+    @pytest.mark.parametrize("line, args, expected", [
+        ("disease_cost_alpha = 1e308", ["simulate"], "cumulative_cost: row 264 is inf"),
+        ("disease_steepness_k = 1e308", ["simulate"], "severity: row 202 is nan"),
+        ("policy_unit_cost = 1e308", ["export-plots", "--family", "cost"], "value: row "),
+        ("disease_cost_alpha = 1e308", ["breakeven", "--delta-axis", "0.1"], "cost_baseline: must be finite, got inf"),
+        ("disease_cost_alpha = 1e308", ["compare"], "cost_baseline: must be finite, got inf"),
+    ], ids=["simulate_cost", "simulate_severity", "plotted_cost", "breakeven", "compare"])
+    def test_outputs_out_of_the_float_range_name_their_column(self, tmp_path, capsys, line, args, expected):
+        out = tmp_path / "out"
+        rc = _run(["--params", self._params_with(tmp_path, line), "--out", out] + args)
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: costs: ") and err.endswith("the inputs take them out of the float range\n")
-        assert not (tmp_path / "out").exists()
+        assert err.startswith(f"error: {expected}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_an_overflow_that_reaches_no_output_is_no_error(self, tmp_path, capsys, command):
+        # rho * t overflows past t = 0, and exp(-inf) = 0 discounts every later cost to 0.
+        out = tmp_path / "out"
+        assert _run(["--params", self._params_with(tmp_path, "discount_rate_rho = 1e308"), "--out", out, command]) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "manifest.json").exists()
 
     def test_off_grid_horizon_names_its_key(self, tmp_path, capsys):
         params = tmp_path / "params.txt"

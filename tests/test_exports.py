@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from adhersim.exports import csv_bytes, draws_csv, histogram_csv, json_bytes
+from adhersim.exports import csv_bytes, curve_csv, draws_csv, histogram_csv, json_bytes
 
 
 def _column(payload: bytes, j: int) -> list[str]:
@@ -25,6 +25,13 @@ def test_histogram_counts_past_a_million_are_exact():
 def test_columns_of_unequal_length_are_rejected():
     with pytest.raises(ValueError, match="'b' has 1 rows, expected 2"):
         csv_bytes(["a", "b"], [[1.0, 2.0], [3.0]])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_a_non_finite_curve_cell_names_its_column(value):
+    # csv_bytes writes any float; the engine-column writers do not.
+    with pytest.raises(ValueError, match=f"^value: row 2 is {value}; "):
+        curve_csv(np.array([0.0, 0.01]), np.array([3.0, value]))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
