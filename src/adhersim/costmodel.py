@@ -36,9 +36,9 @@ and, per tau node, the spend of an arm no nudge fires in, P = 1[node >= i0]
 with its discounted trapezoid (``_unnudged_spend``).  That is every arm whose
 period is 0, the no-policy arm too, whose P is 0.  An arm that never starts
 (the no-policy arm, or a tau past the horizon) is the counterfactual every
-ROI is measured against: its rest rows are built once per parameter set and
-cached too (``_never_started_rows``, keyed by the floats' bit patterns).
-The nudge logs enter as integers, a period per gain
+ROI is measured against: ``simulate_trajectory`` builds its rest rows once
+per parameter set and caches them too (``_never_started_rows``, keyed by the
+floats' bit patterns).  The nudge logs enter as integers, a period per gain
 (``scenarios._nudge_periods``); the spend channel depends on a gain only
 through it, so ``arm_costs`` runs it once per distinct period, and runs the
 rest channel (adherence, severity, alpha*D + beta*A^2) in chunks of
