@@ -296,7 +296,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         # An overflow or invalid operation that reaches no output is no error
-        # and prints nothing; a written cell it reaches names its column.
+        # and prints nothing; one that reaches a result fails the check on it
+        # (``roi``, ``breakeven_gamma``, the trajectory and curve writers).
         with np.errstate(over="ignore", invalid="ignore"):
             if args.command == "export-plots":
                 if args.config:
