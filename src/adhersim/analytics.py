@@ -10,7 +10,8 @@ cost is C(gamma) = R + gamma * inflation * policy_unit_cost * I_P with R
 only ``costmodel.total_cost`` prices that line.  Only ``gamma_at_roi``
 inverts it, exactly and with no new arm: break-even is its zero level and a
 sweep's iso-ROI curves its contour levels, all read under one rule
-(``reachable``).  A sweep's arms run through one batched engine call
+(``reachable``).  Break-even prices its no-policy counterfactual once per
+δ axis, as a sweep does; a sweep's arms run through one batched engine call
 (``arm_costs``); ``stress_pairs`` serves the stress mode and figure family.
 """
 
@@ -106,8 +107,12 @@ def gamma_at_roi(params: ModelParams, policy: PolicyConfig, c_base, rest, spend_
     """gamma_L at which an arm's ROI equals ``level`` percent, elementwise: on the
     line C(gamma) = R + s * gamma, ROI >= L exactly where gamma <= gamma_L =
     (C_base / (1 + L/100) - R) / s.  Raw: negative where the arm misses L even at
-    gamma = 0, inf or NaN where it spends nothing (s = 0); see ``reachable``."""
-    slope = total_cost(params, policy, 0.0, spend_integral, 1.0)  # s = dC/dgamma
+    gamma = 0, inf or NaN where it spends nothing (s = 0); see ``reachable``.
+    A slope that is not finite raises ValueError."""
+    slope = np.asarray(total_cost(params, policy, 0.0, spend_integral, 1.0))  # s = dC/dgamma
+    bad = slope[~np.isfinite(slope)]
+    if bad.size:
+        raise ValueError(f"cost_policy: slope dC/dgamma must be finite, got {bad[0]}")
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.divide(c_base / (1.0 + np.asarray(level) / 100.0) - rest, slope)
 
@@ -118,16 +123,17 @@ def reachable(gamma):
     return np.where(np.isfinite(gamma) & (gamma >= 0.0), gamma, None).tolist()
 
 
-def breakeven_gamma(params: ModelParams, policy_template: PolicyConfig, delta: float) -> float | None:
-    """Cost intensity gamma* at which ROI is zero, from one arm: ``gamma_at_roi``
-    at level 0.  None when the design already loses money at gamma = 0 or
-    spends nothing (I_P = 0).  ``delta`` replaces the template's gain, so
-    PolicyConfig checks it; a baseline cost that is not finite raises
-    ValueError, as in ``roi``."""
-    policy = replace(policy_template, adherence_gain_delta=delta)
-    arm = simulate_trajectory(params, policy)
+def breakeven_gamma(params: ModelParams, policy_template: PolicyConfig, deltas) -> list[float | None]:
+    """Cost intensity gamma* at which ROI is zero, one per gain in ``deltas``:
+    ``gamma_at_roi`` at level 0 of one arm per gain, against one baseline run.
+    None where the design already loses money at gamma = 0 or spends nothing
+    (I_P = 0).  Each gain replaces the template's, so PolicyConfig checks it;
+    a baseline cost that is not finite raises ValueError, as in ``roi``."""
+    arms = [simulate_trajectory(params, replace(policy_template, adherence_gain_delta=d)) for d in deltas]
     c_base = check_finite("cost_baseline", baseline_cost(params))
-    return reachable(gamma_at_roi(params, policy, c_base, arm.rest_cost, arm.spend_integral))
+    rest = np.array([arm.rest_cost for arm in arms])
+    spend = np.array([arm.spend_integral for arm in arms])
+    return reachable(gamma_at_roi(params, policy_template, c_base, rest, spend))
 
 
 def sweep_design_space(

@@ -116,7 +116,7 @@ def run(config: RunConfig) -> list[str]:
         )
 
     elif config.mode is RunMode.BREAKEVEN:
-        gammas = [breakeven_gamma(params, policy, d) for d in config.delta_axis]
+        gammas = breakeven_gamma(params, policy, config.delta_axis)
         files["breakeven.csv"] = breakeven_csv(config.delta_axis, gammas)
         pairs = ", ".join(
             f"gamma*({d:g})={'none' if g is None else format(g, '.3f')}"
@@ -297,7 +297,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # An overflow or invalid operation that reaches no output is no error
         # and prints nothing; one that reaches a result fails the check on it
-        # (``roi``, ``breakeven_gamma``, the trajectory and curve writers).
+        # (``roi``, ``gamma_at_roi``, ``breakeven_gamma``, ``run_monte_carlo``,
+        # the trajectory and curve writers).
         with np.errstate(over="ignore", invalid="ignore"):
             if args.command == "export-plots":
                 if args.config:

@@ -34,16 +34,12 @@ gain delta, on (B, n) node arrays.  What no gain changes is built once and
 cached as read-only arrays: the grid with its discount factors (``_grid``)
 and, per tau node, the spend of an arm no nudge fires in, P = 1[node >= i0]
 with its discounted trapezoid (``_unnudged_spend``).  That is every arm whose
-period is 0, the no-policy arm too, whose P is 0.  An arm that never starts
-(the no-policy arm, or a tau past the horizon) is the counterfactual every
-ROI is measured against: ``simulate_trajectory`` builds its rest rows once
-per parameter set and caches them too (``_never_started_rows``, keyed by the
-floats' bit patterns).  The nudge logs enter as integers, a period per gain
-(``scenarios._nudge_periods``); the spend channel depends on a gain only
-through it, so ``arm_costs`` runs it once per distinct period, and runs the
-rest channel (adherence, severity, alpha*D + beta*A^2) in chunks of
-``_CHUNK_ARMS`` gains taken in period order, so that the gains no nudge
-fires in share their chunks.  Each quantity is
+period is 0, the no-policy arm too, whose P is 0.  The nudge logs enter
+as integers, a period per gain (``scenarios._nudge_periods``); the spend
+channel depends on a gain only through it, so ``arm_costs`` runs it once per
+distinct period, and runs the rest channel (adherence, severity,
+alpha*D + beta*A^2) in chunks of ``_CHUNK_ARMS`` gains taken in period order,
+so that the gains no nudge fires in share their chunks.  Each quantity is
 written by a few in-place array operations that make the formula's float
 operations in its order (swapping the two operands of one sum or product,
 which leaves its result unchanged); k_eff is evaluated once over all the
@@ -58,8 +54,6 @@ whatever rows share its chunk: ``simulate_trajectory`` is the B = 1 case.
 from __future__ import annotations
 
 import functools
-import math
-import struct
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -94,10 +88,8 @@ class Trajectory:
     cumulative rest and spend channels), so a caller that reads only the
     horizon's channels never builds them.  Each is a new array, and
     ``cumulative_cost`` ends in ``final_cost`` bit for bit.  P and the spend
-    channel in ``_rows`` may be the spend cache's read-only rows, and for an
-    arm that never starts the rest rate and channel are the never-started
-    cache's (``_never_started_rows``); ``policy_cost``, ``adherence`` and
-    ``severity`` are copies.  Runs compare and hash by identity.
+    channel in ``_rows`` may be the spend cache's read-only rows;
+    ``policy_cost`` is a copy.  Runs compare and hash by identity.
     """
 
     times: np.ndarray
@@ -315,39 +307,6 @@ def _spend(params: ModelParams, policy: PolicyConfig, steps_per_year: int, grid,
     return _unnudged_spend(nudges[0], params.horizon_T, steps_per_year, params.discount_rate_rho)
 
 
-@functools.lru_cache(maxsize=8)
-def _never_started_rows(key: bytes, steps_per_year: int) -> tuple[np.ndarray, ...]:
-    """``_rest_rows`` of an arm that never starts, as read-only (1, n) rows.
-
-    ``key`` packs the floats the rows depend on (``_never_started``): the
-    ModelParams fields, then the policy's progression compression, baseline
-    decay (NaN for none) and a zero with the sign of its gain: the arm's
-    adherence is A0 + 0 * gain throughout (times the baseline's decay), so
-    when A0 is -0.0 the gain's sign sets that zero's.
-    """
-    *fields, compression, decay, zero = struct.unpack(f"{len(key) // 8}d", key)
-    params = ModelParams(*fields)
-    policy = PolicyConfig(kind=PolicyKind.BASELINE, adherence_gain_delta=zero,
-                          baseline_decay=None if math.isnan(decay) else decay,
-                          progression_compression=compression)
-    grid = _grid(params.horizon_T, steps_per_year, params.discount_rate_rho)
-    a, *rest = _rest_rows(params, policy, grid, [zero], _nudge_periods(params, policy, [zero]))
-    # The adherence row is a view of its read buffer, which may hold 3n - 2 points.
-    rows = (a.copy(), *rest)
-    for row in rows:
-        row.setflags(write=False)
-    return rows
-
-
-def _never_started(params: ModelParams, policy: PolicyConfig, steps_per_year: int) -> tuple[np.ndarray, ...]:
-    """``_never_started_rows`` of a policy that never starts, keyed by the bit
-    patterns of its floats: ModelParams compares 0.0 equal to -0.0."""
-    decay = policy.baseline_decay
-    floats = (*vars(params).values(), policy.progression_compression,
-              math.nan if decay is None else decay, math.copysign(0.0, policy.adherence_gain_delta))
-    return _never_started_rows(struct.pack(f"{len(floats)}d", *floats), steps_per_year)
-
-
 def simulate_trajectory(
     params: ModelParams,
     policy: PolicyConfig,
@@ -357,12 +316,7 @@ def simulate_trajectory(
     grid = _grid(params.horizon_T, steps_per_year, params.discount_rate_rho)
     deltas = [policy.adherence_gain_delta]
     nudges = _nudge_periods(params, policy, deltas)
-    if nudges[0] > grid[2][-1]:
-        # Never starts: the cached rows, with copies for the public columns.
-        a, severity, rest_nodes, rest = _never_started(params, policy, steps_per_year)
-        a, severity = a.copy(), severity.copy()
-    else:
-        a, severity, rest_nodes, rest = _rest_rows(params, policy, grid, deltas, nudges)
+    a, severity, rest_nodes, rest = _rest_rows(params, policy, grid, deltas, nudges)
     p, spend = _spend(params, policy, steps_per_year, grid, nudges)
     return Trajectory(
         times=grid[0].copy(),

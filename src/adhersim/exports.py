@@ -15,9 +15,10 @@ same in every trajectory and curve file, is formatted once per grid
 (``_time_cells``, cached by its bytes: the cache holds only this grid
 constant, never a result column).  A trajectory or curve cell that is not
 finite is an error that names its column; the analyses check their own
-costs (``roi``, ``breakeven_gamma``).  Every JSON file, the manifest too,
-is written by ``json_bytes``.  A run stages every payload and the manifest,
-then renames them into place, the manifest last.  A failed write names its
+results (``roi``, ``gamma_at_roi``, ``breakeven_gamma``,
+``run_monte_carlo``).  Every JSON file, the manifest too, is written by
+``json_bytes``.  A run stages every payload and the manifest, then renames
+them into place, the manifest last.  A failed write names its
 path and removes the staged files; renames already made are not undone.
 Reruns on one host with one numpy write the same bytes.  Across hosts the
 committed output corpus holds: CSV cells to their 6 digits, JSON to rel 1e-12.

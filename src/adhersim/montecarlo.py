@@ -27,6 +27,7 @@ import numpy as np
 
 from .analytics import RejectedCost, baseline_cost, roi
 from .costmodel import arm_costs, total_cost
+from .numerics import check_finite
 from .params import ModelParams
 from .scenarios import PolicyConfig
 
@@ -262,4 +263,9 @@ def run_monte_carlo(
         roi_mean_se=roi_sd / math.sqrt(n),
         prob_roi_positive_se=math.sqrt(p_positive * (1.0 - p_positive) / n),
     )
+    # Finite draws can still sum past the float range.  The quantiles are
+    # draws' ROIs, finite where their mean is.
+    for name, value in summary.as_dict().items():
+        if isinstance(value, float):
+            check_finite(name, value)
     return summary, draws

@@ -80,11 +80,11 @@ class TestPayback:
 
 class TestBreakeven:
     def test_zero_delta_has_nothing_to_spend_against(self, ref_params):
-        g = breakeven_gamma(ref_params, EARLY, 0.0)
+        [g] = breakeven_gamma(ref_params, EARLY, [0.0])
         assert g is None or g == 0.0
 
     def test_root_is_bracketed_by_opposite_signs(self, ref_params):
-        g = breakeven_gamma(ref_params, EARLY, 0.15)
+        [g] = breakeven_gamma(ref_params, EARLY, [0.15])
         assert g is not None
         c_base = baseline_cost(ref_params)
         eps = 0.01
@@ -97,13 +97,13 @@ class TestBreakeven:
         assert abs(roi_at(g)) < 0.01
 
     def test_strictly_increasing_in_delta(self, ref_params):
-        gs = [breakeven_gamma(ref_params, EARLY, d) for d in (0.10, 0.15, 0.25)]
+        gs = [g for d in (0.10, 0.15, 0.25) for g in breakeven_gamma(ref_params, EARLY, [d])]
         assert all(g is not None for g in gs)
         assert gs[0] < gs[1] < gs[2]
 
     def test_bad_delta_rejected(self, ref_params):
         with pytest.raises(ValueError):
-            breakeven_gamma(ref_params, EARLY, 1.5)
+            breakeven_gamma(ref_params, EARLY, [1.5])
 
 
 class TestStressPairs:
@@ -152,7 +152,7 @@ class TestSweep:
             assert grid.roi_percent[i, j] == roi(c_base, cost)
 
     def test_cells_straddling_breakeven_flip_sign(self, ref_params):
-        g_star = breakeven_gamma(ref_params, EARLY, 0.25)
+        [g_star] = breakeven_gamma(ref_params, EARLY, [0.25])
         grid = sweep_design_space(
             ref_params, EARLY, np.array([0.25]), np.array([g_star - 0.05, g_star + 0.05])
         )

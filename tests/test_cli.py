@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from adhersim import costmodel
 from adhersim.analytics import roi, stress_pairs
 from adhersim.cli import export_plots, main
 from adhersim.costmodel import simulate_trajectory
@@ -112,6 +113,22 @@ class TestSweep:
         assert _run(args) == 0
         for name in names:
             assert (out / name).read_bytes() == first[name]
+
+
+class TestBreakeven:
+    def test_an_op_over_n_gains_runs_n_plus_one_arms(self, tmp_path, monkeypatch):
+        # One arm per gain, and the never-started counterfactual once for the axis.
+        runs = []
+        kernel = costmodel._rest_rows
+
+        def recorder(params, policy, grid, deltas, nudges, buffers=None):
+            runs.append((len(nudges[1]), bool(nudges[0] > grid[2][-1])))
+            return kernel(params, policy, grid, deltas, nudges, buffers)
+
+        monkeypatch.setattr(costmodel, "_rest_rows", recorder)
+        assert _run(["--out", tmp_path / "be", "breakeven", "--delta-axis", "0.1,0.2,0.3,0.4"]) == 0
+        assert sum(arms for arms, _ in runs) == 5
+        assert sum(arms for arms, never in runs if never) == 1
 
 
 class TestManifest:
@@ -417,7 +434,12 @@ class TestInputErrors:
         ("policy_unit_cost = 1e308", ["export-plots", "--family", "cost"], "value: row "),
         ("disease_cost_alpha = 1e308", ["breakeven", "--delta-axis", "0.1"], "cost_baseline: must be finite, got inf"),
         ("disease_cost_alpha = 1e308", ["compare"], "cost_baseline: must be finite, got inf"),
-    ], ids=["simulate_cost", "simulate_severity", "plotted_cost", "breakeven", "compare"])
+        ("policy_unit_cost = 1e308", ["breakeven", "--delta-axis", "0.1,0.3"], "cost_policy: slope dC/dgamma must"),
+        ("policy_unit_cost = 1e308", ["sweep", "--delta-axis", "0.1,0.3", "--gamma-axis", "0"],
+         "cost_policy: slope dC/dgamma must"),
+        ("baseline_cost_C0 = 1e308", ["--seed", "1", "mc", "--n-draws", "50"], "cost_mean: must be finite, got inf"),
+    ], ids=["simulate_cost", "simulate_severity", "plotted_cost", "breakeven", "compare", "breakeven_slope",
+            "sweep_slope", "mc_summary"])
     def test_outputs_out_of_the_float_range_name_their_column(self, tmp_path, capsys, line, args, expected):
         out = tmp_path / "out"
         rc = _run(["--params", self._params_with(tmp_path, line), "--out", out] + args)

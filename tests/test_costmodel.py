@@ -262,7 +262,6 @@ class TestCachedRowsStayPrivate:
             step[0][0, -1] = 0.0
 
     def test_writing_never_started_columns_leaves_the_next_run_unchanged(self, ref_params):
-        # adherence and severity are copies of the never-started cache's rows.
         first = simulate_trajectory(ref_params, BASELINE)
         expected = {field: getattr(first, field).tobytes() for field in COLUMNS}
         for field in COLUMNS[1:]:
@@ -271,23 +270,10 @@ class TestCachedRowsStayPrivate:
         for field in COLUMNS:
             assert getattr(again, field).tobytes() == expected[field], field
 
-    def test_params_differing_in_a_signed_zero_take_separate_entries(self, ref_params):
-        # ModelParams compares 0.0 equal to -0.0: the cache keys on bit patterns.
-        assert ref_params.disease_midpoint_s0 == 0.0
-        signed = replace(ref_params, disease_midpoint_s0=-0.0)
-        assert signed == ref_params
-        costmodel._never_started_rows.cache_clear()
-        for params in (ref_params, signed, ref_params, signed):
-            simulate_trajectory(params, BASELINE)
-        info = costmodel._never_started_rows.cache_info()
-        assert (info.misses, info.hits) == (2, 2)
-
-    def test_gains_differing_in_a_signed_zero_take_separate_entries(self):
+    def test_never_started_adherence_carries_the_gains_signed_zero(self):
         # With A0 = -0.0 the never-started adherence A0 + 0 * delta carries the gain's sign.
         params = make_params(adherence_baseline_A0=-0.0)
-        costmodel._never_started_rows.cache_clear()
         runs = [simulate_trajectory(params, replace(BASELINE, adherence_gain_delta=d)) for d in (0.0, -0.0)]
-        assert costmodel._never_started_rows.cache_info().misses == 2
         assert [np.signbit(traj.adherence).tolist() for traj in runs] == [[False] * 1001, [True] * 1001]
 
     def test_no_policy_arm_reads_the_nudge_free_cache(self, ref_params):
@@ -324,8 +310,8 @@ def run_bytes(traj) -> dict:
     return {field: np.asarray(getattr(traj, field)).tobytes() for field in RUN_FIELDS}
 
 
-class TestNeverStartedCache:
-    """An arm that never starts reads its rows from ``_never_started_rows``."""
+class TestNeverStartedArms:
+    """An arm that never starts runs through the kernel like any other."""
 
     @pytest.fixture(params=NEVER_STARTED.values(), ids=NEVER_STARTED.keys())
     def arm(self, request, ref_params):
@@ -335,12 +321,10 @@ class TestNeverStartedCache:
     def test_warm_run_equals_cold_run_and_the_direct_kernel(self, arm):
         params, policy = arm
         assert scenarios._nudge_periods(params, policy, [0.0])[0] > node(params.horizon_T)
-        costmodel._never_started_rows.cache_clear()
         cold = simulate_trajectory(params, policy)
         warm = simulate_trajectory(params, policy)
-        assert costmodel._never_started_rows.cache_info().hits == 1
         assert run_bytes(warm) == run_bytes(cold)
-        # The policy's own kernel rows, past the cache.
+        # The policy's own kernel rows.
         grid = costmodel._grid(params.horizon_T, 100, params.discount_rate_rho)
         deltas = [policy.adherence_gain_delta]
         a, severity, rest_nodes, rest = costmodel._rest_rows(
@@ -365,8 +349,6 @@ class TestAdherenceReads:
 
     @pytest.fixture
     def reads(self, monkeypatch):
-        # A cold cache, so that a never-started arm's one read shows.
-        costmodel._never_started_rows.cache_clear()
         calls = []
 
         def recorder(params, policy, deltas, nudges, s, piece, out=None):

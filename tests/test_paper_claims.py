@@ -59,12 +59,12 @@ def test_early_and_adaptive_lead_the_roi_order(ref_params, c_base):
 def test_low_impact_fails_to_break_even(ref_params, c_base):
     assert _roi(ref_params, c_base, "low_impact") < 0.0
     policy = build_preset("low_impact")
-    gamma_star = breakeven_gamma(ref_params, policy, policy.adherence_gain_delta)
+    [gamma_star] = breakeven_gamma(ref_params, policy, [policy.adherence_gain_delta])
     assert gamma_star < policy.cost_scale_gamma
 
 
 def test_high_cost_early_adherence_loses_money(ref_params, c_base):
-    gamma_star = breakeven_gamma(ref_params, build_preset("early_adherence"), 0.20)
+    [gamma_star] = breakeven_gamma(ref_params, build_preset("early_adherence"), [0.20])
     assert gamma_star == pytest.approx(1.35, abs=0.005)
     assert _roi(ref_params, c_base, "early_adherence", adherence_gain_delta=0.20,
                 cost_scale_gamma=1.5) < 0.0

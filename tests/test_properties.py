@@ -140,7 +140,8 @@ def test_breakeven_is_a_root_or_has_none(params, policy, delta, level):
         assert g >= 0.0
         assert abs(roi_at(policy, delta, g, params) - level) <= 1e-8
     if level == 0.0:
-        assert breakeven_gamma(params, policy, delta) == g
+        assert breakeven_gamma(params, policy, [delta]) == [g]
+        assert sweep_design_space(params, policy, [delta], [0.0]).breakeven_gamma_per_delta == (g,)
 
 
 def nudge_log_oracle(params, policy) -> tuple[float, ...]:
