@@ -37,18 +37,35 @@ with its discounted trapezoid (``_unnudged_spend``).  That is every arm whose
 period is 0, the no-policy arm too, whose P is 0.  The nudge logs enter
 as integers, a period per gain (``scenarios._nudge_periods``); the spend
 channel depends on a gain only through it, so ``arm_costs`` runs it once per
-distinct period, and runs the rest channel (adherence, severity,
-alpha*D + beta*A^2) in chunks of ``_CHUNK_ARMS`` gains taken in period order,
-so that the gains no nudge fires in share their chunks.  Each quantity is
-written by a few in-place array operations that make the formula's float
-operations in its order (swapping the two operands of one sum or product,
-which leaves its result unchanged); k_eff is evaluated once over all the
-adherence points.  Those are 3n - 2, except where adherence is constant on
-each policy piece (no decay of the gain or of the baseline): there a panel's
-start read equals its midpoint and end reads bit for bit, so adherence is
-read at the n nodes alone (``_panel_reads``).  Every reduction along the grid
-is a row-wise cumulative sum, so each row equals the one-arm run bit for bit,
-whatever rows share its chunk: ``simulate_trajectory`` is the B = 1 case.
+distinct period.
+
+Before tau's node i0 every piece is inactive, so adherence, severity and
+alpha*D + beta*A^2 are the same for every gain there.  ``arm_costs`` thus
+splits the grid at node k0 = min(i0, n - 2): it runs the head [0, k0] once,
+for one gain, and the rest channel of the tail [k0, n - 1] in chunks of
+``_CHUNK_ARMS`` gains taken in period order, so that the gains no nudge fires
+in share their chunks.  A tail's running logit and rest sums go on from the
+head's raw sums, the -k*s0 offset and C0 are added after them, and its panels
+keep the grid's step h, so each sum adds the one-arm run's terms in its order.
+
+Each quantity is written by a few in-place array operations that make the
+formula's float operations in its order (swapping the two operands of one sum
+or product, which leaves its result unchanged); k_eff is evaluated once over
+all the adherence points (``_read_layout``, ``_panel_reads``).  A one-arm run
+and the head read adherence at the 3n - 2 points of Simpson's rule (the
+nodes, then each panel's midpoint and right end), or at the n nodes where
+adherence is constant on each policy piece (no decay of the gain or of the
+baseline): there a panel's start read equals its midpoint and end reads bit
+for bit.  When k0 = i0 every tail piece is active, and the tail of n' nodes
+is read only where adherence can vary: at one value per row where it is
+constant on each piece; at the 2n' - 1 nodes and midpoints in a chunk where
+no nudge fires, since adherence then depends on the time alone and a panel's
+end read is the next node's, bit for bit; and at the 3n' - 2 points only in a
+chunk where a nudge fires.  A policy that never starts or starts on the last
+node keeps a one-panel tail in the general layout, and tau at node 0 leaves
+the head empty.  Every reduction along the grid is a row-wise cumulative sum,
+so each row equals the one-arm run bit for bit, whatever rows share its
+chunk: ``simulate_trajectory`` is the B = 1 case on the whole grid.
 """
 
 from __future__ import annotations
@@ -131,9 +148,10 @@ def total_cost(params: ModelParams, policy: PolicyConfig, rest, spend_units, gam
 # Arms per kernel call.  An arm reads adherence at up to 3n - 2 points (3 001
 # on the 10-year canonical grid), about 25 000 points per call.  A per-chunk
 # allocation of 128 KiB or more is mapped afresh and faulted in again on
-# every chunk, so ``arm_costs`` owns two buffers of B * (3n - 2) elements and
-# reuses them (a chunk read at the nodes alone uses their first B * n), and
-# every other per-chunk array is (B, n) or smaller: 64 KiB here.
+# every chunk, so ``arm_costs`` owns two buffers of B * (3n' - 2) elements,
+# sized by the tail of n' nodes, and reuses them (a chunk read in a smaller
+# layout uses their first elements), and every other per-chunk array is
+# (B, n') or smaller: at most 64 KiB here.
 _CHUNK_ARMS = 25_000 // 3_001
 
 
@@ -170,38 +188,58 @@ def _logit_steps(h, k_start, k_mid, k_end):
     return steps
 
 
-def _severity_grid(params: ModelParams, policy: PolicyConfig, times: np.ndarray, a: np.ndarray, work: np.ndarray):
-    """Severity on the grid, one row per arm, via RK4/Simpson on the logit
-    variable from each panel's adherence at its start, midpoint and end, read
-    at the grid's points (``a``, in either ``_panel_reads`` layout).  ``work``,
-    shaped like ``a``, is scratch."""
+def _severity_grid(params: ModelParams, policy: PolicyConfig, times: np.ndarray, h: float, a: np.ndarray,
+                   work: np.ndarray, z0=None):
+    """Severity at the nodes ``times``, one row per arm, via RK4/Simpson on the
+    logit variable over panels of width h, from each panel's adherence at its
+    start, midpoint and end, read at ``a``'s points (in any ``_panel_reads``
+    layout).  ``work``, shaped like ``a``, is scratch.
+
+    The logit's running sum is 0 at the first node of a grid from time 0
+    (``z0`` None), and ``z0`` at the first node of a span that goes on from
+    an earlier one; the -k*s0 offset is added after the sum.  Also returns, on
+    a span, the running sum at its last node (None with eta = 0, where the
+    closed form needs no sum)."""
     n = len(times)
     if params.severity_coupling_eta == 0.0:
         severity = np.empty((len(a), n))
         severity[...] = _logistic_closed_form(params, times, policy.progression_compression)
-        return severity
+        return severity, None
 
     k = _k_eff(params, policy.progression_compression, a, out=work)
-    steps = _logit_steps(times[1], *_panel_reads(k, n))
+    steps = _logit_steps(h, *_panel_reads(k, n))
     z = np.empty((len(a), n))
-    z[:, 0] = 0.0
-    np.add.accumulate(steps, axis=-1, out=z[:, 1:])
+    if z0 is None:
+        z[:, 0] = 0.0
+        np.add.accumulate(steps, axis=-1, out=z[:, 1:])
+        z_end = None
+    else:
+        z[:, 0] = z0
+        z[:, 1:] = steps
+        np.add.accumulate(z, axis=-1, out=z)
+        z_end = z[:, -1].copy()
     z += -params.disease_steepness_k * params.disease_midpoint_s0
     severity = sigmoid(z, out=z)
     severity *= params.disease_max_Dmax
-    return severity
+    return severity, z_end
 
 
-def _discounted_trapezoid(disc: np.ndarray, h: float, f_start, f_end, out: np.ndarray, scratch=None) -> np.ndarray:
+def _discounted_trapezoid(disc: np.ndarray, h: float, f_start, f_end, out: np.ndarray, scratch=None,
+                          start=None) -> np.ndarray:
     """Cumulative trapezoid of disc * f from each panel's start and end values,
-    0 at the first node, one row per arm, into ``out``.  The end terms
-    disc * f_end go to ``scratch`` (which may be ``f_end``) if given."""
+    one row per arm, into ``out``: 0 at the first node, or ``start`` on a span
+    that goes on from an earlier one.  The end terms disc * f_end go to
+    ``scratch`` (which may be ``f_end``) if given."""
     panels = out[:, 1:]
     np.multiply(f_start, disc[:-1], out=panels)
     panels += np.multiply(f_end, disc[1:], out=scratch)
     panels *= h / 2.0
-    out[:, 0] = 0.0
-    np.add.accumulate(panels, axis=-1, out=panels)
+    if start is None:
+        out[:, 0] = 0.0
+        np.add.accumulate(panels, axis=-1, out=panels)
+    else:
+        out[:, 0] = start
+        np.add.accumulate(out, axis=-1, out=out)
     return out
 
 
@@ -237,41 +275,93 @@ def _piece_constant(policy: PolicyConfig) -> bool:
 
 def _panel_reads(x: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     """The (start, midpoint, end) views of each panel's reads in ``x``, one row
-    per arm: of the 3n - 2 points (the nodes, then the midpoints and the right
-    ends), or of the n nodes alone, whose start read serves all three."""
+    per arm, on n nodes.  ``x`` holds one of four layouts, told apart by its
+    width: the 3n - 2 points (the nodes, then the midpoints and the right
+    ends); the nodes and midpoints (2n - 1), where a panel's end read is the
+    next node's; the n nodes alone, whose start read serves all three; or one
+    value per row, which serves every read of every panel.  On one node,
+    which has no panel, the four coincide."""
+    width = x.shape[1]
     start = x[:, :n - 1]
-    if x.shape[1] == n:
+    if width == n:
         return start, start, start
+    if width == 1:
+        return x, x, x
+    if width == 2 * n - 1:
+        return start, x[:, n:], x[:, 1:n]
     return start, x[:, n:2 * n - 1], x[:, 2 * n - 1:]
 
 
-def _rest_rows(params: ModelParams, policy: PolicyConfig, grid, deltas, nudges, buffers=None):
-    """Adherence, severity and the rest rate at the nodes, and the cumulative
-    rest channel, one row per gain.  Adherence is read at the n nodes if it is
-    constant on each piece, else at the 3n - 2 points.  It is read into the
-    first elements of one of two flat ``buffers`` and the other is scratch;
-    both are made here if not given."""
+def _span(grid, lo: int, hi: int):
+    """Nodes lo .. hi - 1 of ``grid`` as a grid of their own: their times,
+    discount factors and canonical nodes, and their panels' 3n' - 2 points
+    with the canonical node of the piece read at each."""
+    times, disc, nodes, points, pieces = grid
+    n = len(times)
+    cut = np.r_[lo:hi, n + lo:n + hi - 1, 2 * n - 1 + lo:2 * n - 2 + hi]
+    return times[lo:hi], disc[lo:hi], nodes[lo:hi], points[cut], pieces[cut]
+
+
+def _read_layout(policy: PolicyConfig, grid, active: bool = False, fires: bool = True):
+    """``grid`` with its points cut to those adherence is read at
+    (``_panel_reads``): where it is constant on each piece, one value per row
+    if every piece is active, else the n nodes; where every piece is active
+    and no nudge fires, the nodes and midpoints; else the 3n - 2 points."""
     times, disc, nodes, points, pieces = grid
     n = len(times)
     if _piece_constant(policy):
-        points, pieces = times, nodes
+        width = 1 if active else n
+    else:
+        width = 2 * n - 1 if active and not fires else 3 * n - 2
+    return times, disc, nodes, points[:width], pieces[:width]
+
+
+def _rest_rows(params: ModelParams, policy: PolicyConfig, grid, deltas, nudges, buffers=None, start=None):
+    """Adherence, severity and the rest rate at the nodes, and the cumulative
+    rest channel, one row per gain, on a grid from time 0 (``start`` None),
+    read in its ``_read_layout``.
+
+    On a span of the grid (``_span``) whose points are already cut to a
+    layout, ``start`` is (h, z, r): the grid's step, and the raw running
+    logit and rest sums at the span's first node, before the -k*s0 offset
+    and C0.  The sums go on from there, and the raw sums at the span's last
+    node are returned in place of the rows.
+
+    Adherence is read into the first elements of one of two flat ``buffers``
+    and the other is scratch; both are made here if not given."""
+    if start is None:
+        grid = _read_layout(policy, grid)
+    times, disc, _, points, pieces = grid
+    h, z0, r0 = (times[1], None, None) if start is None else start
+    n = len(times)
     size = len(nudges[1]) * points.size
     if buffers is None:
         buffers = np.empty(size), np.empty(size)
     # Contiguous views: a strided one costs numpy about 1 us a row per call.
     a, work = (buf[:size].reshape(-1, points.size) for buf in buffers)
     adherence_array(params, policy, deltas, nudges, points, pieces, a)
-    severity = _severity_grid(params, policy, times, a, work)
+    severity, z_end = _severity_grid(params, policy, times, h, a, work, z0)
 
     # The engine has no health-outcome term: lambda * H is zero.
     # alpha * D + beta * A^2 at the nodes, and at each panel's end.
     disease = np.multiply(severity, params.disease_cost_alpha)
-    rest_nodes, rest_end = np.square(a[:, :n]), np.square(_panel_reads(a, n)[2])
-    for rate, d in ((rest_nodes, disease), (rest_end, disease[:, 1:])):
-        rate *= params.adherence_cost_beta
-        rate += d
-    # The trapezoid overwrites rest_end, and alpha * D, which it is done with.
-    rest = _discounted_trapezoid(disc, times[1], rest_nodes[:, :-1], rest_end, disease, scratch=rest_end)
+    if points.size in (1, 2 * n - 1):
+        # A panel's end read is the next node's, so its end rate is too.  Only
+        # a span is read in these layouts, and it returns no rows, so the
+        # trapezoid overwrites severity, which it is done with.
+        adherence_rate = np.square(a[:, :n])
+        adherence_rate *= params.adherence_cost_beta
+        rest_nodes = np.add(disease, adherence_rate, out=disease)
+        rest = _discounted_trapezoid(disc, h, rest_nodes[:, :-1], rest_nodes[:, 1:], severity, start=r0)
+    else:
+        rest_nodes, rest_end = np.square(a[:, :n]), np.square(_panel_reads(a, n)[2])
+        for rate, d in ((rest_nodes, disease), (rest_end, disease[:, 1:])):
+            rate *= params.adherence_cost_beta
+            rate += d
+        # The trapezoid overwrites rest_end, and alpha * D, which it is done with.
+        rest = _discounted_trapezoid(disc, h, rest_nodes[:, :-1], rest_end, disease, scratch=rest_end, start=r0)
+    if start is not None:
+        return z_end, rest[:, -1]
     rest += params.baseline_cost_C0
     return a[:, :n], severity, rest_nodes, rest
 
@@ -339,26 +429,41 @@ def arm_costs(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[np.nda
     every ``DistributionSpec`` draws in [0, 1].
 
     The nudge periods are computed first, ``_CHUNK_ARMS`` gains at a time.
-    The rest channel then takes the gains in chunks in stable period order
-    and scatters each chunk's horizon values back to the gains' indices, so
-    the gains no nudge fires in share chunks that read one adherence profile.
+    The head before tau's node runs once, for the first gain.  The tail then
+    takes the gains in chunks in stable period order, goes on from the head's
+    raw sums, and scatters each chunk's horizon values back to the gains'
+    indices, so the gains no nudge fires in share chunks that read one
+    adherence profile; the module docstring gives the layouts each reads in.
     Every chunk reads adherence into the first elements of one buffer of
-    ``_CHUNK_ARMS * (3n - 2)`` elements and works in another, so that their
+    ``_CHUNK_ARMS * (3n' - 2)`` elements and works in another, so that their
     pages are not handed back to the system and faulted in again from chunk
-    to chunk.  The spend channel runs once per distinct period.
+    to chunk.  The spend channel runs once per distinct period.  An empty
+    ``deltas`` gives two empty arrays.
     """
     deltas = np.asarray(deltas, dtype=float)
+    if not deltas.size:
+        return np.empty(0), np.empty(0)
     grid = _grid(params.horizon_T, STEPS_PER_YEAR, params.discount_rate_rho)
     periods = np.empty(deltas.size, dtype=np.int64)
     for lo in range(0, deltas.size, _CHUNK_ARMS):
         chunk = slice(lo, lo + _CHUNK_ARMS)
         i0, periods[chunk] = _nudge_periods(params, policy, deltas[chunk])
+    n, h = len(grid[0]), grid[0][1]
+    k0 = min(i0, n - 2)
+    # The head ends at or before tau's node, so no nudge fires in it.  -0.0 is
+    # the sums' identity: each goes on from the first panel's term.
+    head = _read_layout(policy, _span(grid, 0, k0 + 1))
+    sums = _rest_rows(params, policy, head, deltas[:1], (i0, np.zeros(1, dtype=np.int64)), start=(h, -0.0, -0.0))
+    tail = _span(grid, k0, n)
     order = np.argsort(periods, kind="stable")
     rest = np.empty(deltas.size)
-    buffers = [np.empty(min(_CHUNK_ARMS, deltas.size) * len(grid[3])) for _ in range(2)]
+    buffers = [np.empty(min(_CHUNK_ARMS, deltas.size) * len(tail[3])) for _ in range(2)]
     for lo in range(0, deltas.size, _CHUNK_ARMS):
         chunk = order[lo:lo + _CHUNK_ARMS]
-        rest[chunk] = _rest_rows(params, policy, grid, deltas[chunk], (i0, periods[chunk]), buffers)[-1][:, -1]
+        nudges = (i0, periods[chunk])
+        layout = _read_layout(policy, tail, active=k0 == i0, fires=nudges[1].any())
+        rest[chunk] = _rest_rows(params, policy, layout, deltas[chunk], nudges, buffers, start=(h, *sums))[1]
+    rest += params.baseline_cost_C0
     distinct, which = np.unique(periods, return_inverse=True)
     spend = np.empty(distinct.size)
     for lo in range(0, distinct.size, _CHUNK_ARMS):

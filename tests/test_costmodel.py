@@ -344,8 +344,14 @@ class TestNeverStartedArms:
 
 
 class TestAdherenceReads:
-    """Adherence is read only where it can change: at the n nodes where it is
-    constant on each piece, else at the 3n - 2 points of Simpson's rule."""
+    """Adherence is read only where it can change.  A one-arm run reads it at
+    the n nodes where it is constant on each piece, else at the 3n - 2 points
+    of Simpson's rule.  ``arm_costs`` reads the gain-free head before tau's
+    node once, in that layout, then each gain once on the tail of m nodes: at
+    one point where adherence is constant on each piece, at the 2m - 1 nodes
+    and midpoints where no nudge fires, and at the 3m - 2 points where one
+    does.  A policy that never starts keeps a one-panel tail in the general
+    layout."""
 
     @pytest.fixture
     def reads(self, monkeypatch):
@@ -358,20 +364,26 @@ class TestAdherenceReads:
         monkeypatch.setattr(costmodel, "adherence_array", recorder)
         return calls
 
-    @pytest.mark.parametrize(("policy", "node_only"), [
-        (BASELINE, True),
-        (EARLY, True),
-        (PolicyConfig(kind=PolicyKind.CUSTOM, start_tau=1.0), True),
-        (build_preset("regressive"), False),
-        (replace(BASELINE, baseline_decay=0.05), False),
+    @pytest.mark.parametrize(("policy", "node_only", "tail_widths"), [
+        (BASELINE, True, lambda m: {m}),
+        (EARLY, True, lambda m: {1}),
+        (PolicyConfig(kind=PolicyKind.CUSTOM, start_tau=1.0), True, lambda m: {1}),
+        (build_preset("regressive"), False, lambda m: {2 * m - 1}),
+        (build_preset("adaptive_nudges"), False, lambda m: {2 * m - 1, 3 * m - 2}),
+        (replace(BASELINE, baseline_decay=0.05), False, lambda m: {3 * m - 2}),
     ])
-    def test_points_read_per_arm(self, ref_params, reads, policy, node_only):
+    def test_points_read_per_arm(self, ref_params, reads, policy, node_only, tail_widths):
         n = round(ref_params.horizon_T * 100) + 1
         deltas = np.linspace(0.0, 0.6, 2 * costmodel._CHUNK_ARMS + 1)
         simulate_trajectory(ref_params, policy)
+        assert [(size, len(periods)) for size, periods in reads] == [(n if node_only else 3 * n - 2, 1)]
+        reads.clear()
         arm_costs(ref_params, policy, deltas)
-        assert sum(len(periods) for _, periods in reads) == 1 + len(deltas)
-        assert {size for size, _ in reads} == {n if node_only else 3 * n - 2}
+        k0 = min(scenarios._nudge_periods(ref_params, policy, deltas)[0], n - 2)
+        (head, head_periods), *tail = reads
+        assert (head, len(head_periods)) == (k0 + 1 if node_only else 3 * k0 + 1, 1)
+        assert sum(len(periods) for _, periods in tail) == len(deltas)
+        assert {size for size, _ in tail} == tail_widths(n - k0)
 
     def test_never_firing_gains_share_their_chunks(self, ref_params, reads):
         spec = DistributionSpec.beta_from_mean(0.3)

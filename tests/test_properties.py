@@ -381,7 +381,8 @@ kernel_policies = st.builds(
     inflation_factor=st.floats(1.0, 2.0),
     progression_compression=st.floats(0.5, 1.0) | st.just(1.0),
 )
-kernel_params = st.sampled_from((PARAMS, replace(PARAMS, severity_coupling_eta=0.0)))
+kernel_params = st.sampled_from((PARAMS, replace(PARAMS, severity_coupling_eta=0.0),
+                                  replace(PARAMS, adherence_baseline_A0=-0.0)))
 
 
 @PROPERTY
@@ -394,8 +395,24 @@ def test_trajectory_columns_equal_plain_numpy_reference(params, policy, steps_pe
         assert got.tobytes() == column.tobytes(), name
 
 
+# arm_costs runs the gain-free head before tau's node once, then every gain on
+# the tail.  The examples: tau at 0 (an empty head; nudges fire from node 1);
+# on the last node, and past the horizon, where the tail is the last panel in
+# the general layout; one node before the last (a nudge fires on the last);
+# and just above a node, which snaps up to one node before the last.
+NUDGING = PolicyConfig(kind=PolicyKind.ADAPTIVE_NUDGES, adherence_gain_delta=0.3, cost_scale_gamma=2.0,
+                       decay_theta=0.5, nudge_threshold=0.82)
+
+
 @PROPERTY
 @given(kernel_params, kernel_policies, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2 * costmodel._CHUNK_ARMS + 1))
+@example(PARAMS, NUDGING, [0.2701, 0.3, 0.0, 0.9])
+@example(PARAMS, replace(build_preset("regressive"), start_tau=PARAMS.horizon_T), [0.3, 0.0])
+@example(PARAMS, replace(NUDGING, start_tau=PARAMS.horizon_T - 0.01), [0.2701, 0.3, 0.0])
+@example(replace(PARAMS, adherence_baseline_A0=-0.0),
+         PolicyConfig(kind=PolicyKind.CUSTOM, start_tau=PARAMS.horizon_T - 0.02 + 1e-6, decay_theta=0.5,
+                      baseline_decay=0.05), [0.3, 0.0])
+@example(PARAMS, replace(build_preset("early_adherence"), start_tau=PARAMS.horizon_T + 1e-9), [0.3, 0.0])
 def test_batched_rows_equal_plain_numpy_reference(params, policy, deltas):
     rest, spend = arm_costs(params, policy, deltas)
     for i, delta in enumerate(deltas):
