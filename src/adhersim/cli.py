@@ -25,6 +25,7 @@ from dataclasses import replace
 import numpy as np
 
 from .analytics import (
+    baseline_cost,
     breakeven_gamma,
     payback_time,
     roi,
@@ -47,7 +48,14 @@ from .exports import (
     trajectory_csv,
     write_run_outputs,
 )
-from .montecarlo import DEFAULT_DELTA_SD, DistributionSpec, check_draw_keys, run_monte_carlo
+from .montecarlo import (
+    DEFAULT_DELTA_SD,
+    DistributionSpec,
+    check_draw_keys,
+    draw_deltas,
+    price_draws,
+    run_monte_carlo,
+)
 from .params import document_lines, load_params, read_text, reference_params_path
 from .runconfig import (
     RunConfig,
@@ -183,10 +191,13 @@ def export_plots(
     """Run one figure family's arms and emit its plot-data files plus a manifest.
 
     severity / adherence / cost: every preset's trajectory and the
-    decaying-baseline counterfactual.  mc: each policy preset's draws.
-    stress: each policy preset's ROI unstressed and under every reference
-    stress.  Only the mc family reads ``seed`` and ``n_draws``, and only it
-    echoes them.
+    decaying-baseline counterfactual.  mc: a histogram of each policy
+    preset's ROI over its draws, as ``run_monte_carlo`` gives them; the
+    no-policy arm runs once, and presets whose draw specs are equal (the
+    same gain, under one seed) price one set of draws.  The family writes no
+    summary, so it checks only the ROIs it bins.  stress: each policy
+    preset's ROI unstressed and under every reference stress.  Only the mc
+    family reads ``seed`` and ``n_draws``, and only it echoes them.
     """
     if family not in PLOT_FAMILIES:
         raise ValueError(f"unknown figure family {family!r}; valid: {', '.join(PLOT_FAMILIES)}")
@@ -208,11 +219,12 @@ def export_plots(
             traj = simulate_trajectory(params, policy)
             files[f"{family}_{name}.csv"] = curve_csv(traj.times, getattr(traj, attr))
     elif family == "mc":
-        files = {
-            f"mc_hist_{name}.csv": histogram_csv(run_monte_carlo(
-                params, policy, _default_mc_spec(policy.adherence_gain_delta), n_draws, seed)[1]["roi_percent"])
-            for name, policy in policies.items()
-        }
+        c_base, draws, files = baseline_cost(params), {}, {}
+        for name, policy in policies.items():
+            spec = _default_mc_spec(policy.adherence_gain_delta)
+            if spec not in draws:
+                draws[spec] = draw_deltas(spec, n_draws, seed)
+            files[f"mc_hist_{name}.csv"] = histogram_csv(price_draws(params, policy, draws[spec], c_base)[1])
     else:
         stresses = tuple((kind, value) for kind, (_, value) in STRESSES.items())
         files = {
@@ -279,6 +291,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.config:
         raw = {key: value for _, key, value in document_lines(read_text("config", args.config))}
+        if "mode" in raw and parse_value("mode", raw["mode"]).value != args.mode:
+            raise ValueError(f"mode: the document's mode {raw['mode']} differs from the sub-command {args.mode}")
     else:
         raw = {"params_file": str(reference_params_path()), "scenario": "early_adherence"}
     # A flag is its key's text, laid over the document's line.

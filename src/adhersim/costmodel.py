@@ -229,10 +229,18 @@ def _discounted_trapezoid(disc: np.ndarray, h: float, f_start, f_end, out: np.nd
     """Cumulative trapezoid of disc * f from each panel's start and end values,
     one row per arm, into ``out``: 0 at the first node, or ``start`` on a span
     that goes on from an earlier one.  The end terms disc * f_end go to
-    ``scratch`` (which may be ``f_end``) if given."""
+    ``scratch`` (which may be ``f_end``) if given.
+
+    With ``f_end`` None, ``f_start`` holds f at every node and a panel's end
+    value is the next node's: disc * f is then formed once per node, in place
+    in ``f_start``, and each panel adds its two nodes' terms."""
     panels = out[:, 1:]
-    np.multiply(f_start, disc[:-1], out=panels)
-    panels += np.multiply(f_end, disc[1:], out=scratch)
+    if f_end is None:
+        terms = np.multiply(f_start, disc, out=f_start)
+        np.add(terms[:, :-1], terms[:, 1:], out=panels)
+    else:
+        np.multiply(f_start, disc[:-1], out=panels)
+        panels += np.multiply(f_end, disc[1:], out=scratch)
     panels *= h / 2.0
     if start is None:
         out[:, 0] = 0.0
@@ -348,11 +356,12 @@ def _rest_rows(params: ModelParams, policy: PolicyConfig, grid, deltas, nudges, 
     if points.size in (1, 2 * n - 1):
         # A panel's end read is the next node's, so its end rate is too.  Only
         # a span is read in these layouts, and it returns no rows, so the
-        # trapezoid overwrites severity, which it is done with.
+        # trapezoid overwrites the rates with their discounted terms, and
+        # severity, which it is done with.
         adherence_rate = np.square(a[:, :n])
         adherence_rate *= params.adherence_cost_beta
         rest_nodes = np.add(disease, adherence_rate, out=disease)
-        rest = _discounted_trapezoid(disc, h, rest_nodes[:, :-1], rest_nodes[:, 1:], severity, start=r0)
+        rest = _discounted_trapezoid(disc, h, rest_nodes, None, severity, start=r0)
     else:
         rest_nodes, rest_end = np.square(a[:, :n]), np.square(_panel_reads(a, n)[2])
         for rate, d in ((rest_nodes, disease), (rest_end, disease[:, 1:])):

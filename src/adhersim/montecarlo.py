@@ -6,13 +6,19 @@ Sub-stream derivation is counter-based and pinned: draw i uses
 spawn_key=(i,)))``.  Draws are therefore independent of execution order,
 and summaries are bit-identical across reruns.
 
-That construction is unchanged, but ``run_monte_carlo`` does not build a
+That construction is unchanged, but ``draw_deltas`` does not build a
 ``SeedSequence`` per draw.  numpy pools the master seed once; adhersim then
 mixes in each draw's spawn-key word and hashes the output, one vectorised
 pass over all draw indices, and numpy seeds each draw's PCG64 from the four
 words that pass gives.  ``substream`` stays the reference construction;
 each draw equals ``sample_delta(spec, substream(master_seed, i))``.
 ``numpy.random`` loads on first use, never at ``import adhersim``.
+
+``run_monte_carlo`` is two steps and a summary: ``draw_deltas`` samples the
+gains, and ``price_draws`` prices each gain's arm against the no-policy
+arm's cost.  A caller that runs several policies, such as the mc figure
+family, calls them apart: the draws depend only on the spec, n and the
+master seed, so policies whose specs are equal share one set of draws.
 """
 
 from __future__ import annotations
@@ -208,6 +214,25 @@ def positive_rate(roi_values: np.ndarray) -> float:
     return float(np.count_nonzero(roi_values > 0.0) / len(roi_values))
 
 
+def draw_deltas(spec: DistributionSpec, n: int, master_seed: int) -> np.ndarray:
+    """n adherence-gain draws, draw i from its own substream (see module doc)."""
+    check_draw_keys(master_seed, n)
+    return np.array([sample_delta(spec, stream) for stream in _draw_streams(master_seed, n)], dtype=float)
+
+
+def price_draws(params: ModelParams, policy_template: PolicyConfig, deltas: np.ndarray,
+                c_base: float) -> tuple[np.ndarray, np.ndarray]:
+    """Total cost and ROI against the baseline cost ``c_base`` of each gain's
+    arm.  ``costmodel.arm_costs`` runs the gains in chunks whose rows each
+    equal a one-arm run bit for bit.  A failure names the first failing draw."""
+    rest, spend = arm_costs(params, policy_template, deltas)
+    costs = total_cost(params, policy_template, rest, spend)
+    try:
+        return costs, roi(c_base, costs)
+    except RejectedCost as exc:
+        raise ValueError(f"draw {exc.index} (delta={deltas[exc.index]:.6f}) failed: {exc}") from exc
+
+
 def run_monte_carlo(
     params: ModelParams,
     policy_template: PolicyConfig,
@@ -215,18 +240,15 @@ def run_monte_carlo(
     n: int,
     master_seed: int,
 ) -> tuple[McSummary, np.ndarray]:
-    """Propagate n adherence-gain draws through the deterministic engine.
+    """Propagate n adherence-gain draws through the deterministic engine:
+    ``draw_deltas``, then ``price_draws`` against the no-policy arm.
 
     Returns the summary plus the raw per-draw records as a structured array
     with fields (draw_index, delta, total_cost, roi_percent), in draw-index
-    order.  Each draw is sampled from its own substream (see module doc);
-    the engine then evaluates the draws in fixed-size chunks (see
-    ``costmodel.arm_costs``), each row of which equals a one-arm run bit for
-    bit, so the output does not depend on the chunk size.  A failure names
-    the first failing draw.
+    order.
     """
-    check_draw_keys(master_seed, n)
-    c_base = baseline_cost(params)
+    deltas = draw_deltas(spec, n, master_seed)
+    costs, rois = price_draws(params, policy_template, deltas, baseline_cost(params))
     draws = np.empty(
         n,
         dtype=[
@@ -237,15 +259,7 @@ def run_monte_carlo(
         ],
     )
     draws["draw_index"] = np.arange(n)
-    deltas = draws["delta"]
-    deltas[:] = [sample_delta(spec, stream) for stream in _draw_streams(master_seed, n)]
-    rest, spend = arm_costs(params, policy_template, deltas)
-    costs = total_cost(params, policy_template, rest, spend)
-    try:
-        rois = roi(c_base, costs)
-    except RejectedCost as exc:
-        raise ValueError(f"draw {exc.index} (delta={deltas[exc.index]:.6f}) failed: {exc}") from exc
-    draws["total_cost"], draws["roi_percent"] = costs, rois
+    draws["delta"], draws["total_cost"], draws["roi_percent"] = deltas, costs, rois
     # Centred on a draw, a series of one value has an sd of exactly 0.
     roi_sd = float(np.std(rois - rois[0], ddof=0))
     p_positive = positive_rate(rois)

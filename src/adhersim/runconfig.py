@@ -136,7 +136,7 @@ def validate_run_config(config: RunConfig) -> None:
     for key in _MODE_KEYS.get(config.mode, ()):
         value = getattr(config, key)
         if value is None or isinstance(value, tuple) and not value:
-            raise ValueError(f"mode={config.mode.value} requires key: {key}")
+            raise ValueError(f"{key}: required by mode {config.mode.value}")
     try:
         config.build_policy()
     except ValueError as exc:
@@ -191,12 +191,12 @@ def parse_keys(raw: dict[str, str]) -> RunConfig:
     to ``validate_run_config``."""
     unknown = raw.keys() - _KEYS.keys()
     if unknown:
-        raise ValueError(f"unknown key: {', '.join(sorted(unknown))}; valid: {', '.join(_KEYS)}")
+        raise ValueError(f"{', '.join(sorted(unknown))}: unknown key; valid: {', '.join(_KEYS)}")
     values, overrides = {}, {}
     for key, required in _KEYS.items():
         text = raw.get(key)
         if required and not text:
-            raise ValueError(f"missing required key: {key}")
+            raise ValueError(f"{key}: missing required key")
         if text is not None:
             target = overrides if key.startswith("policy.") else values
             target[key.removeprefix("policy.")] = parse_value(key, text)

@@ -4,11 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from adhersim import costmodel
+from adhersim import cli, costmodel
 from adhersim.analytics import roi, stress_pairs
-from adhersim.cli import export_plots, main
+from adhersim.cli import _default_mc_spec, export_plots, main
 from adhersim.costmodel import simulate_trajectory
-from adhersim.exports import csv_bytes
+from adhersim.exports import csv_bytes, histogram_csv
+from adhersim.montecarlo import run_monte_carlo
 from adhersim.params import reference_params_path
 from adhersim.scenarios import PRESET_NAMES, StressKind, apply_stress, build_preset
 
@@ -297,6 +298,23 @@ class TestConfigFile:
         assert _run(["--config", cfg] + flags) == 0
         assert (out / output).exists()
 
+    @pytest.mark.parametrize("mode, command", [("mc", "simulate"), ("simulate", "compare"), ("bogus", "simulate")])
+    def test_document_mode_other_than_the_sub_command_is_rejected(self, tmp_path, capsys, mode, command):
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        cfg.write_text(
+            f"params_file = {reference_params_path()}\n"
+            "scenario = early_adherence\n"
+            f"mode = {mode}\n"
+            f"output_dir = {out}\n"
+            "seed = 1\n"
+            "n_draws = 5\n"
+        )
+        assert _run(["--config", cfg, command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: mode: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_out_supplies_output_dir_the_config_leaves_out(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         out = tmp_path / "out"
@@ -336,7 +354,7 @@ class TestInputErrors:
         ("simulate", "policy.cost_scale_gamma = abc\n", "policy.cost_scale_gamma: expected a number"),
         ("mc", "seed = 1\nn_draws = two\n", "n_draws: expected an integer"),
         ("stress", "stress_kind = cost_inflation\nstress_value = big\n", "stress_value: expected a number"),
-        ("mc", "seed = 1\nn_draws = 5\nn_workers = 2\n", "unknown key: n_workers"),
+        ("mc", "seed = 1\nn_draws = 5\nn_workers = 2\n", "n_workers: unknown key;"),
         # A Beta of mean 0.001 cannot have sd 0.05.
         ("mc", "seed = 1\nn_draws = 5\npolicy.adherence_gain_delta = 0.001\n",
          "adherence_gain_delta: 0.001 is too close to 0 or 1 for a Beta draw with sd 0.05\n"),
@@ -448,11 +466,17 @@ class TestInputErrors:
         assert err.startswith(f"error: {expected}") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["simulate", "compare"])
-    def test_an_overflow_that_reaches_no_output_is_no_error(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("line, args", [
         # rho * t overflows past t = 0, and exp(-inf) = 0 discounts every later cost to 0.
+        ("discount_rate_rho = 1e308", ["simulate"]),
+        ("discount_rate_rho = 1e308", ["compare"]),
+        # Each cost is finite, and so is each ROI; only the mean cost of the
+        # mc_summary case above overflows, and the family writes no summary.
+        ("baseline_cost_C0 = 1e308", ["--seed", "1", "export-plots", "--family", "mc", "--n-draws", "50"]),
+    ], ids=["simulate", "compare", "mc_family"])
+    def test_an_overflow_that_reaches_no_output_is_no_error(self, tmp_path, capsys, line, args):
         out = tmp_path / "out"
-        assert _run(["--params", self._params_with(tmp_path, "discount_rate_rho = 1e308"), "--out", out, command]) == 0
+        assert _run(["--params", self._params_with(tmp_path, line), "--out", out] + args) == 0
         assert capsys.readouterr().err == ""
         assert (out / "manifest.json").exists()
 
@@ -558,7 +582,7 @@ class TestParserReuse:
         assert _run(["--out", tmp_path / "a", "--seed", "5", "mc", "--n-draws", "5"]) == 0
         capsys.readouterr()
         assert _run(["--out", tmp_path / "b", "mc", "--n-draws", "5"]) == 2
-        assert "error: mode=mc requires key: seed" in capsys.readouterr().err
+        assert "error: seed: required by mode mc" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
     def test_argument_error_leaves_the_parser_usable(self, tmp_path):
@@ -597,6 +621,27 @@ class TestExportPlots:
         for name in ("early_adherence", "low_impact"):
             _, rows = _read_csv(out / f"mc_hist_{name}.csv")
             assert sum(int(r[2]) for r in rows) == 60
+
+    @pytest.mark.parametrize("n", [1, 9, 80])
+    def test_mc_family_bins_each_presets_run_monte_carlo(self, tmp_path, ref_params, n):
+        out = tmp_path / "plots"
+        assert _run(["--out", out, "--seed", "5", "export-plots", "--family", "mc", "--n-draws", n]) == 0
+        for name in POLICY_PRESETS:
+            policy = build_preset(name)
+            _, draws = run_monte_carlo(ref_params, policy, _default_mc_spec(policy.adherence_gain_delta), n, 5)
+            assert (out / f"mc_hist_{name}.csv").read_bytes() == histogram_csv(draws["roi_percent"])
+
+    def test_mc_family_draws_once_per_spec_and_runs_one_baseline(self, tmp_path, monkeypatch):
+        # Four presets share the gain 0.3, so two specs cover the five presets.
+        calls = {"draw_deltas": 0, "baseline_cost": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(cli, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(cli, name, counted)
+        assert _run(["--out", tmp_path / "plots", "--seed", "5", "export-plots", "--family", "mc",
+                     "--n-draws", "4"]) == 0
+        assert calls == {"draw_deltas": 2, "baseline_cost": 1}
 
     def test_stress_family(self, tmp_path):
         out = tmp_path / "plots"

@@ -890,3 +890,101 @@ def test_a_parameter_line_runs_or_names_its_error(index, whole_line, text):
     if code == 2:
         assert err.getvalue().startswith("error: ")
         assert "Traceback" not in err.getvalue()
+
+
+# The CLI fuzz's vocabulary: flags with a value, and a few lone tokens, so
+# that a flag can also lose its value.  Draw counts and axes stay small, so
+# any run they form takes milliseconds.
+FUZZ_GLOBALS = (("--seed", "3"), ("--seed", "-1"), ("--seed", "x"), ("--params", "missing.txt"),
+                ("--params", "."), ("--params", str(reference_params_path())))
+FUZZ_VALUES = {
+    "--scenario": ("early_adherence", "regressive", "adaptive_nudges", "baseline", "custom", "bogus"),
+    "--n-draws": ("1", "3", "0", "1_0"),
+    "--kind": ("cost_inflation", "accelerated_progression", "bogus"),
+    "--value": ("1.5", "0.5", "nan"),
+    "--delta-axis": ("0.1,0.3", "0.3,0.1", "2", "nan"),
+    "--gamma-axis": ("1", "0.5,2", "-1"),
+    "--family": ("severity", "adherence", "cost", "mc", "stress"),
+}
+# Each sub-command's own flags.
+FUZZ_COMMANDS = {
+    "simulate": ("--scenario",), "compare": ("--scenario",), "mc": ("--scenario", "--n-draws"),
+    "stress": ("--scenario", "--kind", "--value"), "sweep": ("--scenario", "--delta-axis", "--gamma-axis"),
+    "breakeven": ("--scenario", "--delta-axis"), "export-plots": ("--family", "--n-draws"), "bogus": (),
+}
+
+
+def fuzz_flags(flags):
+    return tuple((flag, value) for flag in flags for value in FUZZ_VALUES[flag])
+
+
+def _maybe(values, k, n):
+    """A list of one of ``values`` k times in n, else an empty list."""
+    return st.tuples(st.integers(1, n), st.sampled_from(values)).map(lambda t: [t[1]] if t[0] <= k else [])
+
+
+# A sub-command, its own flags, and one time in four a token it may not take.
+fuzz_commands = st.sampled_from(sorted(FUZZ_COMMANDS)).flatmap(lambda command: st.tuples(
+    st.just(command),
+    st.lists(st.sampled_from(fuzz_flags(FUZZ_COMMANDS[command]) or (("3",),)), max_size=3),
+    _maybe(fuzz_flags(FUZZ_VALUES) + (("--scenario",), ("3",)), 1, 4),
+))
+# A document's values by key; "<out>" stands for the example's output
+# directory and "<command>" for its sub-command.  The keys every run needs
+# are there three times in four, the others one time in four, and any key
+# may be there twice.
+FUZZ_DOCUMENT_VALUES = {
+    "params_file": (str(reference_params_path()), "missing.txt"),
+    "scenario": ("early_adherence", "delayed", "low_impact", "custom", "bogus"),
+    "mode": ("<command>", "<command>", "<command>", "mc", "simulate", "bogus"),
+    "output_dir": ("<out>",),
+    "seed": ("7", "-1", "x"),
+    "n_draws": ("3", "0"),
+    "delta_axis": ("0.1, 0.3", "0.3, 0.1", "2"),
+    "gamma_axis": ("1", "0.5, 2"),
+    "stress_kind": ("cost_inflation", "accelerated_progression", "bogus"),
+    "stress_value": ("1.2", "0.5", "nan"),
+    "policy.start_tau": ("0", "20", "-1"),
+    "policy.adherence_gain_delta": ("0.3", "0.9", "0.001"),
+    "bogus": ("1",),
+}
+FUZZ_DOCUMENT_LINES = {key: tuple((key, value) for value in values) for key, values in FUZZ_DOCUMENT_VALUES.items()}
+fuzz_documents = st.tuples(
+    *(_maybe(lines, 3 if key in ("params_file", "scenario", "mode", "output_dir") else 1, 4)
+      for key, lines in FUZZ_DOCUMENT_LINES.items()),
+    st.lists(st.sampled_from(sum(FUZZ_DOCUMENT_LINES.values(), ())), max_size=1),
+).map(lambda doc: sum(doc, []))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(
+    globals_=st.lists(st.sampled_from(FUZZ_GLOBALS), max_size=2),
+    command=fuzz_commands,
+    doc=st.none() | fuzz_documents,
+    out_flag=st.booleans(),
+)
+# A run from a document, and an mc figure family; each exits 0.
+@example([], ("mc", [("--n-draws", "3")], []), [("params_file", str(reference_params_path())),
+         ("scenario", "adaptive_nudges"), ("mode", "<command>"), ("output_dir", "<out>"), ("seed", "7")], False)
+@example([("--seed", "3")], ("export-plots", [("--family", "mc"), ("--n-draws", "3")], []), None, True)
+def test_any_command_line_runs_or_names_its_error(globals_, command, doc, out_flag):
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err, \
+            contextlib.redirect_stdout(io.StringIO()):
+        out = Path(tmp) / "out"
+        name, own, stray = command
+        argv = [token for flag in globals_ + [(name,)] + own + stray for token in flag]
+        if doc is None or out_flag:
+            argv = ["--out", str(out)] + argv
+        if doc is not None:
+            config = Path(tmp) / "run.cfg"
+            text = "".join(f"{key} = {value}\n" for key, value in doc)
+            config.write_text(text.replace("<out>", str(out)).replace("<command>", name))
+            argv = ["--config", str(config)] + argv
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+        if code == 2:
+            assert not out.exists()
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
