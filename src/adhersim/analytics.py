@@ -128,11 +128,12 @@ def breakeven_gamma(params: ModelParams, policy_template: PolicyConfig, deltas) 
     ``gamma_at_roi`` at level 0 of one arm per gain, against one baseline run.
     None where the design already loses money at gamma = 0 or spends nothing
     (I_P = 0).  Each gain replaces the template's, so PolicyConfig checks it;
-    a baseline cost that is not finite raises ValueError, as in ``roi``."""
-    arms = [simulate_trajectory(params, replace(policy_template, adherence_gain_delta=d)) for d in deltas]
+    a baseline cost that is not finite raises ValueError, as in ``roi``.  Each
+    arm's run is dropped once its two channels are read."""
+    arms = (simulate_trajectory(params, replace(policy_template, adherence_gain_delta=d)) for d in deltas)
+    costs = [(arm.rest_cost, arm.spend_integral) for arm in arms]
     c_base = check_finite("cost_baseline", baseline_cost(params))
-    rest = np.array([arm.rest_cost for arm in arms])
-    spend = np.array([arm.spend_integral for arm in arms])
+    rest, spend = np.array(costs, dtype=float).reshape(-1, 2).T
     return reachable(gamma_at_roi(params, policy_template, c_base, rest, spend))
 
 

@@ -200,7 +200,7 @@ def export_plots(
     family reads ``seed`` and ``n_draws``, and only it echoes them.
     """
     if family not in PLOT_FAMILIES:
-        raise ValueError(f"unknown figure family {family!r}; valid: {', '.join(PLOT_FAMILIES)}")
+        raise ValueError(f"family: unknown figure family {family!r}; valid: {', '.join(PLOT_FAMILIES)}")
     check_draw_keys(seed, n_draws)
     if family == "mc" and seed is None:
         raise ValueError("seed: the mc family requires a seed")
@@ -266,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "mc": ("Monte Carlo over stochastic adherence gains",
                (("--n-draws", {"help": "number of Monte Carlo draws"}),)),
         "stress": ("paired unstressed/stressed run", (
-            ("--kind", {"dest": "stress_kind", "choices": _STRESS_KINDS}),
+            ("--kind", {"dest": "stress_kind", "help": f"stress kind ({', '.join(_STRESS_KINDS)})"}),
             ("--value", {"dest": "stress_value", "metavar": "VALUE",
                          "help": f"stress multiplier (default {defaults})"}),
         )),
@@ -283,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag, kwargs in flags:
             p.add_argument(flag, **kwargs)
     plots = sub.add_parser("export-plots", help="CSV series reproducing the figure families")
-    plots.add_argument("--family", required=True, choices=PLOT_FAMILIES)
+    plots.add_argument("--family", required=True, help=f"figure family ({', '.join(PLOT_FAMILIES)})")
     plots.add_argument("--n-draws", help="draws for the mc family")
     return parser
 

@@ -44,9 +44,11 @@ alpha*D + beta*A^2 are the same for every gain there.  ``arm_costs`` thus
 splits the grid at node k0 = min(i0, n - 2): it runs the head [0, k0] once,
 for one gain, and the rest channel of the tail [k0, n - 1] in chunks of
 ``_CHUNK_ARMS`` gains taken in period order, so that the gains no nudge fires
-in share their chunks.  A tail's running logit and rest sums go on from the
-head's raw sums, the -k*s0 offset and C0 are added after them, and its panels
-keep the grid's step h, so each sum adds the one-arm run's terms in its order.
+in share their chunks.  Every kernel call's running logit and rest sums go
+on from given raw sums, and the -k*s0 offset and C0 are added after them: a
+grid from time 0 (a one-arm run, or the head) starts both at -0.0, each sum's
+identity, and a tail at the head's sums.  Its panels keep the grid's step h,
+so each sum adds the one-arm run's terms in its order.
 
 Each quantity is written by a few in-place array operations that make the
 formula's float operations in its order (swapping the two operands of one sum
@@ -65,7 +67,8 @@ chunk where a nudge fires.  A policy that never starts or starts on the last
 node keeps a one-panel tail in the general layout, and tau at node 0 leaves
 the head empty.  Every reduction along the grid is a row-wise cumulative sum,
 so each row equals the one-arm run bit for bit, whatever rows share its
-chunk: ``simulate_trajectory`` is the B = 1 case on the whole grid.
+chunk: ``simulate_trajectory`` runs the same ``_rest_rows`` for one gain, on
+the whole grid read in the head's layout.
 """
 
 from __future__ import annotations
@@ -80,8 +83,7 @@ from .numerics import STEPS_PER_YEAR, sigmoid, time_grid
 from .params import ModelParams
 from .scenarios import (
     PolicyConfig,
-    PolicyKind,
-    _gain_law,
+    _decay_theta,
     _nudge_periods,
     _spend_at_nodes,
     adherence_array,
@@ -177,11 +179,11 @@ def _k_eff(params: ModelParams, compression: float, a: np.ndarray, out: np.ndarr
     return k
 
 
-def _logit_steps(h, k_start, k_mid, k_end):
+def _logit_steps(h, k_start, k_mid, k_end, out):
     """Logit increments over steps of width h from k_eff at each step's start,
-    midpoint and end: RK4 on z' = k_eff(A), which is Simpson's rule
-    (h/6) * (k_start + 4 * k_mid + k_end)."""
-    steps = np.multiply(k_mid, 4.0)
+    midpoint and end, into ``out``: RK4 on z' = k_eff(A), which is Simpson's
+    rule (h/6) * (k_start + 4 * k_mid + k_end)."""
+    steps = np.multiply(k_mid, 4.0, out=out)
     steps += k_start
     steps += k_end
     steps *= h / 6.0
@@ -189,16 +191,16 @@ def _logit_steps(h, k_start, k_mid, k_end):
 
 
 def _severity_grid(params: ModelParams, policy: PolicyConfig, times: np.ndarray, h: float, a: np.ndarray,
-                   work: np.ndarray, z0=None):
+                   work: np.ndarray, z0):
     """Severity at the nodes ``times``, one row per arm, via RK4/Simpson on the
     logit variable over panels of width h, from each panel's adherence at its
     start, midpoint and end, read at ``a``'s points (in any ``_panel_reads``
     layout).  ``work``, shaped like ``a``, is scratch.
 
-    The logit's running sum is 0 at the first node of a grid from time 0
-    (``z0`` None), and ``z0`` at the first node of a span that goes on from
-    an earlier one; the -k*s0 offset is added after the sum.  Also returns, on
-    a span, the running sum at its last node (None with eta = 0, where the
+    The logit's running sum goes on from ``z0`` at the first node: an earlier
+    span's raw sum, or -0.0, the sum's identity, on a grid from time 0.  The
+    -k*s0 offset is added after the sum, and the sigmoid reads -0.0 as +0.0.
+    Also returns the raw sum at the last node (None with eta = 0, where the
     closed form needs no sum)."""
     n = len(times)
     if params.severity_coupling_eta == 0.0:
@@ -207,29 +209,23 @@ def _severity_grid(params: ModelParams, policy: PolicyConfig, times: np.ndarray,
         return severity, None
 
     k = _k_eff(params, policy.progression_compression, a, out=work)
-    steps = _logit_steps(h, *_panel_reads(k, n))
     z = np.empty((len(a), n))
-    if z0 is None:
-        z[:, 0] = 0.0
-        np.add.accumulate(steps, axis=-1, out=z[:, 1:])
-        z_end = None
-    else:
-        z[:, 0] = z0
-        z[:, 1:] = steps
-        np.add.accumulate(z, axis=-1, out=z)
-        z_end = z[:, -1].copy()
+    z[:, 0] = z0
+    _logit_steps(h, *_panel_reads(k, n), out=z[:, 1:])
+    np.add.accumulate(z, axis=-1, out=z)
+    z_end = z[:, -1].copy()
     z += -params.disease_steepness_k * params.disease_midpoint_s0
     severity = sigmoid(z, out=z)
     severity *= params.disease_max_Dmax
     return severity, z_end
 
 
-def _discounted_trapezoid(disc: np.ndarray, h: float, f_start, f_end, out: np.ndarray, scratch=None,
-                          start=None) -> np.ndarray:
+def _discounted_trapezoid(disc: np.ndarray, h: float, f_start, f_end, start, out: np.ndarray,
+                          scratch=None) -> np.ndarray:
     """Cumulative trapezoid of disc * f from each panel's start and end values,
-    one row per arm, into ``out``: 0 at the first node, or ``start`` on a span
-    that goes on from an earlier one.  The end terms disc * f_end go to
-    ``scratch`` (which may be ``f_end``) if given.
+    one row per arm, into ``out``, going on from ``start`` at the first node.
+    The end terms disc * f_end go to ``scratch`` (which may be ``f_end``) if
+    given.
 
     With ``f_end`` None, ``f_start`` holds f at every node and a panel's end
     value is the next node's: disc * f is then formed once per node, in place
@@ -242,13 +238,8 @@ def _discounted_trapezoid(disc: np.ndarray, h: float, f_start, f_end, out: np.nd
         np.multiply(f_start, disc[:-1], out=panels)
         panels += np.multiply(f_end, disc[1:], out=scratch)
     panels *= h / 2.0
-    if start is None:
-        out[:, 0] = 0.0
-        np.add.accumulate(panels, axis=-1, out=panels)
-    else:
-        out[:, 0] = start
-        np.add.accumulate(out, axis=-1, out=out)
-    return out
+    out[:, 0] = start
+    return np.add.accumulate(out, axis=-1, out=out)
 
 
 @functools.lru_cache(maxsize=8)
@@ -278,7 +269,7 @@ def _piece_constant(policy: PolicyConfig) -> bool:
     """Whether adherence is constant on each policy piece: neither the gain
     nor the baseline decays, so a panel's start read is also its midpoint
     and end read."""
-    return _gain_law(policy, 0.0)[1] == 0.0 and policy.baseline_decay is None
+    return _decay_theta(policy) == 0.0 and policy.baseline_decay is None
 
 
 def _panel_reads(x: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
@@ -324,23 +315,22 @@ def _read_layout(policy: PolicyConfig, grid, active: bool = False, fires: bool =
     return times, disc, nodes, points[:width], pieces[:width]
 
 
-def _rest_rows(params: ModelParams, policy: PolicyConfig, grid, deltas, nudges, buffers=None, start=None):
-    """Adherence, severity and the rest rate at the nodes, and the cumulative
-    rest channel, one row per gain, on a grid from time 0 (``start`` None),
-    read in its ``_read_layout``.
+def _rest_rows(params: ModelParams, policy: PolicyConfig, grid, deltas, nudges, start, buffers=None):
+    """The rows (adherence, severity and the rest rate at the nodes), the raw
+    cumulative rest channel and the raw logit sum at the last node, one row
+    per gain, on a grid or ``_span`` whose points are cut to a ``_read_layout``.
 
-    On a span of the grid (``_span``) whose points are already cut to a
-    layout, ``start`` is (h, z, r): the grid's step, and the raw running
-    logit and rest sums at the span's first node, before the -k*s0 offset
-    and C0.  The sums go on from there, and the raw sums at the span's last
-    node are returned in place of the rows.
+    ``start`` is (h, z, r): the grid's step, and the raw logit and rest sums at
+    the first node, before the -k*s0 offset and C0, which the sums go on from.
+    From time 0 both are -0.0, so the rest channel's first node is -0.0: a
+    one-arm run writes it as +0.0 before adding C0, so C(0) is C0 + 0.0.  In
+    the one-value and 2n' - 1 layouts the rows are scratch: the trapezoid
+    overwrites the rest rate and severity with its discounted terms.
 
     Adherence is read into the first elements of one of two flat ``buffers``
     and the other is scratch; both are made here if not given."""
-    if start is None:
-        grid = _read_layout(policy, grid)
     times, disc, _, points, pieces = grid
-    h, z0, r0 = (times[1], None, None) if start is None else start
+    h, z0, r0 = start
     n = len(times)
     size = len(nudges[1]) * points.size
     if buffers is None:
@@ -354,45 +344,39 @@ def _rest_rows(params: ModelParams, policy: PolicyConfig, grid, deltas, nudges, 
     # alpha * D + beta * A^2 at the nodes, and at each panel's end.
     disease = np.multiply(severity, params.disease_cost_alpha)
     if points.size in (1, 2 * n - 1):
-        # A panel's end read is the next node's, so its end rate is too.  Only
-        # a span is read in these layouts, and it returns no rows, so the
+        # A panel's end read is the next node's, so its end rate is too.  The
         # trapezoid overwrites the rates with their discounted terms, and
         # severity, which it is done with.
         adherence_rate = np.square(a[:, :n])
         adherence_rate *= params.adherence_cost_beta
         rest_nodes = np.add(disease, adherence_rate, out=disease)
-        rest = _discounted_trapezoid(disc, h, rest_nodes, None, severity, start=r0)
+        rest = _discounted_trapezoid(disc, h, rest_nodes, None, r0, severity)
     else:
         rest_nodes, rest_end = np.square(a[:, :n]), np.square(_panel_reads(a, n)[2])
         for rate, d in ((rest_nodes, disease), (rest_end, disease[:, 1:])):
             rate *= params.adherence_cost_beta
             rate += d
         # The trapezoid overwrites rest_end, and alpha * D, which it is done with.
-        rest = _discounted_trapezoid(disc, h, rest_nodes[:, :-1], rest_end, disease, scratch=rest_end, start=r0)
-    if start is not None:
-        return z_end, rest[:, -1]
-    rest += params.baseline_cost_C0
-    return a[:, :n], severity, rest_nodes, rest
+        rest = _discounted_trapezoid(disc, h, rest_nodes[:, :-1], rest_end, r0, disease, scratch=rest_end)
+    return (a[:, :n], severity, rest_nodes), rest, z_end
 
 
-def _spend_rows(policy: PolicyConfig, grid, nudges):
-    """P at the nodes and the cumulative spend channel, one row per log."""
+def _spend_rows(unit_cost: float, grid, nudges):
+    """P at the nodes and the cumulative spend channel, one row per log, for
+    a nudge window's ``unit_cost``; P is never -0.0, so it starts at +0.0."""
     times, disc, nodes = grid[:3]
-    p = _spend_at_nodes(policy, nudges, nodes)
+    p = _spend_at_nodes(unit_cost, nudges, nodes)
     # P is constant on each panel: its value at the end is the one at the start.
-    return p, _discounted_trapezoid(disc, times[1], p[:, :-1], p[:, :-1], np.empty_like(p))
-
-
-# A log that fires no nudge spends the step 1[node >= i0], whatever the kind.
-_STEP_POLICY = PolicyConfig(kind=PolicyKind.EARLY_ADHERENCE)
+    return p, _discounted_trapezoid(disc, times[1], p[:, :-1], p[:, :-1], 0.0, np.empty_like(p))
 
 
 @functools.lru_cache(maxsize=32)
 def _unnudged_spend(i0: int, horizon: float, steps_per_year: int, rho: float) -> tuple[np.ndarray, ...]:
     """P and the cumulative spend channel, as read-only (1, n) rows, of an arm
-    that spends from tau's node i0 on and fires no nudge."""
+    that spends from tau's node i0 on and fires no nudge: whatever its unit
+    cost, such a log spends the step 1[node >= i0]."""
     grid = _grid(horizon, steps_per_year, rho)
-    rows = _spend_rows(_STEP_POLICY, grid, (i0, np.zeros(1, dtype=np.int64)))
+    rows = _spend_rows(0.0, grid, (i0, np.zeros(1, dtype=np.int64)))
     for row in rows:
         row.setflags(write=False)
     return rows
@@ -402,7 +386,7 @@ def _spend(params: ModelParams, policy: PolicyConfig, steps_per_year: int, grid,
     """``_spend_rows`` of logs with distinct periods, from the cache when the
     one log is period 0."""
     if nudges[1].any():
-        return _spend_rows(policy, grid, nudges)
+        return _spend_rows(policy.nudge_unit_cost, grid, nudges)
     return _unnudged_spend(nudges[0], params.horizon_T, steps_per_year, params.discount_rate_rho)
 
 
@@ -412,10 +396,13 @@ def simulate_trajectory(
     steps_per_year: int = STEPS_PER_YEAR,
 ) -> Trajectory:
     """Simulate one policy arm on the fixed grid."""
-    grid = _grid(params.horizon_T, steps_per_year, params.discount_rate_rho)
+    grid = _read_layout(policy, _grid(params.horizon_T, steps_per_year, params.discount_rate_rho))
     deltas = [policy.adherence_gain_delta]
     nudges = _nudge_periods(params, policy, deltas)
-    a, severity, rest_nodes, rest = _rest_rows(params, policy, grid, deltas, nudges)
+    (a, severity, rest_nodes), rest, _ = _rest_rows(params, policy, grid, deltas, nudges, (grid[0][1], -0.0, -0.0))
+    # The channel's first node holds the -0.0 it went on from: C(0) is C0 + 0.0.
+    rest[:, 0] = 0.0
+    rest += params.baseline_cost_C0
     p, spend = _spend(params, policy, steps_per_year, grid, nudges)
     return Trajectory(
         times=grid[0].copy(),
@@ -462,7 +449,8 @@ def arm_costs(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[np.nda
     # The head ends at or before tau's node, so no nudge fires in it.  -0.0 is
     # the sums' identity: each goes on from the first panel's term.
     head = _read_layout(policy, _span(grid, 0, k0 + 1))
-    sums = _rest_rows(params, policy, head, deltas[:1], (i0, np.zeros(1, dtype=np.int64)), start=(h, -0.0, -0.0))
+    _, head_rest, z = _rest_rows(params, policy, head, deltas[:1], (i0, np.zeros(1, dtype=np.int64)), (h, -0.0, -0.0))
+    start = (h, z, head_rest[:, -1])
     tail = _span(grid, k0, n)
     order = np.argsort(periods, kind="stable")
     rest = np.empty(deltas.size)
@@ -471,7 +459,7 @@ def arm_costs(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[np.nda
         chunk = order[lo:lo + _CHUNK_ARMS]
         nudges = (i0, periods[chunk])
         layout = _read_layout(policy, tail, active=k0 == i0, fires=nudges[1].any())
-        rest[chunk] = _rest_rows(params, policy, layout, deltas[chunk], nudges, buffers, start=(h, *sums))[1]
+        rest[chunk] = _rest_rows(params, policy, layout, deltas[chunk], nudges, start, buffers)[1][:, -1]
     rest += params.baseline_cost_C0
     distinct, which = np.unique(periods, return_inverse=True)
     spend = np.empty(distinct.size)

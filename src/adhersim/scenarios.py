@@ -69,7 +69,7 @@ STRESSES = {
 class PolicyConfig:
     """One policy design.
 
-    Fields not used by a given kind (see ``_gain_law``) are ignored by the
+    Fields not used by a given kind (see ``_decay_theta``) are ignored by the
     evaluators but still range-validated.  ``inflation_factor`` and
     ``progression_compression`` are stress multipliers applied by
     :func:`apply_stress`.
@@ -175,9 +175,8 @@ def validate_authored_pair(params: ModelParams, policy: PolicyConfig) -> None:
         )
 
 
-def _gain_law(policy: PolicyConfig, delta: np.ndarray) -> tuple[np.ndarray, float]:
-    """(delta, theta) of the gain delta * exp(-theta * (s - last boost)) from tau on,
-    for an array of gains ``delta`` that replace the policy's.
+def _decay_theta(policy: PolicyConfig) -> float:
+    """theta of the gain delta * exp(-theta * (s - last boost)) from tau on.
 
     The one place that says which fields each kind ignores: BASELINE, whose
     gain never starts (``_nudge_periods``), and the step kinds (EARLY_ADHERENCE,
@@ -185,8 +184,8 @@ def _gain_law(policy: PolicyConfig, delta: np.ndarray) -> tuple[np.ndarray, floa
     ADAPTIVE_NUDGES use both.
     """
     if policy.kind in (PolicyKind.BASELINE, PolicyKind.EARLY_ADHERENCE, PolicyKind.DELAYED, PolicyKind.LOW_IMPACT):
-        return delta, 0.0
-    return delta, policy.decay_theta
+        return 0.0
+    return policy.decay_theta
 
 
 def _tau_node(policy: PolicyConfig) -> int:
@@ -258,7 +257,7 @@ def adherence_array(
     s gives the right-continuous trajectory.
     """
     i0, periods = nudges
-    delta, theta = _gain_law(policy, np.asarray(deltas, dtype=float)[:, None])
+    delta, theta = np.asarray(deltas, dtype=float)[:, None], _decay_theta(policy)
     gain = np.empty((len(delta), s.size)) if out is None else out
     active = piece >= i0
     if theta == 0.0:
@@ -287,20 +286,21 @@ def adherence_array(
     return np.minimum(gain, 1.0, out=gain)
 
 
-def _spend_at_nodes(policy: PolicyConfig, nudges: tuple[int, np.ndarray], nodes: np.ndarray) -> np.ndarray:
+def _spend_at_nodes(unit_cost: float, nudges: tuple[int, np.ndarray], nodes: np.ndarray) -> np.ndarray:
     """The expenditure function P, in policy units, at canonical nodes, one row
-    per log in period form.
+    per log in period form, for a nudge window's unit cost ``unit_cost`` (a
+    policy's ``nudge_unit_cost``).
 
-    P is right-continuous: 1 from tau's node on, plus ``nudge_unit_cost`` for
-    each window open at the node.  A window opens at its activation's node and
+    P is right-continuous: 1 from tau's node on, plus ``unit_cost`` for each
+    window open at the node.  A window opens at its activation's node and
     closes NUDGE_WINDOW_YEARS later, on a node too.  A log that never fires
-    adds nudge_unit_cost * 0 = 0.0 to the step.
+    adds unit_cost * 0 = 0.0 to the step.
     """
     # The step, 1.0 from tau's node on, in every row.
     p = np.greater_equal(nodes, nudges[0], out=np.empty((len(nudges[1]), len(nodes))))
     _, opened = _activations_by(nudges, nodes)
     _, closed = _activations_by(nudges, nodes - round(NUDGE_WINDOW_YEARS * STEPS_PER_YEAR))
-    p += policy.nudge_unit_cost * (opened - closed)
+    p += unit_cost * (opened - closed)
     return p
 
 

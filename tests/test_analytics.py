@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -104,6 +105,20 @@ class TestBreakeven:
     def test_bad_delta_rejected(self, ref_params):
         with pytest.raises(ValueError):
             breakeven_gamma(ref_params, EARLY, [1.5])
+
+    def test_memory_stays_flat_over_many_gains(self, ref_params):
+        # Only two floats per gain outlive its run: keeping every run's rows,
+        # about 48 KB each, peaks near 48 MB over 1 000 gains.
+        deltas = np.linspace(0.0, 0.45, 1000)
+        breakeven_gamma(ref_params, EARLY, deltas[:1])  # builds the cached grids
+        tracemalloc.start()
+        try:
+            gammas = breakeven_gamma(ref_params, EARLY, deltas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(gammas) == deltas.size
+        assert peak < 5_000_000
 
 
 class TestStressPairs:

@@ -122,9 +122,9 @@ class TestBreakeven:
         runs = []
         kernel = costmodel._rest_rows
 
-        def recorder(params, policy, grid, deltas, nudges, buffers=None):
+        def recorder(params, policy, grid, deltas, nudges, start, buffers=None):
             runs.append((len(nudges[1]), bool(nudges[0] > grid[2][-1])))
-            return kernel(params, policy, grid, deltas, nudges, buffers)
+            return kernel(params, policy, grid, deltas, nudges, start, buffers)
 
         monkeypatch.setattr(costmodel, "_rest_rows", recorder)
         assert _run(["--out", tmp_path / "be", "breakeven", "--delta-axis", "0.1,0.2,0.3,0.4"]) == 0
@@ -587,10 +587,23 @@ class TestParserReuse:
 
     def test_argument_error_leaves_the_parser_usable(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            _run(["--out", tmp_path / "a", "stress", "--kind", "bogus"])
+            _run(["--out", tmp_path / "a", "stress", "--kind"])
         assert exc.value.code == 2
         assert _run(["--out", tmp_path / "b", "stress", "--kind", "cost_inflation"]) == 0
         assert (tmp_path / "b" / "stress_summary.csv").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["stress", "--kind", "bogus"],
+     "error: stress_kind: unknown kind 'bogus'; valid: cost_inflation, accelerated_progression\n"),
+    (["export-plots", "--family", "bogus"],
+     "error: family: unknown figure family 'bogus'; valid: severity, adherence, cost, mc, stress\n"),
+])
+def test_unknown_kind_or_family_names_its_key(tmp_path, capsys, args, message):
+    out = tmp_path / "out"
+    assert _run(["--out", out, *args]) == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists()
 
 
 class TestExportPlots:
@@ -682,11 +695,11 @@ class TestExportPlots:
         assert "seed" in capsys.readouterr().err
 
     def test_unknown_family_rejected(self, tmp_path):
-        # argparse's choices guard only the command line; a family outside
-        # them must not fall through to the stress family's files.
+        # A family outside the five must not fall through to the stress
+        # family's files.
         out = tmp_path / "x"
         with pytest.raises(ValueError) as exc:
             export_plots(str(reference_params_path()), family="bogus", output_dir=str(out))
-        assert str(exc.value) == ("unknown figure family 'bogus'; valid: "
+        assert str(exc.value) == ("family: unknown figure family 'bogus'; valid: "
                                   "severity, adherence, cost, mc, stress")
         assert not out.exists()

@@ -325,10 +325,13 @@ class TestNeverStartedArms:
         warm = simulate_trajectory(params, policy)
         assert run_bytes(warm) == run_bytes(cold)
         # The policy's own kernel rows.
-        grid = costmodel._grid(params.horizon_T, 100, params.discount_rate_rho)
+        grid = costmodel._read_layout(policy, costmodel._grid(params.horizon_T, 100, params.discount_rate_rho))
         deltas = [policy.adherence_gain_delta]
-        a, severity, rest_nodes, rest = costmodel._rest_rows(
-            params, policy, grid, deltas, scenarios._nudge_periods(params, policy, deltas))
+        (a, severity, rest_nodes), rest, _ = costmodel._rest_rows(
+            params, policy, grid, deltas, scenarios._nudge_periods(params, policy, deltas), (grid[0][1], -0.0, -0.0))
+        # The raw channel, its first node and C0 written as the one-arm run writes them.
+        rest[:, 0] = 0.0
+        rest += params.baseline_cost_C0
         for got, want in zip((warm.adherence, warm.severity, *warm._rows[::2]), (a, severity, rest_nodes, rest)):
             assert got.tobytes() == want[0].tobytes()
         assert warm.adherence.flags.writeable and warm.severity.flags.writeable

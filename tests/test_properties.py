@@ -195,7 +195,7 @@ def test_every_nudge_window_closes_on_its_grid_node():
     period = len(nodes)
     for k in range(len(nodes) - width):
         # One activation, at node k: the next would fall past the grid.
-        spend = _spend_at_nodes(policy, (k - period, np.array([period])), nodes)[0]
+        spend = _spend_at_nodes(policy.nudge_unit_cost, (k - period, np.array([period])), nodes)[0]
         open_window = (nodes >= k) & (nodes < k + width)
         assert spend.tolist() == (1.0 + policy.nudge_unit_cost * open_window).tolist(), k
 
@@ -258,7 +258,7 @@ def test_period_form_equals_activation_times(case, multiples):
         times, _, _, points, pieces = grid
         nudges = _nudge_periods(params, policy, gains)
         adherence = adherence_array(params, policy, gains, nudges, points, pieces)
-        spend = costmodel._spend_rows(policy, grid, nudges)[0]
+        spend = costmodel._spend_rows(policy.nudge_unit_cost, grid, nudges)[0]
         piece_at = np.concatenate((times, times[:-1], times[:-1]))
         for row, gain in enumerate(gains):
             activations = nudge_log_oracle(params, replace(policy, adherence_gain_delta=gain))
@@ -382,11 +382,16 @@ kernel_policies = st.builds(
     progression_compression=st.floats(0.5, 1.0) | st.just(1.0),
 )
 kernel_params = st.sampled_from((PARAMS, replace(PARAMS, severity_coupling_eta=0.0),
-                                  replace(PARAMS, adherence_baseline_A0=-0.0)))
+                                  replace(PARAMS, adherence_baseline_A0=-0.0),
+                                  replace(PARAMS, baseline_cost_C0=-0.0)))
 
 
 @PROPERTY
 @given(kernel_params, kernel_policies, st.sampled_from((STEPS_PER_YEAR, 2 * STEPS_PER_YEAR)))
+# C(0) is C0 + 0.0: with C0 = -0.0 and a spend priced at -0.0, a rest
+# channel whose first node held -0.0 would write cumulative_cost[0] = -0.0.
+@example(replace(PARAMS, baseline_cost_C0=-0.0), replace(build_preset("early_adherence"), cost_scale_gamma=-0.0),
+         STEPS_PER_YEAR)
 def test_trajectory_columns_equal_plain_numpy_reference(params, policy, steps_per_year):
     traj = simulate_trajectory(params, policy, steps_per_year)
     expected = kernel_reference(params, policy, steps_per_year)
@@ -454,7 +459,7 @@ def test_final_cost_ends_the_cost_columns(name, gamma, inflation, compression):
     unpriced = simulate_trajectory(PARAMS, replace(policy, cost_scale_gamma=0.0))
     grid = costmodel._grid(PARAMS.horizon_T, STEPS_PER_YEAR, PARAMS.discount_rate_rho)
     nudges = _nudge_periods(PARAMS, policy, [policy.adherence_gain_delta])
-    p, spend = costmodel._spend_rows(policy, grid, nudges)
+    p, spend = costmodel._spend_rows(policy.nudge_unit_cost, grid, nudges)
     assert traj.policy_cost.tobytes() == p[0].tobytes()
     instantaneous = total_cost(PARAMS, policy, unpriced.instantaneous_cost, p[0])
     assert traj.instantaneous_cost.tobytes() == instantaneous.tobytes()
