@@ -21,7 +21,6 @@ from .montecarlo import (
 from .params import ModelParams, load_params, parse_params, reference_params
 from .scenarios import (
     PolicyConfig,
-    PolicyKind,
     StressKind,
     apply_stress,
     build_preset,

@@ -83,7 +83,6 @@ from .numerics import STEPS_PER_YEAR, sigmoid, time_grid
 from .params import ModelParams
 from .scenarios import (
     PolicyConfig,
-    _decay_theta,
     _nudge_periods,
     _spend_at_nodes,
     adherence_array,
@@ -269,7 +268,7 @@ def _piece_constant(policy: PolicyConfig) -> bool:
     """Whether adherence is constant on each policy piece: neither the gain
     nor the baseline decays, so a panel's start read is also its midpoint
     and end read."""
-    return _decay_theta(policy) == 0.0 and policy.baseline_decay is None
+    return policy.decay_theta == 0.0 and policy.baseline_decay is None
 
 
 def _panel_reads(x: np.ndarray, n: int) -> tuple[np.ndarray, ...]:

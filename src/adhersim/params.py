@@ -76,7 +76,8 @@ def document_lines(text: str) -> Iterator[tuple[int, str, str]]:
 
     ``#`` starts a comment; blank and comment-only lines are skipped, and key
     and value are stripped.  A line without ``=`` and a repeated key are
-    rejected with their line number, when the reader reaches them.
+    rejected with their line number, when the reader reaches them; the
+    repeated key leads its message, as a key's error does.
     """
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -88,7 +89,7 @@ def document_lines(text: str) -> Iterator[tuple[int, str, str]]:
         key, _, value = line.partition("=")
         key = key.strip()
         if key in seen:
-            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+            raise ValueError(f"{key}: duplicate key on line {lineno}")
         seen.add(key)
         yield lineno, key, value.strip()
 
@@ -98,17 +99,15 @@ def parse_params(text: str) -> ModelParams:
     values: dict[str, float] = {}
     for lineno, key, value in document_lines(text):
         if key not in _FIELD_NAMES:
-            raise ValueError(
-                f"line {lineno}: unknown key {key!r} (valid keys: {', '.join(_FIELD_NAMES)})"
-            )
+            raise ValueError(f"{key}: unknown key on line {lineno}; valid: {', '.join(_FIELD_NAMES)}")
         try:
             values[key] = parse_number(value)
         except ValueError:
-            raise ValueError(f"line {lineno}: value for {key!r} is not a number: {value!r}") from None
+            raise ValueError(f"{key}: not a number on line {lineno}: {value!r}") from None
 
     missing = [name for name in _REQUIRED if name not in values]
     if missing:
-        raise ValueError(f"missing required keys: {', '.join(missing)}")
+        raise ValueError(f"{', '.join(missing)}: missing required key")
     return ModelParams(**values)
 
 

@@ -30,7 +30,6 @@ from .scenarios import (
     PRESET_NAMES,
     STRESSES,
     PolicyConfig,
-    PolicyKind,
     StressKind,
     apply_stress,
     build_preset,
@@ -46,7 +45,7 @@ class RunMode(enum.Enum):
     STRESS = "stress"
 
 
-_POLICY_OVERRIDE_FIELDS = tuple(f.name for f in fields(PolicyConfig) if f.name != "kind")
+_POLICY_OVERRIDE_FIELDS = tuple(f.name for f in fields(PolicyConfig) if f.name != "starts")
 _STRESS_KINDS = tuple(kind.value for kind in StressKind)
 # The keys each mode cannot run without.
 _MODE_KEYS = {
@@ -72,10 +71,7 @@ class RunConfig:
     policy_overrides: dict[str, float] = field(default_factory=dict)
 
     def build_policy(self) -> PolicyConfig:
-        if self.scenario == "custom":
-            policy = PolicyConfig(kind=PolicyKind.CUSTOM)
-        else:
-            policy = build_preset(self.scenario)
+        policy = PolicyConfig() if self.scenario == "custom" else build_preset(self.scenario)
         if self.policy_overrides:
             policy = replace(policy, **self.policy_overrides)
         return policy
@@ -129,7 +125,7 @@ def validate_run_config(config: RunConfig) -> None:
         if config.stress_kind is None:
             raise ValueError("stress_value: given without stress_kind")
         try:
-            apply_stress(PolicyConfig(PolicyKind.BASELINE), StressKind(config.stress_kind), config.stress_value)
+            apply_stress(PolicyConfig(), StressKind(config.stress_kind), config.stress_value)
         except ValueError as exc:
             raise ValueError(f"stress_value: {str(exc).partition(': ')[2]}") from None
 

@@ -1,5 +1,12 @@
 """Policy scenario definitions: adherence trajectories, expenditure functions,
-the adaptive-nudge feedback rule, and the stress transforms.
+the nudge feedback rule, and the stress transforms.
+
+One rule prices every policy from its own fields: from tau its gain is
+delta * exp(-decay_theta * (s - last boost)), boosted again whenever
+A0 + delta * exp(-decay_theta * elapsed) falls below ``nudge_threshold``, and
+each boost opens a window that adds ``nudge_unit_cost`` to the spend.  The
+presets are field sets of that rule; a zero ``decay_theta`` gives a step, and a
+threshold at or below A0 never fires.
 
 All adherence and expenditure functions are right-continuous in time; a policy
 active from time tau contributes from s = tau onward.  A policy never starts if
@@ -11,7 +18,7 @@ the piece in force at the earlier one.  ``adherence_array`` takes the canonical
 node whose piece to read, which lets the integrator evaluate a panel's interior
 and right end on the piece its start node set; spend is constant on a panel.
 
-The engine keeps nudge logs in period form: the adaptive rule fires every m
+The engine keeps nudge logs in period form: the rule fires every m
 canonical nodes after tau's node i0 (``_nudge_periods``; m = 0 never fires).
 With N(x) = floor(max(x - i0, 0) / m) activations by node x, the last boost
 at or before node j is node i0 + m * N(j), and N(j) - N(j - W) windows of W
@@ -40,16 +47,6 @@ DEFAULT_NUDGE_UNIT_COST = 0.5     # units of P(s) added per open window
 DEFAULT_BASELINE_DECAY = 0.05     # per year, decaying-counterfactual variant
 
 
-class PolicyKind(enum.Enum):
-    BASELINE = "baseline"
-    EARLY_ADHERENCE = "early_adherence"
-    DELAYED = "delayed"
-    REGRESSIVE = "regressive"
-    ADAPTIVE_NUDGES = "adaptive_nudges"
-    LOW_IMPACT = "low_impact"
-    CUSTOM = "custom"
-
-
 class StressKind(enum.Enum):
     COST_INFLATION = "cost_inflation"
     ACCELERATED_PROGRESSION = "accelerated_progression"
@@ -67,15 +64,18 @@ STRESSES = {
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """One policy design.
+    """One policy design.  The one rule reads every field: the gain
+    ``adherence_gain_delta`` from ``start_tau`` decays at ``decay_theta``, and
+    is boosted again whenever the level falls below ``nudge_threshold``, each
+    boost adding ``nudge_unit_cost`` to the spend for a window.
 
-    Fields not used by a given kind (see ``_decay_theta``) are ignored by the
-    evaluators but still range-validated.  ``inflation_factor`` and
+    ``starts`` is False only for the no-policy arm, whose gain and spend never
+    begin; no run document or flag sets it.  ``inflation_factor`` and
     ``progression_compression`` are stress multipliers applied by
     :func:`apply_stress`.
     """
 
-    kind: PolicyKind
+    starts: bool = True
     start_tau: float = 0.0
     adherence_gain_delta: float = 0.0
     cost_scale_gamma: float = 0.0
@@ -87,7 +87,7 @@ class PolicyConfig:
     progression_compression: float = 1.0
 
     def __post_init__(self) -> None:
-        for f in fields(self)[1:]:  # every field after kind
+        for f in fields(self)[1:]:  # every field after starts
             if (value := getattr(self, f.name)) is not None:
                 check_finite(f.name, value)
         if self.start_tau < 0:
@@ -116,29 +116,17 @@ class PolicyConfig:
 
 
 _PRESETS = {
-    "baseline": dict(kind=PolicyKind.BASELINE),
-    "early_adherence": dict(
-        kind=PolicyKind.EARLY_ADHERENCE, start_tau=2.0,
-        adherence_gain_delta=0.3, cost_scale_gamma=1.5,
-    ),
-    "delayed": dict(
-        kind=PolicyKind.DELAYED, start_tau=5.0,
-        adherence_gain_delta=0.3, cost_scale_gamma=1.5,
-    ),
+    "baseline": dict(starts=False),
+    "early_adherence": dict(start_tau=2.0, adherence_gain_delta=0.3, cost_scale_gamma=1.5),
+    "delayed": dict(start_tau=5.0, adherence_gain_delta=0.3, cost_scale_gamma=1.5),
     "regressive": dict(
-        kind=PolicyKind.REGRESSIVE, start_tau=2.0,
-        adherence_gain_delta=0.3, cost_scale_gamma=1.2,
-        decay_theta=REGRESSIVE_DECAY_THETA,
+        start_tau=2.0, adherence_gain_delta=0.3, cost_scale_gamma=1.2, decay_theta=REGRESSIVE_DECAY_THETA,
     ),
     "adaptive_nudges": dict(
-        kind=PolicyKind.ADAPTIVE_NUDGES, start_tau=2.0,
-        adherence_gain_delta=0.3, cost_scale_gamma=2.0,
+        start_tau=2.0, adherence_gain_delta=0.3, cost_scale_gamma=2.0,
         decay_theta=ADAPTIVE_DECAY_THETA, nudge_threshold=ADAPTIVE_NUDGE_THRESHOLD,
     ),
-    "low_impact": dict(
-        kind=PolicyKind.LOW_IMPACT, start_tau=2.0,
-        adherence_gain_delta=0.05, cost_scale_gamma=3.0,
-    ),
+    "low_impact": dict(start_tau=2.0, adherence_gain_delta=0.05, cost_scale_gamma=3.0),
 }
 
 PRESET_NAMES = tuple(_PRESETS)
@@ -169,23 +157,10 @@ def validate_authored_pair(params: ModelParams, policy: PolicyConfig) -> None:
         raise ValueError(
             f"adherence_gain_delta: A0 + delta = {a_top:.4f} exceeds 1"
         )
-    if policy.kind is PolicyKind.ADAPTIVE_NUDGES and policy.nudge_threshold >= a_top:
+    if policy.nudge_threshold > 0.0 and policy.nudge_threshold >= a_top:
         raise ValueError(
             "nudge_threshold: must be below adherence_baseline_A0 + adherence_gain_delta"
         )
-
-
-def _decay_theta(policy: PolicyConfig) -> float:
-    """theta of the gain delta * exp(-theta * (s - last boost)) from tau on.
-
-    The one place that says which fields each kind ignores: BASELINE, whose
-    gain never starts (``_nudge_periods``), and the step kinds (EARLY_ADHERENCE,
-    DELAYED, LOW_IMPACT) ignore ``decay_theta``; REGRESSIVE, CUSTOM and
-    ADAPTIVE_NUDGES use both.
-    """
-    if policy.kind in (PolicyKind.BASELINE, PolicyKind.EARLY_ADHERENCE, PolicyKind.DELAYED, PolicyKind.LOW_IMPACT):
-        return 0.0
-    return policy.decay_theta
 
 
 def _tau_node(policy: PolicyConfig) -> int:
@@ -205,7 +180,7 @@ def _decay_factors(theta: float, n_steps: int) -> np.ndarray:
 
 def _nudge_periods(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[int, np.ndarray]:
     """Tau's canonical node i0 and, per gain in ``deltas``, the period m of the
-    adaptive rule's activations at nodes i0 + m, i0 + 2m, ... (m = 0: none).
+    nudge rule's activations at nodes i0 + m, i0 + 2m, ... (m = 0: none).
 
     The rule runs on the canonical grid: when A0 + delta * exp(-theta * elapsed)
     falls below the trigger threshold at a node, the rule fires there and the
@@ -214,17 +189,17 @@ def _nudge_periods(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[i
     It holds a (gains, nodes) array: pass the gains in bounded blocks."""
     i_last = round(params.horizon_T * STEPS_PER_YEAR)
     # The no-policy arm and a policy whose unsnapped tau is past the horizon never start.
-    never = policy.kind is PolicyKind.BASELINE or policy.start_tau > params.horizon_T
+    never = not policy.starts or policy.start_tau > params.horizon_T
     i0 = i_last + 1 if never else _tau_node(policy)
-    if policy.kind is not PolicyKind.ADAPTIVE_NUDGES or i0 >= i_last:
+    a0, theta, threshold = params.adherence_baseline_A0, policy.decay_theta, policy.nudge_threshold
+    # No level falls below a threshold at or below A0, nor falls at all at theta = 0.
+    if theta == 0.0 or threshold <= a0 or i0 >= i_last:
         return i0, np.zeros(len(deltas), dtype=np.int64)
     deltas = np.asarray(deltas, dtype=float)
-    a0 = params.adherence_baseline_A0
-    threshold = policy.nudge_threshold
-    below = a0 + deltas[:, None] * _decay_factors(policy.decay_theta, i_last - i0) < threshold
+    below = a0 + deltas[:, None] * _decay_factors(theta, i_last - i0) < threshold
     # The rule stays inert when the boosted level never reaches the trigger
     # band, so adherence can never cross below it; this also covers a zero
-    # gain or decay, under which no value falls below the threshold.
+    # gain, under which no value falls below the threshold.
     fires = below.any(axis=1) & (a0 + deltas > threshold)
     return i0, np.where(fires, below.argmax(axis=1) + 1, 0)
 
@@ -257,7 +232,7 @@ def adherence_array(
     s gives the right-continuous trajectory.
     """
     i0, periods = nudges
-    delta, theta = np.asarray(deltas, dtype=float)[:, None], _decay_theta(policy)
+    delta, theta = np.asarray(deltas, dtype=float)[:, None], policy.decay_theta
     gain = np.empty((len(delta), s.size)) if out is None else out
     active = piece >= i0
     if theta == 0.0:

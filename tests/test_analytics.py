@@ -13,7 +13,7 @@ from adhersim.analytics import (
     sweep_design_space,
 )
 from adhersim.costmodel import simulate_trajectory
-from adhersim.scenarios import PRESET_NAMES, STRESSES, PolicyConfig, PolicyKind, build_preset
+from adhersim.scenarios import PRESET_NAMES, STRESSES, PolicyConfig, build_preset
 
 from conftest import make_params
 
@@ -43,8 +43,7 @@ class TestPayback:
         assert payback_time(baseline_traj, baseline_traj) is None
 
     def test_free_effective_policy_pays_back_immediately(self, ref_params):
-        free = PolicyConfig(kind=PolicyKind.EARLY_ADHERENCE, start_tau=0.0,
-                            adherence_gain_delta=0.3, cost_scale_gamma=0.0)
+        free = PolicyConfig(start_tau=0.0, adherence_gain_delta=0.3, cost_scale_gamma=0.0)
         base = simulate_trajectory(ref_params, build_preset("baseline"))
         pol = simulate_trajectory(ref_params, free)
         pb = payback_time(base, pol)

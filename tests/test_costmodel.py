@@ -7,7 +7,7 @@ import pytest
 from adhersim import costmodel, scenarios
 from adhersim.costmodel import arm_costs, simulate_trajectory
 from adhersim.montecarlo import DistributionSpec, sample_delta, substream
-from adhersim.scenarios import PRESET_NAMES, PolicyConfig, PolicyKind, StressKind, apply_stress, build_preset
+from adhersim.scenarios import PRESET_NAMES, PolicyConfig, StressKind, apply_stress, build_preset
 
 from conftest import make_params
 
@@ -55,7 +55,7 @@ class TestDiseaseSeverity:
 
     def test_raised_adherence_slows_progression(self):
         p = make_params(severity_coupling_eta=1.0)
-        raised = PolicyConfig(kind=PolicyKind.CUSTOM, adherence_gain_delta=0.3)
+        raised = PolicyConfig(adherence_gain_delta=0.3)
         slowed = simulate_trajectory(p, raised)
         exogenous = simulate_trajectory(p, BASELINE)
         assert np.all(slowed.adherence == 0.8)
@@ -179,7 +179,7 @@ class TestSimulateTrajectory:
     def test_severity_non_decreasing_without_adherence_gain(self, ref_params):
         # decaying-baseline counterfactual keeps adherence below A0 forever,
         # so the one-sided coupling leaves the pure logistic in place
-        policy = PolicyConfig(kind=PolicyKind.BASELINE, baseline_decay=0.05)
+        policy = PolicyConfig(starts=False, baseline_decay=0.05)
         traj = simulate_trajectory(ref_params, policy)
         assert np.all(traj.adherence <= ref_params.adherence_baseline_A0 + 1e-12)
         assert np.all(np.diff(traj.severity) >= -1e-15)
@@ -297,11 +297,11 @@ NEVER_STARTED = {
     "baseline": (None, BASELINE),
     "decaying": (None, replace(BASELINE, baseline_decay=0.05)),
     "accelerated": (None, apply_stress(BASELINE, StressKind.ACCELERATED_PROGRESSION, 0.85)),
-    "custom_late": (None, PolicyConfig(kind=PolicyKind.CUSTOM, start_tau=12.0, adherence_gain_delta=0.3,
-                                       cost_scale_gamma=1.0, decay_theta=0.5)),
+    "custom_late": (None, PolicyConfig(start_tau=12.0, adherence_gain_delta=0.3, cost_scale_gamma=1.0,
+                                       decay_theta=0.5)),
     "custom_late_signed_zero": (dict(adherence_baseline_A0=-0.0, severity_coupling_eta=2.0),
-                                PolicyConfig(kind=PolicyKind.CUSTOM, start_tau=10.5, adherence_gain_delta=-0.0,
-                                             decay_theta=0.5, baseline_decay=0.05)),
+                                PolicyConfig(start_tau=10.5, adherence_gain_delta=-0.0, decay_theta=0.5,
+                                             baseline_decay=0.05)),
 }
 RUN_FIELDS = COLUMNS + ("rest_cost", "spend_integral", "final_cost")
 
@@ -354,7 +354,8 @@ class TestAdherenceReads:
     one point where adherence is constant on each piece, at the 2m - 1 nodes
     and midpoints where no nudge fires, and at the 3m - 2 points where one
     does.  A policy that never starts keeps a one-panel tail in the general
-    layout."""
+    layout.  The layout follows the policy's fields, whatever preset it
+    came from."""
 
     @pytest.fixture
     def reads(self, monkeypatch):
@@ -370,10 +371,15 @@ class TestAdherenceReads:
     @pytest.mark.parametrize(("policy", "node_only", "tail_widths"), [
         (BASELINE, True, lambda m: {m}),
         (EARLY, True, lambda m: {1}),
-        (PolicyConfig(kind=PolicyKind.CUSTOM, start_tau=1.0), True, lambda m: {1}),
+        (PolicyConfig(start_tau=1.0), True, lambda m: {1}),
         (build_preset("regressive"), False, lambda m: {2 * m - 1}),
         (build_preset("adaptive_nudges"), False, lambda m: {2 * m - 1, 3 * m - 2}),
         (replace(BASELINE, baseline_decay=0.05), False, lambda m: {3 * m - 2}),
+        # A custom policy with regressive's fields, and a step with a threshold
+        # above A0 that its level never falls below.
+        (PolicyConfig(start_tau=2.0, adherence_gain_delta=0.3, cost_scale_gamma=1.2,
+                      decay_theta=scenarios.REGRESSIVE_DECAY_THETA), False, lambda m: {2 * m - 1}),
+        (replace(EARLY, nudge_threshold=0.9), True, lambda m: {1}),
     ])
     def test_points_read_per_arm(self, ref_params, reads, policy, node_only, tail_widths):
         n = round(ref_params.horizon_T * 100) + 1
@@ -387,6 +393,8 @@ class TestAdherenceReads:
         assert (head, len(head_periods)) == (k0 + 1 if node_only else 3 * k0 + 1, 1)
         assert sum(len(periods) for _, periods in tail) == len(deltas)
         assert {size for size, _ in tail} == tail_widths(n - k0)
+        # A nudge fires only in a chunk read at the 3m - 2 points.
+        assert all(size == 3 * (n - k0) - 2 for size, periods in tail if periods.any())
 
     def test_never_firing_gains_share_their_chunks(self, ref_params, reads):
         spec = DistributionSpec.beta_from_mean(0.3)

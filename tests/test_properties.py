@@ -53,7 +53,6 @@ from adhersim.scenarios import (
     NUDGE_WINDOW_YEARS,
     PRESET_NAMES,
     PolicyConfig,
-    PolicyKind,
     _nudge_periods,
     _spend_at_nodes,
     _tau_node,
@@ -70,9 +69,6 @@ deltas = st.floats(0.0, 0.45)
 gammas = st.floats(0.0, 6.0)
 step_policies = st.builds(
     PolicyConfig,
-    kind=st.sampled_from(
-        (PolicyKind.EARLY_ADHERENCE, PolicyKind.DELAYED, PolicyKind.LOW_IMPACT, PolicyKind.CUSTOM)
-    ),
     start_tau=st.floats(0.0, PARAMS.horizon_T),
     adherence_gain_delta=deltas,
     cost_scale_gamma=gammas,
@@ -166,8 +162,8 @@ nudge_cases = st.builds(
     lambda a0, delta, theta, fraction, tau: (
         replace(PARAMS, adherence_baseline_A0=a0),
         PolicyConfig(
-            kind=PolicyKind.ADAPTIVE_NUDGES, start_tau=tau, adherence_gain_delta=delta,
-            decay_theta=theta, nudge_threshold=min(a0 + fraction * delta, 1.0),
+            start_tau=tau, adherence_gain_delta=delta, decay_theta=theta,
+            nudge_threshold=min(a0 + fraction * delta, 1.0),
         ),
     ),
     st.floats(0.0, 1.0),
@@ -206,16 +202,15 @@ def test_grid_must_refine_the_canonical_grid():
 
 
 # Gains over all of [0, 1] (the engine clamps adherence), with theta, tau
-# and a trigger threshold above A0 = 0.55 free, for the two kinds that read
-# them: within one batch, gains above the threshold's margin fire at
-# different periods and the rest never fire.
+# and the trigger threshold free: at 0 no nudge fires, and above A0 = 0.55,
+# within one batch, gains above the threshold's margin fire at different
+# periods and the rest never fire.
 decaying_policies = st.builds(
     PolicyConfig,
-    kind=st.sampled_from((PolicyKind.CUSTOM, PolicyKind.ADAPTIVE_NUDGES)),
     start_tau=st.floats(0.0, PARAMS.horizon_T),
     cost_scale_gamma=gammas,
     decay_theta=st.floats(0.0, 5.0),
-    nudge_threshold=st.floats(PARAMS.adherence_baseline_A0, 1.0),
+    nudge_threshold=st.just(0.0) | st.floats(PARAMS.adherence_baseline_A0, 1.0),
 )
 
 
@@ -291,7 +286,7 @@ tau_values = st.one_of(
 @example(0.01 + 2e-11)
 @example(0.0123)
 def test_tau_node_equals_rounded_snapped_tau(tau):
-    policy = PolicyConfig(kind=PolicyKind.EARLY_ADHERENCE, start_tau=tau)
+    policy = PolicyConfig(start_tau=tau)
     assert (_tau_node(policy), policy.tau_snapped) == tau_snap_oracle(tau)
 
 
@@ -303,12 +298,11 @@ def cumsum_from_zero(panels):
 
 def adherence_reference(params, policy, delta, activations, s, piece_at):
     """A(s) on the piece in force at piece_at, from an activation log as times,
-    with each kind's gain law and the baseline's decay."""
-    kind = policy.kind
+    with the gain law the policy's fields give and the baseline's decay."""
     active = piece_at >= policy.tau_snapped
-    if kind is PolicyKind.BASELINE:
+    if not policy.starts:
         gain = np.zeros_like(s)
-    elif kind in (PolicyKind.EARLY_ADHERENCE, PolicyKind.DELAYED, PolicyKind.LOW_IMPACT) or policy.decay_theta == 0.0:
+    elif policy.decay_theta == 0.0:
         gain = delta * active
     else:
         boosts = np.array((policy.tau_snapped,) + activations)
@@ -330,7 +324,7 @@ def kernel_reference(params, policy, steps_per_year=STEPS_PER_YEAR):
     starts, mids, ends = times[:-1], times[:-1] + times[1] / 2.0, times[1:]
     h = times[1] - times[0]
     delta = policy.adherence_gain_delta
-    activations = nudge_log_oracle(params, policy) if policy.kind is PolicyKind.ADAPTIVE_NUDGES else ()
+    activations = nudge_log_oracle(params, policy)
     a_nodes = adherence_reference(params, policy, delta, activations, times, times)
     a_mid = adherence_reference(params, policy, delta, activations, mids, starts)
     a_end = adherence_reference(params, policy, delta, activations, ends, starts)
@@ -353,7 +347,7 @@ def kernel_reference(params, policy, steps_per_year=STEPS_PER_YEAR):
     rest_end = alpha * severity[1:] + beta * a_end**2
     disc = np.exp(-params.discount_rate_rho * times)
     rest = params.baseline_cost_C0 + cumsum_from_zero((h / 2.0) * (disc[:-1] * rest_nodes[:-1] + disc[1:] * rest_end))
-    if policy.kind is PolicyKind.BASELINE:
+    if not policy.starts:
         p = np.zeros_like(times)
     else:
         nodes = np.floor_divide(np.arange(len(times)), steps_per_year // STEPS_PER_YEAR) / STEPS_PER_YEAR
@@ -367,16 +361,17 @@ def kernel_reference(params, policy, steps_per_year=STEPS_PER_YEAR):
     }
 
 
-# Every kind, with the fields each one ignores drawn too; gains over all of
+# The no-policy arm and every field set the presets use, as steps (theta 0),
+# decays that never nudge (threshold 0) and nudging rules; gains over all of
 # [0, 1] and thresholds above A0, so nudges fire at many periods or never.
 kernel_policies = st.builds(
     PolicyConfig,
-    kind=st.sampled_from(PolicyKind),
+    starts=st.booleans(),
     start_tau=st.floats(0.0, PARAMS.horizon_T),
     adherence_gain_delta=st.floats(0.0, 1.0),
     cost_scale_gamma=gammas,
-    decay_theta=st.floats(0.0, 5.0),
-    nudge_threshold=st.floats(PARAMS.adherence_baseline_A0, 1.0),
+    decay_theta=st.just(0.0) | st.floats(0.0, 5.0),
+    nudge_threshold=st.just(0.0) | st.floats(PARAMS.adherence_baseline_A0, 1.0),
     baseline_decay=st.none() | st.floats(0.0, 0.5),
     inflation_factor=st.floats(1.0, 2.0),
     progression_compression=st.floats(0.5, 1.0) | st.just(1.0),
@@ -405,8 +400,7 @@ def test_trajectory_columns_equal_plain_numpy_reference(params, policy, steps_pe
 # on the last node, and past the horizon, where the tail is the last panel in
 # the general layout; one node before the last (a nudge fires on the last);
 # and just above a node, which snaps up to one node before the last.
-NUDGING = PolicyConfig(kind=PolicyKind.ADAPTIVE_NUDGES, adherence_gain_delta=0.3, cost_scale_gamma=2.0,
-                       decay_theta=0.5, nudge_threshold=0.82)
+NUDGING = PolicyConfig(adherence_gain_delta=0.3, cost_scale_gamma=2.0, decay_theta=0.5, nudge_threshold=0.82)
 
 
 @PROPERTY
@@ -415,8 +409,7 @@ NUDGING = PolicyConfig(kind=PolicyKind.ADAPTIVE_NUDGES, adherence_gain_delta=0.3
 @example(PARAMS, replace(build_preset("regressive"), start_tau=PARAMS.horizon_T), [0.3, 0.0])
 @example(PARAMS, replace(NUDGING, start_tau=PARAMS.horizon_T - 0.01), [0.2701, 0.3, 0.0])
 @example(replace(PARAMS, adherence_baseline_A0=-0.0),
-         PolicyConfig(kind=PolicyKind.CUSTOM, start_tau=PARAMS.horizon_T - 0.02 + 1e-6, decay_theta=0.5,
-                      baseline_decay=0.05), [0.3, 0.0])
+         PolicyConfig(start_tau=PARAMS.horizon_T - 0.02 + 1e-6, decay_theta=0.5, baseline_decay=0.05), [0.3, 0.0])
 @example(PARAMS, replace(build_preset("early_adherence"), start_tau=PARAMS.horizon_T + 1e-9), [0.3, 0.0])
 def test_batched_rows_equal_plain_numpy_reference(params, policy, deltas):
     rest, spend = arm_costs(params, policy, deltas)
@@ -428,7 +421,7 @@ def test_batched_rows_equal_plain_numpy_reference(params, policy, deltas):
 
 TRAJECTORY_COLUMNS = ("times", "adherence", "severity", "policy_cost", "instantaneous_cost",
                       "cumulative_cost", "rest_cost", "spend_integral", "final_cost")
-# Every kind with tau anywhere past the horizon, up to the largest float.
+# Every field set with tau anywhere past the horizon, up to the largest float.
 late_policies = st.builds(replace, kernel_policies,
                           start_tau=st.floats(PARAMS.horizon_T, sys.float_info.max, exclude_min=True))
 
@@ -437,7 +430,7 @@ late_policies = st.builds(replace, kernel_policies,
 @given(kernel_params, late_policies, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2 * costmodel._CHUNK_ARMS + 1))
 @example(PARAMS, replace(build_preset("adaptive_nudges"), start_tau=sys.float_info.max), [0.3])
 def test_policy_starting_past_horizon_is_the_no_policy_arm(params, policy, deltas):
-    never = replace(policy, kind=PolicyKind.BASELINE)
+    never = replace(policy, starts=False)
     traj, expected = simulate_trajectory(params, policy), simulate_trajectory(params, never)
     for name in TRAJECTORY_COLUMNS:
         got, want = (np.asarray(getattr(run, name), dtype=float) for run in (traj, expected))
@@ -492,12 +485,11 @@ def test_sigmoid_equals_two_branch_form(values):
 
 refinable_designs = st.builds(
     PolicyConfig,
-    kind=st.sampled_from((PolicyKind.CUSTOM, PolicyKind.ADAPTIVE_NUDGES, PolicyKind.EARLY_ADHERENCE)),
     start_tau=st.floats(0.0, PARAMS.horizon_T),
     adherence_gain_delta=deltas,
     cost_scale_gamma=gammas,
-    decay_theta=st.floats(0.0, 5.0),
-    nudge_threshold=st.floats(PARAMS.adherence_baseline_A0, 1.0),
+    decay_theta=st.just(0.0) | st.floats(0.0, 5.0),
+    nudge_threshold=st.just(0.0) | st.floats(PARAMS.adherence_baseline_A0, 1.0),
 )
 
 
@@ -785,7 +777,7 @@ def broken_documents(draw):
     broken = dict(doc)
     breakage = draw(st.sampled_from(("unknown", "missing", "not_a_number", "override", "axis", "stress_value")))
     if breakage == "unknown":
-        key = draw(st.sampled_from(("bogus", "seeds", "Mode", "policy.kind", "policy.bogus")))
+        key = draw(st.sampled_from(("bogus", "seeds", "Mode", "policy.starts", "policy.bogus")))
         broken[key] = "1"
     elif breakage == "missing":
         key = draw(st.sampled_from(required_keys(doc)))

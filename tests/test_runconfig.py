@@ -63,6 +63,11 @@ def test_unknown_key_rejected():
         parse_run_config(MINIMAL + "mystery = 3\n")
 
 
+def test_no_document_sets_whether_a_policy_starts():
+    with pytest.raises(ValueError, match="^policy.starts: unknown key; valid: "):
+        parse_run_config(MINIMAL + "policy.starts = 0\n")
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         parse_run_config(MINIMAL + "scenario = delayed\n")

@@ -4,13 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adhersim.costmodel import simulate_trajectory
+from adhersim.costmodel import arm_costs, simulate_trajectory
 from adhersim.numerics import STEPS_PER_YEAR
+from adhersim.runconfig import RunConfig, RunMode
 from adhersim.scenarios import (
+    ADAPTIVE_DECAY_THETA,
+    ADAPTIVE_NUDGE_THRESHOLD,
     NUDGE_WINDOW_YEARS,
     PRESET_NAMES,
     PolicyConfig,
-    PolicyKind,
     StressKind,
     _nudge_periods,
     apply_stress,
@@ -42,7 +44,7 @@ class TestPresets:
             build_preset("nope")
 
     def test_names_are_case_insensitive(self):
-        assert build_preset("Delayed").kind is PolicyKind.DELAYED
+        assert build_preset("Delayed") == build_preset("delayed")
 
 
 def node(s: float) -> int:
@@ -90,14 +92,14 @@ class TestAdherence:
 
     def test_decaying_baseline_variant(self):
         p = make_params()
-        a = adherence(p, PolicyConfig(kind=PolicyKind.BASELINE, baseline_decay=0.05))
+        a = adherence(p, PolicyConfig(starts=False, baseline_decay=0.05))
         for s in (0.0, 4.0, 10.0):
             assert a[node(s)] == pytest.approx(0.5 * math.exp(-0.05 * s))
 
     def test_clamped_to_unit_interval(self):
         p = make_params(adherence_baseline_A0=0.9)
         policy = PolicyConfig(
-            kind=PolicyKind.EARLY_ADHERENCE, start_tau=1.0, adherence_gain_delta=0.3,
+            start_tau=1.0, adherence_gain_delta=0.3,
             cost_scale_gamma=1.0,
         )
         assert adherence(p, policy)[node(5.0)] == 1.0
@@ -122,7 +124,7 @@ class TestPolicyCost:
         # 3.3 both cover s = 3.4, so P = base indicator + 2 * unit cost.
         p = make_params(adherence_baseline_A0=0.5)
         policy = PolicyConfig(
-            kind=PolicyKind.ADAPTIVE_NUDGES, start_tau=2.7, adherence_gain_delta=0.3,
+            start_tau=2.7, adherence_gain_delta=0.3,
             cost_scale_gamma=2.0, decay_theta=0.62, nudge_threshold=0.75, nudge_unit_cost=0.5,
         )
         i0, (m,) = _nudge_periods(p, policy, [0.3])
@@ -138,7 +140,7 @@ class TestNudgeLog:
     def test_no_decay_means_no_activations(self):
         p = make_params(adherence_baseline_A0=0.5)
         policy = PolicyConfig(
-            kind=PolicyKind.ADAPTIVE_NUDGES, start_tau=2.0, adherence_gain_delta=0.3,
+            start_tau=2.0, adherence_gain_delta=0.3,
             cost_scale_gamma=2.0, decay_theta=0.0, nudge_threshold=0.6,
         )
         assert _nudge_periods(p, policy, [0.3])[1].tolist() == [0]
@@ -146,7 +148,7 @@ class TestNudgeLog:
     def test_threshold_above_peak_rejected_for_authored_configs(self):
         p = make_params(adherence_baseline_A0=0.5)
         policy = PolicyConfig(
-            kind=PolicyKind.ADAPTIVE_NUDGES, start_tau=2.0, adherence_gain_delta=0.3,
+            start_tau=2.0, adherence_gain_delta=0.3,
             cost_scale_gamma=2.0, decay_theta=0.3, nudge_threshold=0.85,
         )
         with pytest.raises(ValueError, match="nudge_threshold"):
@@ -159,7 +161,7 @@ class TestNudgeLog:
         # snapped up to the 0.01 grid: activations near 5.67 and 9.34.
         p = make_params(adherence_baseline_A0=0.5)
         policy = PolicyConfig(
-            kind=PolicyKind.ADAPTIVE_NUDGES, start_tau=2.0, adherence_gain_delta=0.3,
+            start_tau=2.0, adherence_gain_delta=0.3,
             cost_scale_gamma=2.0, decay_theta=0.3, nudge_threshold=0.6,
         )
         i0, (m,) = _nudge_periods(p, policy, [0.3])
@@ -244,32 +246,72 @@ class TestStress:
 class TestValidation:
     def test_nudge_threshold_must_sit_below_peak(self, ref_params):
         bad = PolicyConfig(
-            kind=PolicyKind.ADAPTIVE_NUDGES, start_tau=2.0, adherence_gain_delta=0.3,
+            start_tau=2.0, adherence_gain_delta=0.3,
             cost_scale_gamma=2.0, decay_theta=0.1, nudge_threshold=0.9,
         )
         with pytest.raises(ValueError):
             validate_authored_pair(ref_params, bad)
 
     def test_overfull_adherence_rejected_for_authored_configs(self, ref_params):
-        bad = PolicyConfig(kind=PolicyKind.EARLY_ADHERENCE, start_tau=2.0,
-                           adherence_gain_delta=0.6, cost_scale_gamma=1.5)
+        bad = PolicyConfig(start_tau=2.0, adherence_gain_delta=0.6, cost_scale_gamma=1.5)
         with pytest.raises(ValueError, match="exceeds 1"):
             validate_authored_pair(ref_params, bad)
 
     def test_tau_beyond_horizon_rejected(self, ref_params):
-        bad = PolicyConfig(kind=PolicyKind.EARLY_ADHERENCE, start_tau=11.0,
-                           adherence_gain_delta=0.3, cost_scale_gamma=1.5)
+        bad = PolicyConfig(start_tau=11.0, adherence_gain_delta=0.3, cost_scale_gamma=1.5)
         with pytest.raises(ValueError, match="^start_tau: 11.0 lies beyond horizon_T 10.0$"):
             validate_authored_pair(ref_params, bad)
 
     def test_field_range_checks(self):
         with pytest.raises(ValueError):
-            PolicyConfig(kind=PolicyKind.EARLY_ADHERENCE, start_tau=-1.0)
+            PolicyConfig(start_tau=-1.0)
         with pytest.raises(ValueError):
-            PolicyConfig(kind=PolicyKind.EARLY_ADHERENCE, adherence_gain_delta=1.5)
+            PolicyConfig(adherence_gain_delta=1.5)
         with pytest.raises(ValueError):
-            PolicyConfig(kind=PolicyKind.EARLY_ADHERENCE, cost_scale_gamma=-0.1)
+            PolicyConfig(cost_scale_gamma=-0.1)
         with pytest.raises(ValueError):
-            PolicyConfig(kind=PolicyKind.EARLY_ADHERENCE, inflation_factor=0.8)
+            PolicyConfig(inflation_factor=0.8)
         with pytest.raises(ValueError):
-            PolicyConfig(kind=PolicyKind.EARLY_ADHERENCE, progression_compression=1.2)
+            PolicyConfig(progression_compression=1.2)
+
+
+ARM_COLUMNS = ("adherence", "severity", "policy_cost", "instantaneous_cost", "cumulative_cost", "final_cost")
+
+
+def assert_priced_as(params, policy, preset):
+    """The policy's run columns, and its ``arm_costs`` over a gain axis, equal
+    the preset's bit for bit."""
+    outputs = []
+    for arm in (policy, build_preset(preset)):
+        traj = simulate_trajectory(params, arm)
+        columns = {name: np.asarray(getattr(traj, name), dtype=float) for name in ARM_COLUMNS}
+        columns["rest"], columns["spend"] = arm_costs(params, arm, np.linspace(0.0, 0.45, 46))
+        outputs.append(columns)
+    got, want = outputs
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+class TestOneRule:
+    """A policy is its fields: every field is read, whatever preset set it."""
+
+    def test_step_preset_given_regressive_fields_is_regressive(self, ref_params):
+        early = replace(build_preset("early_adherence"), decay_theta=0.5, cost_scale_gamma=1.2)
+        assert_priced_as(ref_params, early, "regressive")
+
+    def test_custom_policy_given_adaptive_fields_nudges(self, ref_params):
+        custom = RunConfig("params.txt", "custom", RunMode.COMPARE, "out", policy_overrides=dict(
+            start_tau=2.0, adherence_gain_delta=0.3, cost_scale_gamma=2.0,
+            decay_theta=ADAPTIVE_DECAY_THETA, nudge_threshold=ADAPTIVE_NUDGE_THRESHOLD,
+        )).build_policy()
+        assert _nudge_periods(ref_params, custom, [0.3])[1].tolist() == [527]
+        assert_priced_as(ref_params, custom, "adaptive_nudges")
+
+    def test_any_threshold_above_zero_must_sit_below_peak(self, ref_params):
+        peak = ref_params.adherence_baseline_A0 + 0.3
+        for threshold in (peak, 0.9):
+            custom = PolicyConfig(start_tau=2.0, adherence_gain_delta=0.3, nudge_threshold=threshold)
+            with pytest.raises(ValueError, match="^nudge_threshold: "):
+                validate_authored_pair(ref_params, custom)
+        # A zero threshold sets no rule, so a zero peak is no error.
+        validate_authored_pair(make_params(adherence_baseline_A0=0.0), PolicyConfig(start_tau=2.0))
