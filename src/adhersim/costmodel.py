@@ -35,9 +35,11 @@ cached as read-only arrays: the grid with its discount factors (``_grid``)
 and, per tau node, the spend of an arm no nudge fires in, P = 1[node >= i0]
 with its discounted trapezoid (``_unnudged_spend``).  That is every arm whose
 period is 0, the no-policy arm too, whose P is 0.  The nudge logs enter
-as integers, a period per gain (``scenarios._nudge_periods``); the spend
-channel depends on a gain only through it, so ``arm_costs`` runs it once per
-distinct period.
+as integers, a period per gain (``scenarios._nudge_periods``, one call for
+all of ``arm_costs``'s gains); the spend channel depends on a gain only
+through it, so ``arm_costs`` runs it once per distinct period.  The rule's
+node arithmetic runs in float64, which is exact on every grid ModelParams
+allows (``scenarios._activations_by``).
 
 Before tau's node i0 every piece is inactive, so adherence, severity and
 alpha*D + beta*A^2 are the same for every gain there.  ``arm_costs`` thus
@@ -65,15 +67,26 @@ no nudge fires, since adherence then depends on the time alone and a panel's
 end read is the next node's, bit for bit; and at the 3n' - 2 points only in a
 chunk where a nudge fires.  A policy that never starts or starts on the last
 node keeps a one-panel tail in the general layout, and tau at node 0 leaves
-the head empty.  Every reduction along the grid is a row-wise cumulative sum,
-so each row equals the one-arm run bit for bit, whatever rows share its
-chunk: ``simulate_trajectory`` runs the same ``_rest_rows`` for one gain, on
-the whole grid read in the head's layout.
+the head empty.
+
+Reads that share a value are formed once.  ``_read_layout`` tells
+``adherence_array`` its layout (``scenarios.Pieces``): a panel's midpoint and
+end read the piece of its start node, so the nudge rule's last boost is
+formed once per node and copied to them, and where every piece is active no
+mask is applied.  Where a row reads one value, ``_logit_steps`` forms its one
+Simpson step and writes it to every panel.  In the one-value and 2n' - 1
+layouts the trapezoid adds neighbouring terms in one flat pass over the
+chunk; the cross-row sums it forms at each row's first cell are overwritten,
+and a bound on the rate rules out their overflow.  Every reduction along the
+grid is a row-wise cumulative sum, so each row equals the one-arm run bit for
+bit, whatever rows share its chunk: ``simulate_trajectory`` runs the same
+``_rest_rows`` for one gain, on the whole grid read in the head's layout.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -82,6 +95,7 @@ import numpy as np
 from .numerics import STEPS_PER_YEAR, sigmoid, time_grid
 from .params import ModelParams
 from .scenarios import (
+    Pieces,
     PolicyConfig,
     _nudge_periods,
     _spend_at_nodes,
@@ -181,12 +195,16 @@ def _k_eff(params: ModelParams, compression: float, a: np.ndarray, out: np.ndarr
 def _logit_steps(h, k_start, k_mid, k_end, out):
     """Logit increments over steps of width h from k_eff at each step's start,
     midpoint and end, into ``out``: RK4 on z' = k_eff(A), which is Simpson's
-    rule (h/6) * (k_start + 4 * k_mid + k_end)."""
-    steps = np.multiply(k_mid, 4.0, out=out)
+    rule (h/6) * (k_start + 4 * k_mid + k_end).  Reads narrower than ``out``
+    (one value per row) give each row one step, formed once and then written
+    to every panel of the row."""
+    steps = np.multiply(k_mid, 4.0, out=out if k_mid.shape == out.shape else None)
     steps += k_start
     steps += k_end
     steps *= h / 6.0
-    return steps
+    if steps is not out:
+        out[...] = steps
+    return out
 
 
 def _severity_grid(params: ModelParams, policy: PolicyConfig, times: np.ndarray, h: float, a: np.ndarray,
@@ -220,7 +238,7 @@ def _severity_grid(params: ModelParams, policy: PolicyConfig, times: np.ndarray,
 
 
 def _discounted_trapezoid(disc: np.ndarray, h: float, f_start, f_end, start, out: np.ndarray,
-                          scratch=None) -> np.ndarray:
+                          scratch=None, bound: float = math.inf) -> np.ndarray:
     """Cumulative trapezoid of disc * f from each panel's start and end values,
     one row per arm, into ``out``, going on from ``start`` at the first node.
     The end terms disc * f_end go to ``scratch`` (which may be ``f_end``) if
@@ -228,11 +246,22 @@ def _discounted_trapezoid(disc: np.ndarray, h: float, f_start, f_end, start, out
 
     With ``f_end`` None, ``f_start`` holds f at every node and a panel's end
     value is the next node's: disc * f is then formed once per node, in place
-    in ``f_start``, and each panel adds its two nodes' terms."""
+    in ``f_start``, and each panel adds its two nodes' terms.  Where ``bound``
+    bounds |f| below 2**1023, it bounds every term too (disc <= 1), and no
+    sum of two terms can overflow, so the
+    neighbouring terms of the C-contiguous ``f_start`` and ``out`` are added in
+    one flat pass, which costs numpy one loop in place of one per row.  The
+    first cell of each later row then holds a sum across two rows, which
+    ``start`` overwrites; the pass raises no floating-point warning the
+    row-wise sums would not."""
     panels = out[:, 1:]
     if f_end is None:
         terms = np.multiply(f_start, disc, out=f_start)
-        np.add(terms[:, :-1], terms[:, 1:], out=panels)
+        if bound < 2.0**1023:
+            flat = terms.reshape(-1)
+            np.add(flat[:-1], flat[1:], out=out.reshape(-1)[1:])
+        else:
+            np.add(terms[:, :-1], terms[:, 1:], out=panels)
     else:
         np.multiply(f_start, disc[:-1], out=panels)
         panels += np.multiply(f_end, disc[1:], out=scratch)
@@ -304,14 +333,17 @@ def _read_layout(policy: PolicyConfig, grid, active: bool = False, fires: bool =
     """``grid`` with its points cut to those adherence is read at
     (``_panel_reads``): where it is constant on each piece, one value per row
     if every piece is active, else the n nodes; where every piece is active
-    and no nudge fires, the nodes and midpoints; else the 3n - 2 points."""
+    and no nudge fires, the nodes and midpoints; else the 3n - 2 points.  The
+    pieces read go to ``adherence_array`` as ``Pieces``: the points past the
+    nodes read their panel's start node's piece, and ``active`` says every
+    piece is active."""
     times, disc, nodes, points, pieces = grid
     n = len(times)
     if _piece_constant(policy):
         width = 1 if active else n
     else:
         width = 2 * n - 1 if active and not fires else 3 * n - 2
-    return times, disc, nodes, points[:width], pieces[:width]
+    return times, disc, nodes, points[:width], Pieces(pieces[:width], min(n, width), active)
 
 
 def _rest_rows(params: ModelParams, policy: PolicyConfig, grid, deltas, nudges, start, buffers=None):
@@ -349,7 +381,9 @@ def _rest_rows(params: ModelParams, policy: PolicyConfig, grid, deltas, nudges, 
         adherence_rate = np.square(a[:, :n])
         adherence_rate *= params.adherence_cost_beta
         rest_nodes = np.add(disease, adherence_rate, out=disease)
-        rest = _discounted_trapezoid(disc, h, rest_nodes, None, r0, severity)
+        # |alpha * D + beta * A^2| <= |alpha| + |beta|: D <= Dmax <= 1 and A <= 1.
+        bound = abs(params.disease_cost_alpha) + abs(params.adherence_cost_beta)
+        rest = _discounted_trapezoid(disc, h, rest_nodes, None, r0, severity, bound=bound)
     else:
         rest_nodes, rest_end = np.square(a[:, :n]), np.square(_panel_reads(a, n)[2])
         for rate, d in ((rest_nodes, disease), (rest_end, disease[:, 1:])):
@@ -423,10 +457,10 @@ def arm_costs(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[np.nda
     gains are taken as given: the sweep checks its axis lies in [0, 1], and
     every ``DistributionSpec`` draws in [0, 1].
 
-    The nudge periods are computed first, ``_CHUNK_ARMS`` gains at a time.
-    The head before tau's node runs once, for the first gain.  The tail then
-    takes the gains in chunks in stable period order, goes on from the head's
-    raw sums, and scatters each chunk's horizon values back to the gains'
+    The nudge periods are computed first, in one call over every gain.  The
+    head before tau's node runs once, for the first gain.  The tail then takes
+    the gains in chunks in stable period order, goes on from the head's raw
+    sums, and scatters each chunk's horizon values back to the gains'
     indices, so the gains no nudge fires in share chunks that read one
     adherence profile; the module docstring gives the layouts each reads in.
     Every chunk reads adherence into the first elements of one buffer of
@@ -439,10 +473,7 @@ def arm_costs(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[np.nda
     if not deltas.size:
         return np.empty(0), np.empty(0)
     grid = _grid(params.horizon_T, STEPS_PER_YEAR, params.discount_rate_rho)
-    periods = np.empty(deltas.size, dtype=np.int64)
-    for lo in range(0, deltas.size, _CHUNK_ARMS):
-        chunk = slice(lo, lo + _CHUNK_ARMS)
-        i0, periods[chunk] = _nudge_periods(params, policy, deltas[chunk])
+    i0, periods = _nudge_periods(params, policy, deltas)
     n, h = len(grid[0]), grid[0][1]
     k0 = min(i0, n - 2)
     # The head ends at or before tau's node, so no nudge fires in it.  -0.0 is

@@ -22,8 +22,11 @@ The engine keeps nudge logs in period form: the rule fires every m
 canonical nodes after tau's node i0 (``_nudge_periods``; m = 0 never fires).
 With N(x) = floor(max(x - i0, 0) / m) activations by node x, the last boost
 at or before node j is node i0 + m * N(j), and N(j) - N(j - W) windows of W
-nodes are open there, all in integer node arithmetic over a (B, n) batch of
-gains.
+nodes are open there, over a (B, n) batch of gains.  This node arithmetic
+runs in float64 and is exact (``_activations_by``): every operand is an
+integer of at most 100 000, the node count of the longest grid ModelParams
+allows.  ``adherence_array`` forms the last boost once per node and copies it
+to the panel reads that share the node's piece (``Pieces``).
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -178,6 +182,13 @@ def _decay_factors(theta: float, n_steps: int) -> np.ndarray:
     return factors
 
 
+# Bytes of float64 levels that ``_nudge_periods`` holds at a time: 20 gains a
+# block on the 10-year grid from tau = 2, one on the 1 000-year grid.  A block
+# this small reuses freed heap memory; one of 1 MiB raised the peak RSS of a
+# run of 200-draw Monte Carlo ops by about 1 MB.
+_PERIOD_BLOCK_BYTES = 1 << 17
+
+
 def _nudge_periods(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[int, np.ndarray]:
     """Tau's canonical node i0 and, per gain in ``deltas``, the period m of the
     nudge rule's activations at nodes i0 + m, i0 + 2m, ... (m = 0: none).
@@ -186,33 +197,62 @@ def _nudge_periods(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[i
     falls below the trigger threshold at a node, the rule fires there and the
     elapsed time restarts from zero.  Every reset returns the rule to the same
     state, so m is the first step count whose value is below the threshold.
-    It holds a (gains, nodes) array: pass the gains in bounded blocks."""
+    The levels form a (gains, steps) array, so the gains go through it in
+    blocks of at most ``_PERIOD_BLOCK_BYTES`` of float64 levels."""
     i_last = round(params.horizon_T * STEPS_PER_YEAR)
     # The no-policy arm and a policy whose unsnapped tau is past the horizon never start.
     never = not policy.starts or policy.start_tau > params.horizon_T
     i0 = i_last + 1 if never else _tau_node(policy)
     a0, theta, threshold = params.adherence_baseline_A0, policy.decay_theta, policy.nudge_threshold
+    periods = np.zeros(len(deltas), dtype=np.int64)
     # No level falls below a threshold at or below A0, nor falls at all at theta = 0.
     if theta == 0.0 or threshold <= a0 or i0 >= i_last:
-        return i0, np.zeros(len(deltas), dtype=np.int64)
+        return i0, periods
     deltas = np.asarray(deltas, dtype=float)
-    below = a0 + deltas[:, None] * _decay_factors(theta, i_last - i0) < threshold
-    # The rule stays inert when the boosted level never reaches the trigger
-    # band, so adherence can never cross below it; this also covers a zero
-    # gain, under which no value falls below the threshold.
-    fires = below.any(axis=1) & (a0 + deltas > threshold)
-    return i0, np.where(fires, below.argmax(axis=1) + 1, 0)
+    factors = _decay_factors(theta, i_last - i0)
+    block = max(1, _PERIOD_BLOCK_BYTES // factors.nbytes)
+    for lo in range(0, len(deltas), block):
+        gains = deltas[lo:lo + block]
+        below = a0 + gains[:, None] * factors < threshold
+        # The rule stays inert when the boosted level never reaches the trigger
+        # band, so adherence can never cross below it; this also covers a zero
+        # gain, under which no value falls below the threshold.
+        fires = below.any(axis=1) & (a0 + gains > threshold)
+        periods[lo:lo + block] = np.where(fires, below.argmax(axis=1) + 1, 0)
+    return i0, periods
 
 
-# The period of a log that never fires: no node offset reaches it.
-_NEVER = np.iinfo(np.int64).max
+# The period of a log that never fires, as a float: no node offset reaches it.
+_NEVER = float(np.iinfo(np.int64).max)
 
 
-def _activations_by(nudges: tuple[int, np.ndarray], nodes: np.ndarray, out=None):
-    """Each log's period m as a column, and N at each canonical node (into ``out``)."""
+def _activations_by(nudges: tuple[int, np.ndarray], nodes: np.ndarray):
+    """Each log's period m as a float column, and N = floor(max(x - i0, 0) / m)
+    at each canonical node x, in float64.
+
+    The float floor division is exact.  The offset and m are integers of at
+    most 100 000, the last node of a 1 000-year grid, so both are exact
+    floats; an integer quotient is exact, and any other lies at least
+    1/m >= 1e-5 from an integer, far beyond the quotient's rounding error of
+    under 1e-10.  A log that never fires has m = ``_NEVER``, so N is 0 and
+    m * N is 0."""
     i0, periods = nudges
     m = np.where(periods > 0, periods, _NEVER)[:, None]
-    return m, np.floor_divide(np.maximum(nodes - i0, 0), m, out=out)
+    n = np.divide(np.maximum(np.subtract(nodes, i0, dtype=float), 0.0), m)
+    return m, np.floor(n, out=n)
+
+
+class Pieces(NamedTuple):
+    """The ``piece`` of ``adherence_array`` with what its read layout knows of
+    it.  ``at`` gives, per point, the canonical node whose piece is read.  The
+    first ``nodes`` points read pieces of their own, and the points after them
+    read the pieces of the first nodes - 1 again, in runs of nodes - 1 (the
+    midpoints and right ends of each node's panel).  ``active``: every piece
+    read is at or after tau's node."""
+
+    at: np.ndarray
+    nodes: int
+    active: bool
 
 
 def adherence_array(
@@ -221,7 +261,7 @@ def adherence_array(
     deltas,
     nudges: tuple[int, np.ndarray],
     s: np.ndarray,
-    piece: np.ndarray,
+    piece: np.ndarray | Pieces,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Vectorized adherence A(s), clamped to [0, 1]: one row per gain in
@@ -229,27 +269,40 @@ def adherence_array(
 
     ``nudges`` holds the gains' logs (``_nudge_periods``).  ``piece`` gives,
     per s, the canonical node whose piece is read: the last node at or before
-    s gives the right-continuous trajectory.
+    s gives the right-continuous trajectory.  Given as ``Pieces``, it tells
+    which points share a piece, so the last boost is formed once per node and
+    copied to the points after it, and whether every piece is active, so no
+    mask is applied.
     """
     i0, periods = nudges
+    piece, nodes, all_active = piece if isinstance(piece, Pieces) else (piece, piece.size, False)
     delta, theta = np.asarray(deltas, dtype=float)[:, None], policy.decay_theta
     gain = np.empty((len(delta), s.size)) if out is None else out
-    active = piece >= i0
+    active = None if all_active else piece >= i0
     if theta == 0.0:
-        np.multiply(delta, active, out=gain)
+        if all_active:
+            np.copyto(gain, delta)
+        else:
+            np.multiply(delta, active, out=gain)
     else:
         if periods.any():
-            # The last boost's node i0 + m * N, in integers held in gain's own bytes.
-            m, last = _activations_by(nudges, piece, out=gain.view(np.int64))
+            # The last boost's time at the nodes' pieces, i0 + m * N in exact
+            # float node arithmetic, copied to the points that read them again.
+            m, last = _activations_by(nudges, piece[:nodes])
             last *= m
             last += i0
-            elapsed = np.subtract(s, np.divide(last, STEPS_PER_YEAR, out=gain), out=gain)
+            last /= STEPS_PER_YEAR
+            gain[:, :nodes] = last
+            for lo in range(nodes, s.size, max(nodes - 1, 1)):
+                gain[:, lo:lo + nodes - 1] = last[:, :-1]
+            elapsed = np.subtract(s, gain, out=gain)
         else:
             elapsed = s - i0 / STEPS_PER_YEAR
         np.maximum(elapsed, 0.0, out=elapsed)
         elapsed *= -theta
         np.multiply(delta, np.exp(elapsed, out=elapsed), out=gain)
-        gain *= active
+        if not all_active:
+            gain *= active
     a0 = params.adherence_baseline_A0
     if policy.baseline_decay is None:
         gain += a0

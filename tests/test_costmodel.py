@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -405,3 +406,147 @@ class TestAdherenceReads:
         assert 0 < never < len(deltas)
         mixed = [periods for periods in chunks if (periods == 0).any() and periods.any()]
         assert len(mixed) <= 1
+
+
+# Gains of the adaptive rule on both sides of its trigger edge A0 + delta = 0.82
+# (delta = 0.27 at the reference A0 = 0.55): below it no nudge fires, just
+# above it the rule fires every node, and higher gains fire at long periods.
+EDGE_GAINS = np.concatenate((np.linspace(0.2, 0.27, 60), 0.27 + np.geomspace(1e-9, 1e-4, 60),
+                             np.linspace(0.2701, 0.45, 60)))
+
+
+class TestFloatNodeArithmetic:
+    """The nudge rule's node arithmetic runs in float64 and equals integer
+    arithmetic on every grid ModelParams allows: offsets and periods are
+    integers of at most 100 000, the last node of a 1 000-year grid."""
+
+    X = np.arange(100_001)
+    # Every period up to 1 000, a spread up to 100 000, and a log that never fires.
+    PERIODS = {
+        "small": np.arange(1, 1_001),
+        "spread": np.unique(np.r_[np.geomspace(1_001, 100_000, 400).astype(np.int64),
+                                  [9_973, 33_333, 50_000, 65_537, 99_991, 99_999, 100_000]]),
+        "never": np.array([0]),
+    }
+
+    @pytest.mark.parametrize("periods", PERIODS.values(), ids=PERIODS.keys())
+    def test_floor_division_equals_integer_division(self, periods):
+        for lo in range(0, len(periods), 25):
+            block = periods[lo:lo + 25]
+            m, n = scenarios._activations_by((0, block), self.X)
+            divisor = np.where(block > 0, block, np.iinfo(np.int64).max)[:, None]
+            want = self.X // divisor
+            assert np.array_equal(n, want)
+            # The last boost's offset m * N, as the rule reads it.
+            assert np.array_equal(m * n, want * divisor)
+
+    def test_long_horizon_arms_equal_their_runs(self):
+        # A slow decay lets the periods run from 1 node up to nearly the whole
+        # 99 800-node tail after tau = 2 on the 1 000-year grid.
+        params = make_params(horizon_T=1_000.0)
+        policy = replace(build_preset("adaptive_nudges"), decay_theta=0.0005)
+        edge = policy.nudge_threshold - params.adherence_baseline_A0
+        targets = [1, 2, 50, 99_700]
+        # A gain fires first at step m when its level at step m - 1 is still
+        # at the threshold and falls below it at step m.
+        deltas = [edge * math.exp(policy.decay_theta * (m - 0.5) / 100) for m in targets]
+        assert scenarios._nudge_periods(params, policy, deltas)[1].tolist() == targets
+        rest, spend = arm_costs(params, policy, deltas)
+        for i, delta in enumerate(deltas):
+            traj = simulate_trajectory(params, replace(policy, adherence_gain_delta=delta))
+            assert rest[i].tobytes() == np.float64(traj.rest_cost).tobytes()
+            assert spend[i].tobytes() == np.float64(traj.spend_integral).tobytes()
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_layout_reads_equal_the_general_reads(self, ref_params, name):
+        # Pieces told by the read layout give the bits of the same points read
+        # with a plain piece per point, on the whole grid and on the tail.
+        policy = build_preset(name)
+        grid = costmodel._grid(ref_params.horizon_T, 100, ref_params.discount_rate_rho)
+        nudges = scenarios._nudge_periods(ref_params, policy, EDGE_GAINS)
+        n = len(grid[0])
+        k0 = min(nudges[0], n - 2)
+        for layout in (costmodel._read_layout(policy, grid),
+                       costmodel._read_layout(policy, costmodel._span(grid, k0, n), active=k0 == nudges[0],
+                                              fires=nudges[1].any())):
+            points, pieces = layout[3:]
+            assert isinstance(pieces, scenarios.Pieces)
+            told = scenarios.adherence_array(ref_params, policy, EDGE_GAINS, nudges, points, pieces)
+            plain = scenarios.adherence_array(ref_params, policy, EDGE_GAINS, nudges, points, pieces.at.copy())
+            assert told.tobytes() == plain.tobytes()
+
+
+class TestPeriodBlocks:
+    """``arm_costs`` computes every gain's nudge period in one call, in blocks
+    of at most ``_PERIOD_BLOCK_BYTES`` of levels."""
+
+    def test_rows_over_several_blocks_equal_the_runs(self, ref_params):
+        policy = build_preset("adaptive_nudges")
+        steps = 100 * (round(ref_params.horizon_T) - round(policy.start_tau))
+        block = scenarios._PERIOD_BLOCK_BYTES // (8 * steps)
+        deltas = np.resize(np.random.default_rng(29).permutation(EDGE_GAINS), 2 * block + 5)
+        periods = scenarios._nudge_periods(ref_params, policy, deltas)[1]
+        assert {0, 1} <= set(periods.tolist()) and periods.max() > 100
+        rest, spend = arm_costs(ref_params, policy, deltas)
+        for i, delta in enumerate(deltas):
+            traj = simulate_trajectory(ref_params, replace(policy, adherence_gain_delta=delta))
+            assert rest[i].tobytes() == np.float64(traj.rest_cost).tobytes(), i
+            assert spend[i].tobytes() == np.float64(traj.spend_integral).tobytes(), i
+
+    def test_peak_memory_on_the_longest_grid(self):
+        params = make_params(horizon_T=1_000.0)
+        policy = build_preset("adaptive_nudges")
+        deltas = np.linspace(0.2, 0.45, 65)
+        # Warm the grid, decay and spend caches, which outlive the call.
+        arm_costs(params, policy, deltas[:2])
+        tracemalloc.start()
+        try:
+            arm_costs(params, policy, deltas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The peak when the periods were formed 8 gains at a time and the
+        # rule's node arithmetic ran in int64; the byte budget gives 68 741 024.
+        assert peak <= 75_207_807
+
+
+class TestFlatTrapezoid:
+    """The node-layout trapezoid adds neighbouring terms in one flat pass where
+    a bound on |f| rules out an overflow across rows, and row by row else."""
+
+    def test_flat_pass_equals_row_sums(self):
+        rng = np.random.default_rng(11)
+        f, disc = rng.normal(size=(5, 40)) * 1e3, np.exp(-0.03 * np.arange(40) / 100)
+        start = rng.normal(size=5)
+        flat, rows = (costmodel._discounted_trapezoid(disc, 0.01, f.copy(), None, start, np.empty_like(f),
+                                                      bound=bound) for bound in (1e4, math.inf))
+        assert flat.tobytes() == rows.tobytes()
+
+    def test_an_unbounded_rate_is_summed_row_by_row(self):
+        # The rows' end and start terms overflow when added across the rows,
+        # and no sum inside a row does.
+        big = 0.6 * np.finfo(float).max
+        f = np.array([[1.0, 1.0, 1.0, big], [big, 1.0, 1.0, 1.0]])
+        disc = np.ones(4)
+        with np.errstate(all="raise"):
+            out = costmodel._discounted_trapezoid(disc, 0.01, f.copy(), None, 0.0, np.empty_like(f), bound=big)
+            assert np.isfinite(out).all()
+            with pytest.raises(FloatingPointError):
+                costmodel._discounted_trapezoid(disc, 0.01, f.copy(), None, 0.0, np.empty_like(f), bound=1.0)
+
+    @pytest.mark.parametrize("costs", [(200.0, -120.0), (1e308, -1e308), (-1e300, 0.0)])
+    def test_the_kernel_bound_holds_for_every_rate(self, monkeypatch, costs):
+        trapezoid, bounds = costmodel._discounted_trapezoid, []
+
+        def checked(disc, h, f_start, f_end, start, out, scratch=None, bound=math.inf):
+            if f_end is None:
+                bounds.append(bound)
+                assert np.nanmax(np.abs(f_start)) <= bound
+            return trapezoid(disc, h, f_start, f_end, start, out, scratch, bound)
+
+        monkeypatch.setattr(costmodel, "_discounted_trapezoid", checked)
+        params = make_params(disease_cost_alpha=costs[0], adherence_cost_beta=costs[1], disease_max_Dmax=1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name in PRESET_NAMES:
+                arm_costs(params, build_preset(name), EDGE_GAINS)
+        assert bounds
