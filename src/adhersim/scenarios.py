@@ -20,9 +20,12 @@ and right end on the piece its start node set; spend is constant on a panel.
 
 The engine keeps nudge logs in period form: the rule fires every m
 canonical nodes after tau's node i0 (``_nudge_periods``; m = 0 never fires).
-With N(x) = floor(max(x - i0, 0) / m) activations by node x, the last boost
-at or before node j is node i0 + m * N(j), and N(j) - N(j - W) windows of W
-nodes are open there, over a (B, n) batch of gains.  This node arithmetic
+m is the first step after a boost whose level is below the threshold;
+``_nudge_periods`` finds it by bisection on the rule's own float test, which
+is exact because the level never rises with the step count.  With
+N(x) = floor(max(x - i0, 0) / m) activations by node x, the last boost at or
+before node j is node i0 + m * N(j), and N(j) - N(j - W) windows of W nodes
+are open there, over a (B, n) batch of gains.  This node arithmetic
 runs in float64 and is exact (``_activations_by``): every operand is an
 integer of at most 100 000, the node count of the longest grid ModelParams
 allows.  ``adherence_array`` forms the last boost once per node and copies it
@@ -32,7 +35,6 @@ to the panel reads that share the node's piece (``Pieces``).
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
@@ -172,23 +174,6 @@ def _tau_node(policy: PolicyConfig) -> int:
     return round(policy.tau_snapped * STEPS_PER_YEAR)
 
 
-@functools.lru_cache(maxsize=8)
-def _decay_factors(theta: float, n_steps: int) -> np.ndarray:
-    """exp(-theta * elapsed) at the k = 1 .. n_steps canonical steps after tau,
-    as a read-only array: the rule's decay, the same for every gain."""
-    steps = np.arange(1, n_steps + 1)
-    factors = np.exp(-theta * (steps / STEPS_PER_YEAR))
-    factors.setflags(write=False)
-    return factors
-
-
-# Bytes of float64 levels that ``_nudge_periods`` holds at a time: 20 gains a
-# block on the 10-year grid from tau = 2, one on the 1 000-year grid.  A block
-# this small reuses freed heap memory; one of 1 MiB raised the peak RSS of a
-# run of 200-draw Monte Carlo ops by about 1 MB.
-_PERIOD_BLOCK_BYTES = 1 << 17
-
-
 def _nudge_periods(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[int, np.ndarray]:
     """Tau's canonical node i0 and, per gain in ``deltas``, the period m of the
     nudge rule's activations at nodes i0 + m, i0 + 2m, ... (m = 0: none).
@@ -196,30 +181,35 @@ def _nudge_periods(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[i
     The rule runs on the canonical grid: when A0 + delta * exp(-theta * elapsed)
     falls below the trigger threshold at a node, the rule fires there and the
     elapsed time restarts from zero.  Every reset returns the rule to the same
-    state, so m is the first step count whose value is below the threshold.
-    The levels form a (gains, steps) array, so the gains go through it in
-    blocks of at most ``_PERIOD_BLOCK_BYTES`` of float64 levels."""
+    state, so m is the first of the n steps after tau whose level is below the
+    threshold.  That level never rises with the step count k: k / 100 and
+    -theta * k / 100 are monotone under rounding, numpy's exp does not rise as
+    its argument falls (a property the tests pin), and a gain that can fire is
+    positive.  So the steps below the threshold are the last ones, and a
+    bisection that applies the rule's own float test to each gain finds the
+    first of them exactly, in one round per bit of n."""
     i_last = round(params.horizon_T * STEPS_PER_YEAR)
     # The no-policy arm and a policy whose unsnapped tau is past the horizon never start.
     never = not policy.starts or policy.start_tau > params.horizon_T
     i0 = i_last + 1 if never else _tau_node(policy)
     a0, theta, threshold = params.adherence_baseline_A0, policy.decay_theta, policy.nudge_threshold
-    periods = np.zeros(len(deltas), dtype=np.int64)
     # No level falls below a threshold at or below A0, nor falls at all at theta = 0.
     if theta == 0.0 or threshold <= a0 or i0 >= i_last:
-        return i0, periods
+        return i0, np.zeros(len(deltas), dtype=np.int64)
     deltas = np.asarray(deltas, dtype=float)
-    factors = _decay_factors(theta, i_last - i0)
-    block = max(1, _PERIOD_BLOCK_BYTES // factors.nbytes)
-    for lo in range(0, len(deltas), block):
-        gains = deltas[lo:lo + block]
-        below = a0 + gains[:, None] * factors < threshold
-        # The rule stays inert when the boosted level never reaches the trigger
-        # band, so adherence can never cross below it; this also covers a zero
-        # gain, under which no value falls below the threshold.
-        fires = below.any(axis=1) & (a0 + gains > threshold)
-        periods[lo:lo + block] = np.where(fires, below.argmax(axis=1) + 1, 0)
-    return i0, periods
+    n = i_last - i0
+    # The first step below lies in [lo, hi]; hi = n + 1 while no tested step is below.
+    lo, hi = np.ones(len(deltas), dtype=np.int64), np.full(len(deltas), n + 1)
+    for _ in range(n.bit_length()):
+        k = (lo + hi) // 2
+        below = a0 + deltas * np.exp(-theta * (k / STEPS_PER_YEAR)) < threshold
+        hi = np.where(below, k, hi)
+        lo = np.where(below, lo, k + 1)
+    # The rule stays inert when the boosted level never reaches the trigger
+    # band, so adherence can never cross below it; this also covers a zero
+    # gain, under which no level falls below the threshold.
+    fires = (hi <= n) & (a0 + deltas > threshold)
+    return i0, np.where(fires, hi, 0)
 
 
 # The period of a log that never fires, as a float: no node offset reaches it.

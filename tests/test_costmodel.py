@@ -256,7 +256,7 @@ class TestCachedRowsStayPrivate:
     def test_cached_rows_are_read_only(self, ref_params):
         key = (ref_params.horizon_T, 100, ref_params.discount_rate_rho)
         step = costmodel._unnudged_spend(200, *key)
-        cached = costmodel._grid(*key) + step + (scenarios._decay_factors(0.02, 800),)
+        cached = costmodel._grid(*key) + step
         for array in cached:
             assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -477,14 +477,12 @@ class TestFloatNodeArithmetic:
 
 
 class TestPeriodBlocks:
-    """``arm_costs`` computes every gain's nudge period in one call, in blocks
-    of at most ``_PERIOD_BLOCK_BYTES`` of levels."""
+    """``arm_costs`` finds every gain's nudge period in one call, then prices
+    the gains in chunks of ``_CHUNK_ARMS``, taken in period order."""
 
     def test_rows_over_several_blocks_equal_the_runs(self, ref_params):
         policy = build_preset("adaptive_nudges")
-        steps = 100 * (round(ref_params.horizon_T) - round(policy.start_tau))
-        block = scenarios._PERIOD_BLOCK_BYTES // (8 * steps)
-        deltas = np.resize(np.random.default_rng(29).permutation(EDGE_GAINS), 2 * block + 5)
+        deltas = np.random.default_rng(29).permutation(EDGE_GAINS)[:45]
         periods = scenarios._nudge_periods(ref_params, policy, deltas)[1]
         assert {0, 1} <= set(periods.tolist()) and periods.max() > 100
         rest, spend = arm_costs(ref_params, policy, deltas)

@@ -184,6 +184,147 @@ def test_closed_form_nudge_log_equals_stepped_rule(case):
     assert times == nudge_log_oracle(params, policy)
 
 
+def nudge_period_scan(params, policy, deltas) -> np.ndarray:
+    """Each gain's nudge period from its levels at every step after tau: the
+    first step whose level is below the threshold, where the boosted level is
+    above it.  The (gains, steps) numpy scan that the bisection replaced, kept
+    as its reference; it reads the same numpy exp as the engine."""
+    i0, i_last = _tau_node(policy), round(params.horizon_T * STEPS_PER_YEAR)
+    a0, theta, threshold = params.adherence_baseline_A0, policy.decay_theta, policy.nudge_threshold
+    deltas = np.asarray(deltas, dtype=float)
+    periods = np.zeros(len(deltas), dtype=np.int64)
+    if theta == 0.0 or threshold <= a0 or i0 >= i_last:
+        return periods
+    factors = np.exp(-theta * (np.arange(1, i_last - i0 + 1) / STEPS_PER_YEAR))
+    rows = max(1, 2**20 // len(factors))
+    for lo in range(0, len(deltas), rows):
+        gains = deltas[lo:lo + rows]
+        below = a0 + gains[:, None] * factors < threshold
+        fires = below.any(axis=1) & (a0 + gains > threshold)
+        periods[lo:lo + rows] = np.where(fires, below.argmax(axis=1) + 1, 0)
+    return periods
+
+
+A0 = PARAMS.adherence_baseline_A0
+log_uniform = st.floats(-16.0, 4.0).map(lambda e: 10.0**e)
+# One ulp above A0, where every level of a firing gain is within rounding of
+# the threshold, and anywhere above it.
+triggers = st.just(math.nextafter(A0, 1.0)) | st.floats(A0, 1.0, exclude_min=True)
+
+
+@st.composite
+def nudge_rules(draw, horizon=PARAMS.horizon_T, thetas=log_uniform, thresholds=triggers):
+    """The reference parameters on a horizon, and a nudging policy whose tau
+    leaves at least one step after it."""
+    policy = PolicyConfig(start_tau=draw(st.floats(0.0, horizon - 1.0 / STEPS_PER_YEAR)),
+                          decay_theta=draw(thetas), nudge_threshold=draw(thresholds))
+    return replace(PARAMS, horizon_T=horizon), policy
+
+
+def tail_steps(params, policy) -> int:
+    return round(params.horizon_T * STEPS_PER_YEAR) - _tau_node(policy)
+
+
+def breakpoints(policy, m) -> np.ndarray:
+    """delta_m = (threshold - A0) * exp(theta * m / 100) at each step count m,
+    where a gain's period changes, and the two floats on either side of each,
+    where finite."""
+    with np.errstate(over="ignore"):
+        edges = (policy.nudge_threshold - A0) * np.exp(policy.decay_theta * (np.asarray(m) / STEPS_PER_YEAR))
+    gains = [edges]
+    for direction in (-np.inf, np.inf):
+        near = edges
+        for _ in range(2):
+            near = np.nextafter(near, direction)
+            gains.append(near)
+    gains = np.concatenate(gains)
+    return gains[np.isfinite(gains)]
+
+
+@pytest.mark.parametrize("horizon", (PARAMS.horizon_T, float(MAX_HORIZON_YEARS)))
+@PROPERTY
+@given(st.data())
+def test_nudge_periods_equal_the_level_scan(horizon, data):
+    params, policy = data.draw(nudge_rules(horizon))
+    n = tail_steps(params, policy)
+    m = np.arange(1, n + 1)
+    if n > 1_000:
+        # Up to 22 breakpoints of a longer tail, from the first to the last at
+        # or below a gain of 1.
+        top = min(n, 1 + int(100 * math.log(1 / (policy.nudge_threshold - A0)) / policy.decay_theta))
+        m = [1, top] + data.draw(st.lists(st.integers(1, top), max_size=20))
+    gains = np.concatenate((breakpoints(policy, m), data.draw(st.lists(st.floats(0.0, 1.0), max_size=40))))
+    i0, periods = _nudge_periods(params, policy, gains)
+    assert i0 == _tau_node(policy)
+    assert periods.tolist() == nudge_period_scan(params, policy, gains).tolist()
+
+
+@PROPERTY
+@given(st.floats(-300.0, 4.0))
+@example(-300.0)
+@example(4.0)
+def test_decay_never_rises_with_the_step_count(log_theta):
+    # The bisection in _nudge_periods is exact because the rule's level never
+    # rises with the step count; that needs numpy's exp not to rise as its
+    # argument falls, over every step of the longest grid.
+    steps = np.arange(1, MAX_HORIZON_YEARS * STEPS_PER_YEAR + 1)
+    factors = np.exp(-(10.0**log_theta) * (steps / STEPS_PER_YEAR))
+    assert not (np.diff(factors) > 0).any()
+
+
+@PROPERTY
+@given(nudge_rules(), st.lists(st.floats(-0.2, 1.2), min_size=2, max_size=40))
+def test_nudge_period_never_falls_as_the_gain_rises(rule, fractions):
+    # Gains from below the trigger edge to past the last breakpoint.
+    params, policy = rule
+    gains = breakpoints(policy, np.array(fractions) * tail_steps(params, policy))
+    periods = _nudge_periods(params, policy, np.sort(gains))[1]
+    assert (np.diff(periods[periods > 0]) >= 0).all()
+
+
+@PROPERTY
+@given(nudge_rules(thetas=st.floats(-3.0, math.log10(5.0)).map(lambda e: 10.0**e),
+                   thresholds=st.floats(A0 + 0.01, 1.0)), st.data())
+def test_gains_with_one_period_spend_the_same(rule, data):
+    params, policy = rule
+    edge, theta = policy.nudge_threshold - A0, policy.decay_theta
+    # Two gains in [delta_(m-1), delta_m), which fire first at step m, within
+    # [0, 1]; and two below the trigger edge, which never fire.
+    m = data.draw(st.integers(1, min(tail_steps(params, policy), int(100 * math.log(1 / edge) / theta))))
+    fractions = data.draw(st.lists(st.floats(0.1, 0.9), min_size=2, max_size=2))
+    gains = [edge * math.exp(theta * (m - 1 + x) / STEPS_PER_YEAR) for x in fractions]
+    gains += [edge * data.draw(st.floats(0.0, 0.99)), 0.0]
+    assert _nudge_periods(params, policy, gains)[1].tolist() == [m, m, 0, 0]
+    spends = [np.float64(simulate_trajectory(params, replace(policy, adherence_gain_delta=g)).spend_integral)
+              for g in gains]
+    assert spends[0].tobytes() == spends[1].tobytes()
+    assert spends[2].tobytes() == spends[3].tobytes()
+
+
+# Decays whose threshold is at or below A0, so no nudge fires, on a gain axis
+# of 0.01 steps: coarse enough that rounding cannot reorder neighbours.
+fading_policies = st.builds(
+    PolicyConfig,
+    start_tau=st.floats(0.0, PARAMS.horizon_T),
+    cost_scale_gamma=gammas,
+    decay_theta=st.floats(0.0, 5.0, exclude_min=True),
+    nudge_threshold=st.floats(0.0, A0),
+    inflation_factor=st.floats(1.0, 2.0),
+)
+coarse_deltas = st.lists(st.integers(0, 45), min_size=2, max_size=4, unique=True).map(
+    lambda v: [i / 100 for i in sorted(v)])
+
+
+@PROPERTY
+@given(fading_policies, coarse_deltas, gammas)
+def test_roi_never_falls_with_delta_where_no_nudge_fires(policy, delta_axis, gamma):
+    # Adherence rises with delta at every point, so severity and beta * A^2
+    # (beta <= 0) fall, and the spend does not depend on delta.
+    assert not _nudge_periods(PARAMS, policy, delta_axis)[1].any()
+    rois = [roi_at(policy, d, gamma) for d in delta_axis]
+    assert (np.diff(rois) >= -1e-9).all()
+
+
 def test_every_nudge_window_closes_on_its_grid_node():
     policy = build_preset("adaptive_nudges")
     nodes = np.arange(round(PARAMS.horizon_T * STEPS_PER_YEAR) + 1)
