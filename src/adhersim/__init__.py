@@ -11,7 +11,6 @@ from .analytics import (
 )
 from .costmodel import Trajectory, simulate_trajectory
 from .montecarlo import (
-    DistributionKind,
     DistributionSpec,
     McSummary,
     run_monte_carlo,

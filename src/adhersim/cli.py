@@ -174,7 +174,7 @@ def _default_mc_spec(template_delta: float) -> DistributionSpec:
     # A Beta centred on the design's gain, or a point mass at a gain of 0 or 1,
     # which no Beta has for its mean.
     if template_delta <= 0.0 or template_delta >= 1.0:
-        return DistributionSpec.binary(template_delta, template_delta, 1.0)
+        return DistributionSpec(point=template_delta)
     try:
         return DistributionSpec.beta_from_mean(template_delta, DEFAULT_DELTA_SD)
     except ValueError as exc:
@@ -305,10 +305,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if not args.command:
-        parser.print_help()
-        return 2
     try:
+        if not args.command:
+            valid = ", ".join([mode.value for mode in RunMode] + ["export-plots"])
+            raise ValueError(f"command: a sub-command is required; valid: {valid}")
         # An overflow or invalid operation that reaches no output is no error
         # and prints nothing; one that reaches a result fails the check on it
         # (``roi``, ``gamma_at_roi``, ``breakeven_gamma``, ``run_monte_carlo``,

@@ -31,56 +31,35 @@ an arm at another gamma go through it, so they agree bit for bit.
 
 The kernel evaluates B arms of one policy that differ only in the adherence
 gain delta, on (B, n) node arrays.  What no gain changes is built once and
-cached as read-only arrays: the grid with its discount factors (``_grid``)
-and, per tau node, the spend of an arm no nudge fires in, P = 1[node >= i0]
-with its discounted trapezoid (``_unnudged_spend``).  That is every arm whose
-period is 0, the no-policy arm too, whose P is 0.  The nudge logs enter
-as integers, a period per gain (``scenarios._nudge_periods``, one call for
-all of ``arm_costs``'s gains); the spend channel depends on a gain only
-through it, so ``arm_costs`` runs it once per distinct period.  The rule's
-node arithmetic runs in float64, which is exact on every grid ModelParams
-allows (``scenarios._activations_by``).
+cached as read-only arrays (``_grid``, ``_unnudged_spend``).  The nudge logs
+enter as integers, a period per gain (``scenarios._nudge_periods``), and the
+spend channel depends on a gain only through it.  The rule's node arithmetic
+runs in float64, which is exact on every grid ModelParams allows
+(``scenarios._activations_by``).
 
 Before tau's node i0 every piece is inactive, so adherence, severity and
-alpha*D + beta*A^2 are the same for every gain there.  ``arm_costs`` thus
-splits the grid at node k0 = min(i0, n - 2): it runs the head [0, k0] once,
-for one gain, and the rest channel of the tail [k0, n - 1] in chunks of
-``_CHUNK_ARMS`` gains taken in period order, so that the gains no nudge fires
-in share their chunks.  Every kernel call's running logit and rest sums go
-on from given raw sums, and the -k*s0 offset and C0 are added after them: a
-grid from time 0 (a one-arm run, or the head) starts both at -0.0, each sum's
-identity, and a tail at the head's sums.  Its panels keep the grid's step h,
-so each sum adds the one-arm run's terms in its order.
+alpha*D + beta*A^2 are the same for every gain there: ``arm_costs`` runs
+that head once and the tail from node k0 = min(i0, n - 2) per chunk of gains.
+A policy that never starts or starts on the last node keeps a one-panel
+tail, and tau at node 0 leaves the head empty.  A span's running logit and
+rest sums go on from given raw sums, and the -k*s0 offset and C0 are added
+after them; its panels keep the grid's step h, so each sum adds the one-arm
+run's terms in its order.
 
+Adherence is read only where it can vary (``_read_layout``).  A panel's
+midpoint and end read the piece of its start node, so where adherence is
+constant on each piece (no decay of the gain or of the baseline) the start
+read serves all three, bit for bit.  Where every piece is active and no nudge
+fires, adherence depends on the time alone, so a panel's end read is the
+next node's, bit for bit.
+
+Each row equals the one-arm run bit for bit, whatever rows share its chunk.
 Each quantity is written by a few in-place array operations that make the
-formula's float operations in its order (swapping the two operands of one sum
-or product, which leaves its result unchanged); k_eff is evaluated once over
-all the adherence points (``_read_layout``, ``_panel_reads``).  A one-arm run
-and the head read adherence at the 3n - 2 points of Simpson's rule (the
-nodes, then each panel's midpoint and right end), or at the n nodes where
-adherence is constant on each policy piece (no decay of the gain or of the
-baseline): there a panel's start read equals its midpoint and end reads bit
-for bit.  When k0 = i0 every tail piece is active, and the tail of n' nodes
-is read only where adherence can vary: at one value per row where it is
-constant on each piece; at the 2n' - 1 nodes and midpoints in a chunk where
-no nudge fires, since adherence then depends on the time alone and a panel's
-end read is the next node's, bit for bit; and at the 3n' - 2 points only in a
-chunk where a nudge fires.  A policy that never starts or starts on the last
-node keeps a one-panel tail in the general layout, and tau at node 0 leaves
-the head empty.
-
-Reads that share a value are formed once.  ``_read_layout`` tells
-``adherence_array`` its layout (``scenarios.Pieces``): a panel's midpoint and
-end read the piece of its start node, so the nudge rule's last boost is
-formed once per node and copied to them, and where every piece is active no
-mask is applied.  Where a row reads one value, ``_logit_steps`` forms its one
-Simpson step and writes it to every panel.  In the one-value and 2n' - 1
-layouts the trapezoid adds neighbouring terms in one flat pass over the
-chunk; the cross-row sums it forms at each row's first cell are overwritten,
-and a bound on the rate rules out their overflow.  Every reduction along the
-grid is a row-wise cumulative sum, so each row equals the one-arm run bit for
-bit, whatever rows share its chunk: ``simulate_trajectory`` runs the same
-``_rest_rows`` for one gain, on the whole grid read in the head's layout.
+formula's float operations in its order (swapping the two operands of one
+sum or product, which leaves its result unchanged); every reduction along
+the grid is a row-wise cumulative sum; and ``simulate_trajectory`` runs the
+same ``_rest_rows`` for one gain, on the whole grid read in the head's
+layout.
 """
 
 from __future__ import annotations
@@ -462,7 +441,7 @@ def arm_costs(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[np.nda
     the gains in chunks in stable period order, goes on from the head's raw
     sums, and scatters each chunk's horizon values back to the gains'
     indices, so the gains no nudge fires in share chunks that read one
-    adherence profile; the module docstring gives the layouts each reads in.
+    adherence profile; ``_read_layout`` gives the layouts each reads in.
     Every chunk reads adherence into the first elements of one buffer of
     ``_CHUNK_ARMS * (3n' - 2)`` elements and works in another, so that their
     pages are not handed back to the system and faulted in again from chunk

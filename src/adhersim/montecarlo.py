@@ -1,5 +1,6 @@
-"""Parameter-uncertainty layer: adherence-gain distributions, seeded Monte
-Carlo execution, and distributional ROI summaries.
+"""Parameter-uncertainty layer: the adherence gain's distribution (a Beta or
+a point mass), seeded Monte Carlo execution, and distributional ROI
+summaries.
 
 Sub-stream derivation is counter-based and pinned: draw i uses
 ``numpy.random.default_rng(numpy.random.SeedSequence(master_seed,
@@ -23,7 +24,6 @@ master seed, so policies whose specs are equal share one set of draws.
 
 from __future__ import annotations
 
-import enum
 import math
 import operator
 from collections.abc import Iterator
@@ -51,43 +51,27 @@ _XSHIFT = 16
 _MASK32 = 0xFFFFFFFF
 
 
-class DistributionKind(enum.Enum):
-    BETA = "beta"
-    BINARY = "binary"
-
-
 @dataclass(frozen=True)
 class DistributionSpec:
-    """Distribution over the adherence gain delta: a Beta, or a binary mix of
-    high and low responders.  Every draw lies in [0, 1]."""
+    """Distribution over the adherence gain delta: a Beta or a point mass.
+    Every draw lies in [0, 1]."""
 
-    kind: DistributionKind
-    # Beta
     alpha_shape: float = 0.0
     beta_shape: float = 0.0
-    # Binary high/low responders
-    delta_high: float = 0.0
-    delta_low: float = 0.0
-    p_high: float = 0.0
+    # The gain of a point mass; None for a Beta.
+    point: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is DistributionKind.BETA:
-            # numpy's Beta draws NaN for a NaN or infinite shape.
-            if not (0 < self.alpha_shape < math.inf and 0 < self.beta_shape < math.inf):
-                raise ValueError("beta shapes must be finite and > 0")
-        elif self.kind is DistributionKind.BINARY:
-            for name in ("delta_high", "delta_low"):
-                v = getattr(self, name)
-                if not (0.0 <= v <= 1.0):
-                    raise ValueError(f"{name} must be in [0, 1]")
-            if not (0.0 <= self.p_high <= 1.0):
-                raise ValueError("p_high must be in [0, 1]")
-        else:  # pragma: no cover
-            raise ValueError(f"unknown distribution kind {self.kind}")
+        if self.point is not None:
+            if not (0.0 <= self.point <= 1.0):
+                raise ValueError("point must be in [0, 1]")
+        # numpy's Beta draws NaN for a NaN or infinite shape.
+        elif not (0 < self.alpha_shape < math.inf and 0 < self.beta_shape < math.inf):
+            raise ValueError("beta shapes must be finite and > 0")
 
     @staticmethod
     def beta(alpha_shape: float, beta_shape: float) -> "DistributionSpec":
-        return DistributionSpec(DistributionKind.BETA, alpha_shape=alpha_shape, beta_shape=beta_shape)
+        return DistributionSpec(alpha_shape=alpha_shape, beta_shape=beta_shape)
 
     @staticmethod
     def beta_from_mean(mean: float, sd: float = DEFAULT_DELTA_SD) -> "DistributionSpec":
@@ -100,12 +84,6 @@ class DistributionSpec:
         if nu <= 0:
             raise ValueError(f"{mean!r} is too close to 0 or 1 for a Beta draw with sd {sd!r}")
         return DistributionSpec.beta(mean * nu, (1.0 - mean) * nu)
-
-    @staticmethod
-    def binary(delta_high: float, delta_low: float, p_high: float) -> "DistributionSpec":
-        return DistributionSpec(
-            DistributionKind.BINARY, delta_high=delta_high, delta_low=delta_low, p_high=p_high
-        )
 
 
 @dataclass(frozen=True)
@@ -203,9 +181,9 @@ def _draw_streams(master_seed: int, n: int) -> Iterator[np.random.Generator]:
 
 def sample_delta(spec: DistributionSpec, stream: np.random.Generator) -> float:
     """One adherence-gain draw in [0, 1]."""
-    if spec.kind is DistributionKind.BETA:
-        return float(stream.beta(spec.alpha_shape, spec.beta_shape))
-    return float(spec.delta_high if stream.random() < spec.p_high else spec.delta_low)
+    if spec.point is not None:
+        return float(spec.point)
+    return float(stream.beta(spec.alpha_shape, spec.beta_shape))
 
 
 def positive_rate(roi_values: np.ndarray) -> float:

@@ -190,6 +190,25 @@ class TestMonteCarloCommand:
         ]
         assert list(summary["roi_quantiles"]) == ["0.05", "0.25", "0.5", "0.75", "0.95"]
 
+    def test_point_mass_at_a_gain_of_one_prices_every_draw_as_compare(self, tmp_path, monkeypatch):
+        # A gain of 1 is a point mass, as no Beta has mean 1; A0 = 0 leaves
+        # room for it.
+        params = tmp_path / "params.txt"
+        params.write_text(reference_params_path().read_text().replace(
+            "adherence_baseline_A0 = 0.55", "adherence_baseline_A0 = 0"))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"params_file = {params}\nscenario = custom\npolicy.adherence_gain_delta = 1\nseed = 3\n")
+        runs = []
+        monkeypatch.setattr(cli, "run_monte_carlo", lambda *a: runs.append(run_monte_carlo(*a)) or runs[-1])
+        assert _run(["--config", cfg, "--out", tmp_path / "mc", "mc", "--n-draws", "20"]) == 0
+        assert _run(["--config", cfg, "--out", tmp_path / "compare", "compare"]) == 0
+        [(_, draws)] = runs
+        expected = json.loads((tmp_path / "compare" / "summary.json").read_text())["roi_percent"]
+        assert draws["delta"].tolist() == [1.0] * 20
+        assert draws["roi_percent"].tolist() == [expected] * 20
+        _, rows = _read_csv(tmp_path / "mc" / "draws.csv")
+        assert [row[1] for row in rows] == ["1"] * 20
+
     def test_workers_flag_is_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             _run(["--out", tmp_path / "mc", "--seed", "1", "mc", "--n-draws", "5", "--workers", "2"])
@@ -603,6 +622,20 @@ def test_unknown_kind_or_family_names_its_key(tmp_path, capsys, args, message):
     out = tmp_path / "out"
     assert _run(["--out", out, *args]) == 2
     assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("with_config", [False, True], ids=["bare", "config"])
+def test_missing_sub_command_names_its_key(tmp_path, capsys, with_config):
+    # A document's mode does not stand in for the sub-command.
+    cfg = tmp_path / "doc.txt"
+    cfg.write_text(f"params_file = {reference_params_path()}\nscenario = baseline\nmode = simulate\n")
+    out = tmp_path / "out"
+    assert _run(["--out", out] + (["--config", cfg] if with_config else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: command: a sub-command is required; "
+                            "valid: simulate, compare, sweep, breakeven, mc, stress, export-plots\n")
+    assert captured.out == ""
     assert not out.exists()
 
 

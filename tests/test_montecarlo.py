@@ -18,6 +18,7 @@ from adhersim.montecarlo import (
     DistributionSpec,
     check_draw_keys,
     positive_rate,
+    price_draws,
     run_monte_carlo,
     sample_delta,
     substream,
@@ -33,10 +34,9 @@ class TestDistributionSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             DistributionSpec.beta(0.0, 2.0)
-        with pytest.raises(ValueError):
-            DistributionSpec.binary(1.2, 0.1, 0.5)
-        with pytest.raises(ValueError):
-            DistributionSpec.binary(0.3, 0.1, 1.5)
+        for point in (-0.1, 1.2, math.nan):
+            with pytest.raises(ValueError, match=r"^point must be in \[0, 1\]$"):
+                DistributionSpec(point=point)
 
     @pytest.mark.parametrize("shapes", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf)])
     def test_beta_shapes_must_be_finite(self, shapes):
@@ -59,8 +59,8 @@ class TestDistributionSpec:
 
 
 class TestSampling:
-    def test_degenerate_binary(self):
-        spec = DistributionSpec.binary(0.3, 0.3, 0.7)
+    def test_point_mass(self):
+        spec = DistributionSpec(point=0.3)
         stream = substream(1, 0)
         assert all(sample_delta(spec, stream) == 0.3 for _ in range(10))
 
@@ -95,12 +95,6 @@ class TestSampling:
         se_var = math.sqrt((mu4 - var**2) / n)
         assert abs(draws.var() - var) <= 3 * se_var
 
-    def test_binary_mixture_rate(self):
-        spec = DistributionSpec.binary(0.4, 0.1, 0.25)
-        stream = substream(9, 0)
-        draws = np.array([sample_delta(spec, stream) for _ in range(20_000)])
-        assert np.mean(draws == 0.4) == pytest.approx(0.25, abs=0.01)
-
 
 class TestRunMonteCarlo:
     def test_draw_count_has_a_ceiling(self, ref_params):
@@ -110,7 +104,7 @@ class TestRunMonteCarlo:
                 run_monte_carlo(ref_params, EARLY, DistributionSpec.beta_from_mean(0.3), n, master_seed=1)
 
     def test_single_degenerate_draw_equals_deterministic(self, ref_params):
-        spec = DistributionSpec.binary(0.3, 0.3, 1.0)
+        spec = DistributionSpec(point=0.3)
         summary, draws = run_monte_carlo(ref_params, EARLY, spec, 1, master_seed=5)
         det = roi(baseline_cost(ref_params), simulate_trajectory(ref_params, EARLY).final_cost)
         assert summary.roi_mean == det
@@ -122,7 +116,7 @@ class TestRunMonteCarlo:
         # The mean of 300 copies of a cost need not be that cost, so an sd
         # taken about the mean would read a few ulps above 0.
         design = build_preset(preset)
-        spec = DistributionSpec.binary(design.adherence_gain_delta, design.adherence_gain_delta, 1.0)
+        spec = DistributionSpec(point=design.adherence_gain_delta)
         summary, _ = run_monte_carlo(ref_params, design, spec, 300, master_seed=5)
         assert summary.cost_sd == summary.roi_sd == summary.roi_mean_se == 0.0
 
@@ -170,10 +164,10 @@ class TestRunMonteCarlo:
         assert positive_rate(np.array([1.0, 2.0])) == 1.0
         assert positive_rate(np.array([-1.0, 1.0])) == 0.5
 
-    def test_raising_delta_high_never_lowers_mean_roi(self, ref_params):
+    def test_raising_the_mean_gain_never_lowers_mean_roi(self, ref_params):
         means = []
-        for high in (0.25, 0.30, 0.35):
-            spec = DistributionSpec.binary(high, 0.2, 0.5)
+        for mean in (0.25, 0.30, 0.35):
+            spec = DistributionSpec.beta_from_mean(mean)
             summary, _ = run_monte_carlo(ref_params, EARLY, spec, 120, master_seed=21)
             means.append(summary.roi_mean)
         assert means[0] <= means[1] <= means[2]
@@ -201,22 +195,20 @@ class TestRunMonteCarlo:
         # denominator on the very first draw
         p = make_params(baseline_cost_C0=100.0, disease_cost_alpha=0.0,
                         adherence_cost_beta=-500.0, adherence_baseline_A0=0.1)
-        spec = DistributionSpec.binary(0.9, 0.9, 1.0)
+        spec = DistributionSpec(point=0.9)
         with pytest.raises(ValueError, match=r"draw 0 \(delta=0\.9"):
             run_monte_carlo(p, EARLY, spec, 4, master_seed=1)
 
     def test_first_failing_draw_inside_a_chunk_is_named(self):
         # On the same parameters delta = 0 keeps the cost positive, so the
-        # first failure is the first 0.9 draw: draw 4 for seed 6, which is
-        # neither draw 0 nor the first draw of an engine chunk.
+        # first failure is the first 0.9 gain: draw 4, which is neither
+        # draw 0 nor the first draw of an engine chunk.
         p = make_params(baseline_cost_C0=100.0, disease_cost_alpha=0.0,
                         adherence_cost_beta=-500.0, adherence_baseline_A0=0.1)
-        spec = DistributionSpec.binary(0.9, 0.0, 0.5)
-        deltas = [sample_delta(spec, substream(6, i)) for i in range(16)]
-        assert deltas.index(0.9) == 4
+        deltas = np.array([0.0] * 4 + [0.9] * 12)
         assert 4 % costmodel._CHUNK_ARMS != 0
         with pytest.raises(ValueError, match=r"draw 4 \(delta=0\.900000\) failed: cost_policy: must be > 0"):
-            run_monte_carlo(p, EARLY, spec, 16, master_seed=6)
+            price_draws(p, EARLY, deltas, baseline_cost(p))
 
     def test_n_must_be_positive(self, ref_params):
         with pytest.raises(ValueError):

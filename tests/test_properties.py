@@ -141,7 +141,8 @@ def test_breakeven_is_a_root_or_has_none(params, policy, delta, level):
 
 
 def nudge_log_oracle(params, policy) -> tuple[float, ...]:
-    """The re-engagement rule stepped node by node on the canonical grid."""
+    """The re-engagement rule stepped node by node on the canonical grid, with
+    the engine's numpy exp: math.exp differs from it by an ulp on some steps."""
     a0 = params.adherence_baseline_A0
     delta, theta = policy.adherence_gain_delta, policy.decay_theta
     threshold = policy.nudge_threshold
@@ -150,7 +151,7 @@ def nudge_log_oracle(params, policy) -> tuple[float, ...]:
     i_reset = round(policy.tau_snapped * STEPS_PER_YEAR)
     activations = []
     for i in range(i_reset + 1, round(params.horizon_T * STEPS_PER_YEAR) + 1):
-        if a0 + delta * math.exp(-theta * ((i - i_reset) / STEPS_PER_YEAR)) < threshold:
+        if a0 + delta * np.exp(-theta * ((i - i_reset) / STEPS_PER_YEAR)) < threshold:
             i_reset = i
             activations.append(i / STEPS_PER_YEAR)
     return tuple(activations)
@@ -176,6 +177,11 @@ nudge_cases = st.builds(
 
 @PROPERTY
 @given(nudge_cases)
+# A threshold at math.exp(-0.01), an ulp above numpy's exp(-0.01) on hosts
+# where the two differ: the level after one step falls below it under numpy
+# only, so the period is 1 step, not 2.
+@example((replace(PARAMS, adherence_baseline_A0=0.0),
+          PolicyConfig(start_tau=0.0, adherence_gain_delta=1.0, decay_theta=1.0, nudge_threshold=math.exp(-0.01))))
 def test_closed_form_nudge_log_equals_stepped_rule(case):
     params, policy = case
     i0, (m,) = _nudge_periods(params, policy, [policy.adherence_gain_delta])
@@ -645,7 +651,7 @@ def test_grid_refinement_converges_at_second_order(policy):
 
 MC_SPECS = {
     "beta": DistributionSpec.beta(6.0, 14.0),
-    "binary": DistributionSpec.binary(0.4, 0.1, 0.5),
+    "point": DistributionSpec(point=0.3),
 }
 
 
