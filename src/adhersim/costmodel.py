@@ -8,7 +8,23 @@ Dmax / (1 + exp(-k (s - s0))) is recovered exactly.  The ODE is integrated
 with fixed-step fourth-order Runge-Kutta on the logit z = ln(D / (Dmax - D)),
 where the right-hand side reduces to z' = k_eff(s); for a state-independent
 right-hand side the RK4 stage sum is Simpson's rule, which keeps the
-closed-form reduction exact instead of O(h^4)-approximate (``_logit_steps``).
+closed-form reduction exact instead of O(h^4)-approximate (``_simpson_sums``).
+
+With A = A0 + delta * e, where the decay factor e depends on a gain only
+through its nudge period (``scenarios._decay_factor``), the excess
+max(0, A - A0) is delta * e wherever adherence does not clip and the
+baseline does not decay.  Simpson's rule on k_eff is then
+
+    z(t) = -k*s0 + (R(t) - k_c * eta * delta * S(t)),
+
+with R the running Simpson sum of k_c (the no-policy logit) and S that of
+e.  k_c goes into the weight of S's panels, so the kernel forms
+(eta * delta) * (k_c S), which is 0 up to tau's node even where k_c * eta
+overflows.  S is one row per distinct period, summed in one pass with R:
+the gains no nudge fires share one.  A gain whose float A0 + delta exceeds 1,
+or any gain of a policy whose baseline decays, integrates its own excess in
+place of delta * e.  The no-policy arm and every gain-free span have S = 0,
+so their logit is R, Simpson's rule on k_eff = k_c.
 
 Cumulative cost C(t) = C0 + integral_0^t exp(-rho s) c(s) ds is computed by
 composite trapezoid on the same grid.  Every policy event (start, nudge
@@ -41,20 +57,23 @@ Before tau's node i0 every piece is inactive, so adherence, severity and
 alpha*D + beta*A^2 are the same for every gain there: ``arm_costs`` runs
 that head once and the tail from node k0 = min(i0, n - 2) per chunk of gains.
 A policy that never starts or starts on the last node keeps a one-panel
-tail, and tau at node 0 leaves the head empty.  A span's running logit and
-rest sums go on from given raw sums, and the -k*s0 offset and C0 are added
-after them; its panels keep the grid's step h, so each sum adds the one-arm
-run's terms in its order.
+tail, and tau at node 0 leaves the head empty.  A span's R and rest sums go
+on from given raw sums, and S from -0.0, as no gain acts before tau's node;
+the -k*s0 offset and C0 are added after them.  Its panels keep the grid's
+step h, so each sum adds the one-arm run's terms in its order.
 
-Adherence is read only where it can vary (``_read_layout``).  A panel's
-midpoint and end read the piece of its start node, so where adherence is
-constant on each piece (no decay of the gain or of the baseline) the start
-read serves all three, bit for bit.  Where every piece is active and no nudge
-fires, adherence depends on the time alone, so a panel's end read is the
-next node's, bit for bit.
+The decay factor is read only where it can vary (``_read_layout``), once
+per period, and adherence once per gain at the nodes and, where a jump can
+part them from the next node's, at the panel ends.  A panel's midpoint and
+end read the piece of its start node, so where e is constant on each piece
+(no decay of the gain or of the baseline) the start read serves all three,
+bit for bit.  Where every piece is active and no nudge fires, e depends on
+the time alone, so a panel's end read is the next node's, bit for bit.
 
 Each row equals the one-arm run bit for bit, whatever rows share its chunk.
-Each quantity is written by a few in-place array operations that make the
+Which sum a row takes depends on its gain and policy alone, and R and S
+depend on no other gain, so the row's terms are its one-arm run's.  Each
+quantity is written by a few in-place array operations that make the
 formula's float operations in its order (swapping the two operands of one
 sum or product, which leaves its result unchanged); every reduction along
 the grid is a row-wise cumulative sum; and ``simulate_trajectory`` runs the
@@ -76,6 +95,7 @@ from .params import ModelParams
 from .scenarios import (
     Pieces,
     PolicyConfig,
+    _decay_factor,
     _nudge_periods,
     _spend_at_nodes,
     adherence_array,
@@ -139,13 +159,15 @@ def total_cost(params: ModelParams, policy: PolicyConfig, rest, spend_units, gam
     return rest + spend * spend_units
 
 
-# Arms per kernel call.  An arm reads adherence at up to 3n - 2 points (3 001
-# on the 10-year canonical grid), about 25 000 points per call.  A per-chunk
-# allocation of 128 KiB or more is mapped afresh and faulted in again on
-# every chunk, so ``arm_costs`` owns two buffers of B * (3n' - 2) elements,
-# sized by the tail of n' nodes, and reuses them (a chunk read in a smaller
-# layout uses their first elements), and every other per-chunk array is
-# (B, n') or smaller: at most 64 KiB here.
+# Arms per kernel call.  A chunk reads the decay factor of each of its
+# distinct nudge periods, and the adherence of each row that integrates its
+# own excess, at up to 3n - 2 points (3 001 on the 10-year canonical grid):
+# about 25 000 points per call.  A per-chunk allocation of 128 KiB or more is
+# mapped afresh and faulted in again on every chunk, so ``arm_costs`` keeps
+# the buffers of B * (3n' - 2) elements, sized by the tail of n' nodes, for
+# all its chunks (``_Workspace``; a chunk read in a smaller layout uses their
+# first elements), and every other per-chunk array is (B, n') or smaller: at
+# most 64 KiB here.
 _CHUNK_ARMS = 25_000 // 3_001
 
 
@@ -159,61 +181,29 @@ def _logistic_closed_form(params: ModelParams, s: np.ndarray, compression: float
     return params.disease_max_Dmax * sigmoid(k_c * (s - s0_c))
 
 
-def _k_eff(params: ModelParams, compression: float, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """k_eff(A) = k_c * (1 - eta * max(0, A - A0)) over an array of adherence
-    values, written to ``out``."""
-    k_c, _ = _effective_curve(params, compression)
-    k = np.subtract(a, params.adherence_baseline_A0, out=out)
-    np.maximum(0.0, k, out=k)
-    k *= params.severity_coupling_eta
-    np.subtract(1.0, k, out=k)
-    k *= k_c
-    return k
+def _simpson_sums(weight: float, x: np.ndarray, n: int, r=None) -> np.ndarray:
+    """Running sums of Simpson's rule on x, read at each panel's start,
+    midpoint and end in any ``_panel_reads`` layout: one row per row of x on
+    n nodes, going on from -0.0, the sum's identity, at the first node.  Each
+    panel adds ((4 * x_mid + x_start) + x_end) * weight, where weight is h/6
+    times any constant factor of x.  Reads of one value per row give each row
+    one step, formed once and then written to every panel of the row.
 
-
-def _logit_steps(h, k_start, k_mid, k_end, out):
-    """Logit increments over steps of width h from k_eff at each step's start,
-    midpoint and end, into ``out``: RK4 on z' = k_eff(A), which is Simpson's
-    rule (h/6) * (k_start + 4 * k_mid + k_end).  Reads narrower than ``out``
-    (one value per row) give each row one step, formed once and then written
-    to every panel of the row."""
-    steps = np.multiply(k_mid, 4.0, out=out if k_mid.shape == out.shape else None)
-    steps += k_start
-    steps += k_end
-    steps *= h / 6.0
+    ``r`` = (start, step) adds a last row that goes on from start by the same
+    step on every panel, summed in the same pass."""
+    sums = np.empty((len(x) + (r is not None), n))
+    if r is not None:
+        sums[-1, 0], sums[-1, 1:] = r
+    sums[:len(x), 0] = -0.0
+    x_start, x_mid, x_end = _panel_reads(x, n)
+    out = sums[:len(x), 1:]
+    steps = np.multiply(x_mid, 4.0, out=out if x_mid.shape == out.shape else None)
+    steps += x_start
+    steps += x_end
+    steps *= weight
     if steps is not out:
         out[...] = steps
-    return out
-
-
-def _severity_grid(params: ModelParams, policy: PolicyConfig, times: np.ndarray, h: float, a: np.ndarray,
-                   work: np.ndarray, z0):
-    """Severity at the nodes ``times``, one row per arm, via RK4/Simpson on the
-    logit variable over panels of width h, from each panel's adherence at its
-    start, midpoint and end, read at ``a``'s points (in any ``_panel_reads``
-    layout).  ``work``, shaped like ``a``, is scratch.
-
-    The logit's running sum goes on from ``z0`` at the first node: an earlier
-    span's raw sum, or -0.0, the sum's identity, on a grid from time 0.  The
-    -k*s0 offset is added after the sum, and the sigmoid reads -0.0 as +0.0.
-    Also returns the raw sum at the last node (None with eta = 0, where the
-    closed form needs no sum)."""
-    n = len(times)
-    if params.severity_coupling_eta == 0.0:
-        severity = np.empty((len(a), n))
-        severity[...] = _logistic_closed_form(params, times, policy.progression_compression)
-        return severity, None
-
-    k = _k_eff(params, policy.progression_compression, a, out=work)
-    z = np.empty((len(a), n))
-    z[:, 0] = z0
-    _logit_steps(h, *_panel_reads(k, n), out=z[:, 1:])
-    np.add.accumulate(z, axis=-1, out=z)
-    z_end = z[:, -1].copy()
-    z += -params.disease_steepness_k * params.disease_midpoint_s0
-    severity = sigmoid(z, out=z)
-    severity *= params.disease_max_Dmax
-    return severity, z_end
+    return np.add.accumulate(sums, axis=-1, out=sums)
 
 
 def _discounted_trapezoid(disc: np.ndarray, h: float, f_start, f_end, start, out: np.ndarray,
@@ -309,11 +299,11 @@ def _span(grid, lo: int, hi: int):
 
 
 def _read_layout(policy: PolicyConfig, grid, active: bool = False, fires: bool = True):
-    """``grid`` with its points cut to those adherence is read at
+    """``grid`` with its points cut to those the decay factor e is read at
     (``_panel_reads``): where it is constant on each piece, one value per row
     if every piece is active, else the n nodes; where every piece is active
     and no nudge fires, the nodes and midpoints; else the 3n - 2 points.  The
-    pieces read go to ``adherence_array`` as ``Pieces``: the points past the
+    pieces read go to ``_decay_factor`` as ``Pieces``: the points past the
     nodes read their panel's start node's piece, and ``active`` says every
     piece is active."""
     times, disc, nodes, points, pieces = grid
@@ -325,52 +315,125 @@ def _read_layout(policy: PolicyConfig, grid, active: bool = False, fires: bool =
     return times, disc, nodes, points[:width], Pieces(pieces[:width], min(n, width), active)
 
 
+class _Workspace:
+    """What the chunks of one ``arm_costs`` call share, on one grid and from
+    one start: a flat buffer of ``size`` elements for the decay factor of a
+    chunk's distinct periods, and one, made on first use, for the adherence
+    of the rows that integrate their own excess; and the last chunk's decay
+    factor and running sums R and k_c S, with the periods and read layout
+    they were read for, which a chunk with the same ones reuses.  The
+    gains no nudge fires come first in period order, so their chunks read
+    these once."""
+
+    def __init__(self, size: int):
+        self.decay, self.excess = np.empty(size), None
+        self.r = self.key = self.e = self.s = None
+
+
 def _rest_rows(params: ModelParams, policy: PolicyConfig, grid, deltas, nudges, start, buffers=None):
     """The rows (adherence, severity and the rest rate at the nodes), the raw
-    cumulative rest channel and the raw logit sum at the last node, one row
+    cumulative rest channel and the running sum R at the last node, one row
     per gain, on a grid or ``_span`` whose points are cut to a ``_read_layout``.
 
-    ``start`` is (h, z, r): the grid's step, and the raw logit and rest sums at
-    the first node, before the -k*s0 offset and C0, which the sums go on from.
-    From time 0 both are -0.0, so the rest channel's first node is -0.0: a
-    one-arm run writes it as +0.0 before adding C0, so C(0) is C0 + 0.0.  In
-    the one-value and 2n' - 1 layouts the rows are scratch: the trapezoid
+    ``start`` is (h, r, c): the grid's step, and R and the raw rest sum at
+    the first node, before the -k*s0 offset and C0, which the sums go on
+    from.  From time 0 both are -0.0, so the rest channel's first node is
+    -0.0: a one-arm run writes it as +0.0 before adding C0, so C(0) is
+    C0 + 0.0.  R is None with eta = 0, where the closed form needs no sum.
+    In the one-value and 2n' - 1 layouts the rows are scratch: the trapezoid
     overwrites the rest rate and severity with its discounted terms.
 
-    Adherence is read into the first elements of one of two flat ``buffers``
-    and the other is scratch; both are made here if not given."""
+    The decay factor e is read once per distinct period in ``nudges``, at
+    the layout's points, and adherence once per gain at the nodes, and at the
+    panel ends where they may differ from the next node's.  The logit is
+    R - (eta * delta) * (k_c S), and k_c S, the running Simpson sum of
+    k_c * e, is shared by the gains of a period.  A row whose float
+    A0 + delta exceeds 1, so that adherence may clip, or whose baseline
+    decays reads its adherence at every point and sums k_c * max(0, A - A0)
+    in place of k_c * e, with eta in place of eta * delta.  These sums go on
+    from -0.0: no gain acts on a span before tau's node.  ``buffers`` is the
+    ``_Workspace`` of a call's chunks, made here if not given."""
     times, disc, _, points, pieces = grid
-    h, z0, r0 = start
-    n = len(times)
-    size = len(nudges[1]) * points.size
+    h, r0, c0 = start
+    n, width = len(times), points.size
+    deltas = np.asarray(deltas, dtype=float)
+    i0, periods = nudges
     if buffers is None:
-        buffers = np.empty(size), np.empty(size)
-    # Contiguous views: a strided one costs numpy about 1 us a row per call.
-    a, work = (buf[:size].reshape(-1, points.size) for buf in buffers)
-    adherence_array(params, policy, deltas, nudges, points, pieces, a)
-    severity, z_end = _severity_grid(params, policy, times, h, a, work, z0)
+        buffers = _Workspace(len(periods) * width)
+    # One decay row serves the gains of one period, else one per distinct period.
+    one = periods.size == 1 or not np.count_nonzero(periods != periods[0])
+    distinct, rows = (periods[:1], slice(None)) if one else np.unique(periods, return_inverse=True)
+    eta = params.severity_coupling_eta
+    k_c = _effective_curve(params, policy.progression_compression)[0]
+    # k_c in each panel's weight keeps S at 0.0 until tau, even where k_c * eta overflows.
+    weight = k_c * (h / 6.0)
+    key = (width, distinct.tobytes())
+    if buffers.key != key:
+        # Contiguous rows: a strided view costs numpy about 1 us a row per call.
+        e = buffers.decay[:distinct.size * width].reshape(-1, width)
+        buffers.key, buffers.e = key, _decay_factor(policy, (i0, distinct), points, pieces, out=e)
+        if eta != 0.0:
+            # R, Simpson's rule on k_c, takes the same step on every panel.
+            sums = _simpson_sums(weight, e if policy.baseline_decay is None else e[:0], n,
+                                 (r0, (4.0 * k_c + k_c + k_c) * (h / 6.0)))
+            buffers.s, buffers.r = sums[:-1], sums[-1:]
+    e = buffers.e
+
+    if eta == 0.0:
+        severity = np.empty((len(deltas), n))
+        severity[...] = _logistic_closed_form(params, times, policy.progression_compression)
+        r_end = None
+    else:
+        # Rows that may clip, and every row whose baseline decays, integrate their own excess.
+        own = (np.ones(len(deltas), dtype=bool) if policy.baseline_decay is not None
+               else params.adherence_baseline_A0 + deltas > 1.0)
+        n_own = np.count_nonzero(own)
+        if n_own:
+            if buffers.excess is None:
+                buffers.excess = np.empty(buffers.decay.size)
+            a = adherence_array(params, policy, deltas[own], e if one else e[rows[own]], points,
+                                out=buffers.excess[:n_own * width].reshape(-1, width))
+            excess = np.subtract(a, params.adherence_baseline_A0, out=a)
+            own_sums = _simpson_sums(weight, np.maximum(0.0, excess, out=excess), n)
+            own_sums *= eta
+        if policy.baseline_decay is not None:
+            z = own_sums
+        else:
+            z = np.multiply((eta * deltas)[:, None], buffers.s[rows])
+            if n_own:
+                z[own] = own_sums
+        np.subtract(buffers.r, z, out=z)
+        r_end = buffers.r[0, -1]
+        z += -params.disease_steepness_k * params.disease_midpoint_s0
+        severity = sigmoid(z, out=z)
+        severity *= params.disease_max_Dmax
 
     # The engine has no health-outcome term: lambda * H is zero.
     # alpha * D + beta * A^2 at the nodes, and at each panel's end.
+    a_nodes = adherence_array(params, policy, deltas, e[rows, :n], points[:n])
     disease = np.multiply(severity, params.disease_cost_alpha)
-    if points.size in (1, 2 * n - 1):
+    if width in (1, 2 * n - 1):
         # A panel's end read is the next node's, so its end rate is too.  The
         # trapezoid overwrites the rates with their discounted terms, and
         # severity, which it is done with.
-        adherence_rate = np.square(a[:, :n])
+        adherence_rate = np.square(a_nodes)
         adherence_rate *= params.adherence_cost_beta
         rest_nodes = np.add(disease, adherence_rate, out=disease)
         # |alpha * D + beta * A^2| <= |alpha| + |beta|: D <= Dmax <= 1 and A <= 1.
         bound = abs(params.disease_cost_alpha) + abs(params.adherence_cost_beta)
-        rest = _discounted_trapezoid(disc, h, rest_nodes, None, r0, severity, bound=bound)
+        rest = _discounted_trapezoid(disc, h, rest_nodes, None, c0, severity, bound=bound)
     else:
-        rest_nodes, rest_end = np.square(a[:, :n]), np.square(_panel_reads(a, n)[2])
+        # Adherence is constant on each piece in the n' layout, so a panel's
+        # end read is its start read there; else the ends are read apart.
+        a_end = a_nodes[:, :-1] if width == n else adherence_array(
+            params, policy, deltas, e[rows, 2 * n - 1:], points[2 * n - 1:])
+        rest_nodes, rest_end = np.square(a_nodes), np.square(a_end)
         for rate, d in ((rest_nodes, disease), (rest_end, disease[:, 1:])):
             rate *= params.adherence_cost_beta
             rate += d
         # The trapezoid overwrites rest_end, and alpha * D, which it is done with.
-        rest = _discounted_trapezoid(disc, h, rest_nodes[:, :-1], rest_end, r0, disease, scratch=rest_end)
-    return (a[:, :n], severity, rest_nodes), rest, z_end
+        rest = _discounted_trapezoid(disc, h, rest_nodes[:, :-1], rest_end, c0, disease, scratch=rest_end)
+    return (a_nodes, severity, rest_nodes), rest, r_end
 
 
 def _spend_rows(unit_cost: float, grid, nudges):
@@ -440,10 +503,11 @@ def arm_costs(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[np.nda
     head before tau's node runs once, for the first gain.  The tail then takes
     the gains in chunks in stable period order, goes on from the head's raw
     sums, and scatters each chunk's horizon values back to the gains'
-    indices, so the gains no nudge fires in share chunks that read one
-    adherence profile; ``_read_layout`` gives the layouts each reads in.
-    Every chunk reads adherence into the first elements of one buffer of
-    ``_CHUNK_ARMS * (3n' - 2)`` elements and works in another, so that their
+    indices.  The chunks share one ``_Workspace``: the gains no nudge fires
+    come first and read one decay factor and its S, once, and a chunk where
+    a nudge fires reads them once per distinct period; ``_read_layout``
+    gives the layouts each reads in.  Its buffers of
+    ``_CHUNK_ARMS * (3n' - 2)`` elements serve every chunk, so that their
     pages are not handed back to the system and faulted in again from chunk
     to chunk.  The spend channel runs once per distinct period.  An empty
     ``deltas`` gives two empty arrays.
@@ -458,12 +522,12 @@ def arm_costs(params: ModelParams, policy: PolicyConfig, deltas) -> tuple[np.nda
     # The head ends at or before tau's node, so no nudge fires in it.  -0.0 is
     # the sums' identity: each goes on from the first panel's term.
     head = _read_layout(policy, _span(grid, 0, k0 + 1))
-    _, head_rest, z = _rest_rows(params, policy, head, deltas[:1], (i0, np.zeros(1, dtype=np.int64)), (h, -0.0, -0.0))
-    start = (h, z, head_rest[:, -1])
+    _, head_rest, r = _rest_rows(params, policy, head, deltas[:1], (i0, np.zeros(1, dtype=np.int64)), (h, -0.0, -0.0))
+    start = (h, r, head_rest[:, -1])
     tail = _span(grid, k0, n)
     order = np.argsort(periods, kind="stable")
     rest = np.empty(deltas.size)
-    buffers = [np.empty(min(_CHUNK_ARMS, deltas.size) * len(tail[3])) for _ in range(2)]
+    buffers = _Workspace(min(_CHUNK_ARMS, deltas.size) * len(tail[3]))
     for lo in range(0, deltas.size, _CHUNK_ARMS):
         chunk = order[lo:lo + _CHUNK_ARMS]
         nudges = (i0, periods[chunk])

@@ -14,9 +14,16 @@ it is the no-policy arm or its tau lies past the horizon: its tau node is one
 past the grid's last, so it is priced as the no-policy arm.  Every policy event
 (the snapped start, each nudge activation and each window closure) sits on a
 node of the canonical 0.01-year grid, so between two nodes the policy stays on
-the piece in force at the earlier one.  ``adherence_array`` takes the canonical
+the piece in force at the earlier one.  ``_decay_factor`` takes the canonical
 node whose piece to read, which lets the integrator evaluate a panel's interior
 and right end on the piece its start node set; spend is constant on a panel.
+
+Adherence is A0 + delta * e, clamped to [0, 1], where the decay factor
+e(s) = active * exp(-decay_theta * elapsed) is 1 at each boost, falls with
+the time elapsed since it, and is 0 on the pieces before tau's node
+(``_decay_factor``).  e depends on a gain only through its nudge period, so
+the gains of one period share it, and ``adherence_array`` is one scaling of
+it per gain.
 
 The engine keeps nudge logs in period form: the rule fires every m
 canonical nodes after tau's node i0 (``_nudge_periods``; m = 0 never fires).
@@ -28,7 +35,7 @@ before node j is node i0 + m * N(j), and N(j) - N(j - W) windows of W nodes
 are open there, over a (B, n) batch of gains.  This node arithmetic
 runs in float64 and is exact (``_activations_by``): every operand is an
 integer of at most 100 000, the node count of the longest grid ModelParams
-allows.  ``adherence_array`` forms the last boost once per node and copies it
+allows.  ``_decay_factor`` forms the last boost once per node and copies it
 to the panel reads that share the node's piece (``Pieces``).
 """
 
@@ -233,7 +240,7 @@ def _activations_by(nudges: tuple[int, np.ndarray], nodes: np.ndarray):
 
 
 class Pieces(NamedTuple):
-    """The ``piece`` of ``adherence_array`` with what its read layout knows of
+    """The ``piece`` of ``_decay_factor`` with what its read layout knows of
     it.  ``at`` gives, per point, the canonical node whose piece is read.  The
     first ``nodes`` points read pieces of their own, and the points after them
     read the pieces of the first nodes - 1 again, in runs of nodes - 1 (the
@@ -245,63 +252,68 @@ class Pieces(NamedTuple):
     active: bool
 
 
-def adherence_array(
-    params: ModelParams,
-    policy: PolicyConfig,
-    deltas,
-    nudges: tuple[int, np.ndarray],
-    s: np.ndarray,
-    piece: np.ndarray | Pieces,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Vectorized adherence A(s), clamped to [0, 1]: one row per gain in
-    ``deltas``, each replacing the policy's, written to ``out`` if given.
+def _decay_factor(policy: PolicyConfig, nudges: tuple[int, np.ndarray], s: np.ndarray,
+                  piece: np.ndarray | Pieces, out: np.ndarray | None = None) -> np.ndarray:
+    """The decay factor e(s) = active * exp(-decay_theta * elapsed), one row
+    per log in ``nudges`` (``_nudge_periods``), written to ``out`` if given:
+    the share of the gain in force at s, so that adherence is A0 + delta * e
+    before the clamp (``adherence_array``).  ``active`` is 1 on a piece at or
+    after tau's node and 0 before it; elapsed is the time since the piece's
+    last boost.  e depends on a gain only through its period.
 
-    ``nudges`` holds the gains' logs (``_nudge_periods``).  ``piece`` gives,
-    per s, the canonical node whose piece is read: the last node at or before
-    s gives the right-continuous trajectory.  Given as ``Pieces``, it tells
-    which points share a piece, so the last boost is formed once per node and
-    copied to the points after it, and whether every piece is active, so no
-    mask is applied.
+    ``piece`` gives, per s, the canonical node whose piece is read: the last
+    node at or before s gives the right-continuous trajectory.  Given as
+    ``Pieces``, it tells which points share a piece, so the last boost is
+    formed once per node and copied to the points after it, and whether
+    every piece is active, so no mask is applied.
     """
     i0, periods = nudges
     piece, nodes, all_active = piece if isinstance(piece, Pieces) else (piece, piece.size, False)
-    delta, theta = np.asarray(deltas, dtype=float)[:, None], policy.decay_theta
-    gain = np.empty((len(delta), s.size)) if out is None else out
+    e = np.empty((len(periods), s.size)) if out is None else out
     active = None if all_active else piece >= i0
-    if theta == 0.0:
-        if all_active:
-            np.copyto(gain, delta)
-        else:
-            np.multiply(delta, active, out=gain)
+    if policy.decay_theta == 0.0:
+        e[...] = 1.0 if all_active else active
+        return e
+    if periods.any():
+        # The last boost's time at the nodes' pieces, i0 + m * N in exact
+        # float node arithmetic, copied to the points that read them again.
+        m, last = _activations_by(nudges, piece[:nodes])
+        last *= m
+        last += i0
+        last /= STEPS_PER_YEAR
+        e[:, :nodes] = last
+        for lo in range(nodes, s.size, max(nodes - 1, 1)):
+            e[:, lo:lo + nodes - 1] = last[:, :-1]
+        elapsed = np.subtract(s, e, out=e)
     else:
-        if periods.any():
-            # The last boost's time at the nodes' pieces, i0 + m * N in exact
-            # float node arithmetic, copied to the points that read them again.
-            m, last = _activations_by(nudges, piece[:nodes])
-            last *= m
-            last += i0
-            last /= STEPS_PER_YEAR
-            gain[:, :nodes] = last
-            for lo in range(nodes, s.size, max(nodes - 1, 1)):
-                gain[:, lo:lo + nodes - 1] = last[:, :-1]
-            elapsed = np.subtract(s, gain, out=gain)
-        else:
-            elapsed = s - i0 / STEPS_PER_YEAR
-        np.maximum(elapsed, 0.0, out=elapsed)
-        elapsed *= -theta
-        np.multiply(delta, np.exp(elapsed, out=elapsed), out=gain)
-        if not all_active:
-            gain *= active
+        elapsed = np.subtract(s, i0 / STEPS_PER_YEAR, out=e)
+    np.maximum(elapsed, 0.0, out=elapsed)
+    elapsed *= -policy.decay_theta
+    np.exp(elapsed, out=e)
+    if not all_active:
+        e *= active
+    return e
+
+
+def adherence_array(params: ModelParams, policy: PolicyConfig, deltas, decay: np.ndarray, s: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Adherence A(s) = A0 + delta * e(s), clamped to [0, 1]: one row per gain
+    in ``deltas``, each replacing the policy's, written to ``out`` if given.
+
+    ``decay`` holds e at the points s (``_decay_factor``), one row per gain
+    or one row that every gain shares.  A policy with a ``baseline_decay``
+    adds A0 * exp(-baseline_decay * s) in place of A0.
+    """
+    a = np.multiply(np.asarray(deltas, dtype=float)[:, None], decay, out=out)
     a0 = params.adherence_baseline_A0
     if policy.baseline_decay is None:
-        gain += a0
+        a += a0
     else:
         base = np.multiply(s, -policy.baseline_decay)
-        gain += np.multiply(np.exp(base, out=base), a0, out=base)
+        a += np.multiply(np.exp(base, out=base), a0, out=base)
     # np.clip's bounds with the scalar first: -0.0 and NaN pass through as clip leaves them.
-    np.maximum(0.0, gain, out=gain)
-    return np.minimum(gain, 1.0, out=gain)
+    np.maximum(0.0, a, out=a)
+    return np.minimum(a, 1.0, out=a)
 
 
 def _spend_at_nodes(unit_cost: float, nudges: tuple[int, np.ndarray], nodes: np.ndarray) -> np.ndarray:

@@ -467,7 +467,9 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("line, args, expected", [
         ("disease_cost_alpha = 1e308", ["simulate"], "cumulative_cost: row 264 is inf"),
-        ("disease_steepness_k = 1e308", ["simulate"], "severity: row 202 is nan"),
+        # R overflows on the first panel; the logit is inf - inf once eta * delta * S
+        # does too, 1.2 years after early_adherence's tau.
+        ("disease_steepness_k = 1e308", ["simulate"], "severity: row 321 is nan"),
         ("policy_unit_cost = 1e308", ["export-plots", "--family", "cost"], "value: row "),
         ("disease_cost_alpha = 1e308", ["breakeven", "--delta-axis", "0.1"], "cost_baseline: must be finite, got inf"),
         ("disease_cost_alpha = 1e308", ["compare"], "cost_baseline: must be finite, got inf"),

@@ -348,25 +348,33 @@ class TestNeverStartedArms:
 
 
 class TestAdherenceReads:
-    """Adherence is read only where it can change.  A one-arm run reads it at
-    the n nodes where it is constant on each piece, else at the 3n - 2 points
-    of Simpson's rule.  ``arm_costs`` reads the gain-free head before tau's
-    node once, in that layout, then each gain once on the tail of m nodes: at
-    one point where adherence is constant on each piece, at the 2m - 1 nodes
-    and midpoints where no nudge fires, and at the 3m - 2 points where one
-    does.  A policy that never starts keeps a one-panel tail in the general
-    layout.  The layout follows the policy's fields, whatever preset it
-    came from."""
+    """The decay factor e is read where it can vary, once per distinct nudge
+    period, and adherence once per gain, at the nodes and at the panel ends
+    where they can differ from the next node's.  A one-arm run reads e at the
+    n nodes where it is constant on each piece, else at the 3n - 2 points of
+    Simpson's rule.  ``arm_costs`` reads the gain-free head before tau's node
+    once, in that layout, then the tail of m nodes: at one point where e is
+    constant on each piece, at the 2m - 1 nodes and midpoints where no nudge
+    fires, and at the 3m - 2 points where one does; the gains no nudge fires
+    read it once per call.  A policy that never starts keeps a one-panel tail
+    in the general layout.  A row whose baseline decays also reads its
+    adherence at every point.  The layout follows the policy's fields,
+    whatever preset it came from."""
 
     @pytest.fixture
     def reads(self, monkeypatch):
-        calls = []
+        calls = {"decay": [], "adherence": []}
 
-        def recorder(params, policy, deltas, nudges, s, piece, out=None):
-            calls.append((s.size, nudges[1].copy()))
-            return scenarios.adherence_array(params, policy, deltas, nudges, s, piece, out)
+        def decay(policy, nudges, s, piece, out=None):
+            calls["decay"].append((s.size, nudges[1].copy()))
+            return scenarios._decay_factor(policy, nudges, s, piece, out)
 
-        monkeypatch.setattr(costmodel, "adherence_array", recorder)
+        def adherence(params, policy, deltas, e, s, out=None):
+            calls["adherence"].append((s.size, len(deltas)))
+            return scenarios.adherence_array(params, policy, deltas, e, s, out)
+
+        monkeypatch.setattr(costmodel, "_decay_factor", decay)
+        monkeypatch.setattr(costmodel, "adherence_array", adherence)
         return calls
 
     @pytest.mark.parametrize(("policy", "node_only", "tail_widths"), [
@@ -384,28 +392,51 @@ class TestAdherenceReads:
     ])
     def test_points_read_per_arm(self, ref_params, reads, policy, node_only, tail_widths):
         n = round(ref_params.horizon_T * 100) + 1
-        deltas = np.linspace(0.0, 0.6, 2 * costmodel._CHUNK_ARMS + 1)
+        own = policy.baseline_decay is not None
         simulate_trajectory(ref_params, policy)
-        assert [(size, len(periods)) for size, periods in reads] == [(n if node_only else 3 * n - 2, 1)]
-        reads.clear()
+        width = n if node_only else 3 * n - 2
+        assert [(size, len(periods)) for size, periods in reads["decay"]] == [(width, 1)]
+        ends = [] if node_only else [n - 1]
+        assert sorted(reads["adherence"]) == sorted((size, 1) for size in [n, *ends] + [width] * own)
+        for calls in reads.values():
+            calls.clear()
+        # A0 + delta stays at or below 1, so only a decaying baseline reads every point.
+        deltas = np.linspace(0.0, 0.45, 2 * costmodel._CHUNK_ARMS + 1)
         arm_costs(ref_params, policy, deltas)
         k0 = min(scenarios._nudge_periods(ref_params, policy, deltas)[0], n - 2)
-        (head, head_periods), *tail = reads
+        m = n - k0
+        (head, head_periods), *tail = reads["decay"]
         assert (head, len(head_periods)) == (k0 + 1 if node_only else 3 * k0 + 1, 1)
-        assert sum(len(periods) for _, periods in tail) == len(deltas)
-        assert {size for size, _ in tail} == tail_widths(n - k0)
-        # A nudge fires only in a chunk read at the 3m - 2 points.
-        assert all(size == 3 * (n - k0) - 2 for size, periods in tail if periods.any())
+        assert {size for size, _ in tail} == tail_widths(m)
+        assert sum(not periods.any() for _, periods in tail) == 1
+        for size, periods in tail:
+            # A chunk where a nudge fires reads e at the 3m - 2 points, once per period.
+            assert np.unique(periods).size == periods.size
+            assert size == 3 * m - 2 or not periods.any()
+        tail_reads = reads["adherence"][1 + len(ends) + own:]
+        nodes = 1 if tail_widths(m) == {1} else m
+        assert sum(gains for size, gains in tail_reads if size == nodes) == len(deltas)
+        assert sum(gains for size, gains in tail_reads if size not in (nodes, m - 1)) == len(deltas) * own
 
-    def test_never_firing_gains_share_their_chunks(self, ref_params, reads):
+    def test_never_firing_gains_share_their_chunks(self, ref_params, reads, monkeypatch):
+        kernel, chunks = costmodel._rest_rows, []
+
+        def recorder(params, policy, grid, deltas, nudges, start, buffers=None):
+            chunks.append(nudges[1].copy())
+            return kernel(params, policy, grid, deltas, nudges, start, buffers)
+
+        monkeypatch.setattr(costmodel, "_rest_rows", recorder)
         spec = DistributionSpec.beta_from_mean(0.3)
         deltas = [sample_delta(spec, substream(5, i)) for i in range(200)]
         arm_costs(ref_params, build_preset("adaptive_nudges"), deltas)
-        chunks = [periods for _, periods in reads]
+        head, *chunks = chunks
         never = sum(np.count_nonzero(periods == 0) for periods in chunks)
         assert 0 < never < len(deltas)
         mixed = [periods for periods in chunks if (periods == 0).any() and periods.any()]
         assert len(mixed) <= 1
+        # The chunks no nudge fires in read one decay factor, once.
+        assert sum(not periods.any() for _, periods in reads["decay"][1:]) == 1
+        assert sum(not periods.any() for periods in chunks) > 1
 
 
 # Gains of the adaptive rule on both sides of its trigger edge A0 + delta = 0.82
@@ -471,8 +502,8 @@ class TestFloatNodeArithmetic:
                                               fires=nudges[1].any())):
             points, pieces = layout[3:]
             assert isinstance(pieces, scenarios.Pieces)
-            told = scenarios.adherence_array(ref_params, policy, EDGE_GAINS, nudges, points, pieces)
-            plain = scenarios.adherence_array(ref_params, policy, EDGE_GAINS, nudges, points, pieces.at.copy())
+            told = scenarios._decay_factor(policy, nudges, points, pieces)
+            plain = scenarios._decay_factor(policy, nudges, points, pieces.at.copy())
             assert told.tobytes() == plain.tobytes()
 
 
@@ -503,10 +534,36 @@ class TestPeriodBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The peak when the periods were formed 8 gains at a time and the
-        # rule's node arithmetic ran in int64; the period bisection peaks
-        # near 68.7 MB (numpy 2.4).
-        assert peak <= 75_207_807
+        # The peak when each chunk read adherence per gain at every point
+        # (numpy 2.4); reading the decay factor once per period peaks lower.
+        assert peak <= 68_742_187
+
+
+class TestExcessPaths:
+    """A gain's row integrates delta * e through the running sum S its
+    nudge period shares, or its own excess max(0, A - A0) where adherence may
+    clip (the float A0 + delta exceeds 1) or the baseline decays.  Either way
+    it equals the gain's one-arm run, whatever gains share its call."""
+
+    @pytest.mark.parametrize("policy", [
+        build_preset("early_adherence"), build_preset("regressive"), build_preset("adaptive_nudges"),
+        replace(build_preset("adaptive_nudges"), baseline_decay=0.05),
+    ], ids=["early_adherence", "regressive", "adaptive_nudges", "decaying_baseline"])
+    def test_rows_on_both_sides_of_the_clip_edge_equal_their_runs(self, ref_params, policy):
+        a0 = ref_params.adherence_baseline_A0
+        edge = past = 1.0 - a0
+        while a0 + past <= 1.0:
+            past = np.nextafter(past, 2.0)
+        # 0.3 fires the adaptive rule; 1.0 and the first gain past the edge clip.
+        deltas = [0.0, edge, np.nextafter(edge, 2.0), past, 1.0, 0.3]
+        assert a0 + np.nextafter(edge, 2.0) <= 1.0 < a0 + past
+        fires = scenarios._nudge_periods(ref_params, policy, deltas)[1] > 0
+        assert fires[-1] == (policy.nudge_threshold > 0)
+        rest, spend = arm_costs(ref_params, policy, deltas)
+        for i, delta in enumerate(deltas):
+            traj = simulate_trajectory(ref_params, replace(policy, adherence_gain_delta=delta))
+            assert rest[i].tobytes() == np.float64(traj.rest_cost).tobytes(), delta
+            assert spend[i].tobytes() == np.float64(traj.spend_integral).tobytes(), delta
 
 
 class TestFlatTrapezoid:

@@ -53,6 +53,7 @@ from adhersim.scenarios import (
     NUDGE_WINDOW_YEARS,
     PRESET_NAMES,
     PolicyConfig,
+    _decay_factor,
     _nudge_periods,
     _spend_at_nodes,
     _tau_node,
@@ -399,7 +400,7 @@ def test_period_form_equals_activation_times(case, multiples):
         grid = costmodel._grid(params.horizon_T, steps_per_year, params.discount_rate_rho)
         times, _, _, points, pieces = grid
         nudges = _nudge_periods(params, policy, gains)
-        adherence = adherence_array(params, policy, gains, nudges, points, pieces)
+        adherence = adherence_array(params, policy, gains, _decay_factor(policy, nudges, points, pieces), points)
         spend = costmodel._spend_rows(policy.nudge_unit_cost, grid, nudges)[0]
         piece_at = np.concatenate((times, times[:-1], times[:-1]))
         for row, gain in enumerate(gains):
@@ -443,51 +444,73 @@ def cumsum_from_zero(panels):
     return out
 
 
-def adherence_reference(params, policy, delta, activations, s, piece_at):
-    """A(s) on the piece in force at piece_at, from an activation log as times,
-    with the gain law the policy's fields give and the baseline's decay."""
+def decay_reference(policy, activations, s, piece_at):
+    """The decay factor e(s) on the piece in force at piece_at, from an
+    activation log as times: 1 at each boost, falling at the policy's
+    decay_theta, and 0 before tau's node and on an arm that never starts."""
     active = piece_at >= policy.tau_snapped
     if not policy.starts:
-        gain = np.zeros_like(s)
-    elif policy.decay_theta == 0.0:
-        gain = delta * active
-    else:
-        boosts = np.array((policy.tau_snapped,) + activations)
-        t_last = boosts[np.maximum(np.searchsorted(boosts, piece_at, side="right") - 1, 0)]
-        gain = delta * np.exp(-policy.decay_theta * np.maximum(s - t_last, 0.0)) * active
+        return np.zeros_like(s)
+    if policy.decay_theta == 0.0:
+        return active.astype(float)
+    boosts = np.array((policy.tau_snapped,) + activations)
+    t_last = boosts[np.maximum(np.searchsorted(boosts, piece_at, side="right") - 1, 0)]
+    return np.exp(-policy.decay_theta * np.maximum(s - t_last, 0.0)) * active
+
+
+def adherence_reference(params, policy, delta, e, s):
+    """A0 + delta * e at s, with the baseline's decay, clamped to [0, 1]."""
     a0 = params.adherence_baseline_A0
     if policy.baseline_decay is None:
         base = np.full_like(s, a0)
     else:
         base = a0 * np.exp(-policy.baseline_decay * s)
-    return np.clip(gain + base, 0.0, 1.0)
+    return np.clip(delta * e + base, 0.0, 1.0)
 
 
-def kernel_reference(params, policy, steps_per_year=STEPS_PER_YEAR):
+def kernel_reference(params, policy, steps_per_year=STEPS_PER_YEAR, keff=False):
     """Every column of one arm from plain numpy, one expression per quantity:
-    k_eff on the panels' start, midpoint and end, Simpson on the logit, the
-    two-branch sigmoid, alpha*D + beta*A^2 and the discounted trapezoids."""
+    the decay factor e and adherence A0 + delta * e on the panels' start,
+    midpoint and end; the logit -k*s0 + (R - (eta * delta) * S), with R and S
+    the running Simpson sums of k_c and of k_c * e (of k_c * max(0, A - A0),
+    with eta in place of eta * delta, on a row whose baseline decays or whose
+    A0 + delta exceeds 1); the two-branch sigmoid, alpha*D + beta*A^2 and the
+    discounted trapezoids.  ``keff``: Simpson's rule on
+    k_eff = k_c * (1 - eta * max(0, A - A0)) in place of R and S, the same
+    integral in another float order."""
     times = time_grid(params.horizon_T, steps_per_year)
     starts, mids, ends = times[:-1], times[:-1] + times[1] / 2.0, times[1:]
     h = times[1] - times[0]
     delta = policy.adherence_gain_delta
     activations = nudge_log_oracle(params, policy)
-    a_nodes = adherence_reference(params, policy, delta, activations, times, times)
-    a_mid = adherence_reference(params, policy, delta, activations, mids, starts)
-    a_end = adherence_reference(params, policy, delta, activations, ends, starts)
+    reads = [(times, times), (mids, starts), (ends, starts)]
+    e_nodes, e_mid, e_end = (decay_reference(policy, activations, s, at) for s, at in reads)
+    a_nodes, a_mid, a_end = (adherence_reference(params, policy, delta, e, s)
+                             for e, (s, _) in zip((e_nodes, e_mid, e_end), reads))
 
     c = policy.progression_compression
     k_c, s0_c = params.disease_steepness_k / c, params.disease_midpoint_s0 * c
     eta, a0 = params.severity_coupling_eta, params.adherence_baseline_A0
     if eta == 0.0:
         severity = params.disease_max_Dmax * sigmoid_oracle(k_c * (times - s0_c))
-    else:
+    elif keff:
         def k_eff(a):
             return k_c * (1.0 - eta * np.maximum(0.0, a - a0))
 
         steps = (h / 6.0) * (k_eff(a_nodes[:-1]) + 4.0 * k_eff(a_mid) + k_eff(a_end))
         z = -params.disease_steepness_k * params.disease_midpoint_s0 + cumsum_from_zero(steps)
         severity = params.disease_max_Dmax * sigmoid_oracle(z)
+    else:
+        def running_simpson(x_start, x_mid, x_end):
+            return cumsum_from_zero((k_c * (h / 6.0)) * (x_start + 4.0 * x_mid + x_end))
+
+        r = cumsum_from_zero(np.full(len(starts), (h / 6.0) * (k_c + 4.0 * k_c + k_c)))
+        if policy.baseline_decay is not None or a0 + delta > 1.0:
+            x_start, x_mid, x_end = (np.maximum(0.0, a - a0) for a in (a_nodes[:-1], a_mid, a_end))
+            z = r - eta * running_simpson(x_start, x_mid, x_end)
+        else:
+            z = r - (eta * delta) * running_simpson(e_nodes[:-1], e_mid, e_end)
+        severity = params.disease_max_Dmax * sigmoid_oracle(-params.disease_steepness_k * params.disease_midpoint_s0 + z)
 
     alpha, beta = params.disease_cost_alpha, params.adherence_cost_beta
     rest_nodes = alpha * severity + beta * a_nodes**2
@@ -540,6 +563,19 @@ def test_trajectory_columns_equal_plain_numpy_reference(params, policy, steps_pe
     for name, column in expected.items():
         got = np.atleast_1d(np.float64(getattr(traj, name)))
         assert got.tobytes() == column.tobytes(), name
+
+
+@PROPERTY
+@given(kernel_params, kernel_policies, st.sampled_from((STEPS_PER_YEAR, 2 * STEPS_PER_YEAR)))
+def test_logit_sums_stay_within_rounding_of_simpson_on_k_eff(params, policy, steps_per_year):
+    # R - eta * delta * S is Simpson's rule on k_eff, summed in another float
+    # order: the excess max(0, A - A0) is delta * e wherever adherence does
+    # not clip and the baseline does not decay.
+    traj = simulate_trajectory(params, policy, steps_per_year)
+    expected = kernel_reference(params, policy, steps_per_year, keff=True)
+    np.testing.assert_allclose(traj.severity, expected["severity"], rtol=0.0, atol=1e-12)
+    for name in ("rest_cost", "cumulative_cost"):
+        np.testing.assert_allclose(np.atleast_1d(getattr(traj, name)), expected[name], rtol=1e-12, atol=0.0)
 
 
 # arm_costs runs the gain-free head before tau's node once, then every gain on
