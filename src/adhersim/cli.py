@@ -59,8 +59,8 @@ from .montecarlo import (
 from .params import document_lines, load_params, read_text, reference_params_path
 from .runconfig import (
     RunConfig,
-    RunMode,
     _KEYS,
+    _MODE_KEYS,
     _STRESS_KINDS,
     effective_stress_value,
     parse_keys,
@@ -86,7 +86,7 @@ def run(config: RunConfig) -> list[str]:
     echo = serialize_run_config(config)
     files: dict[str, bytes] = {}
 
-    if config.mode is RunMode.SIMULATE:
+    if config.mode == "simulate":
         traj = simulate_trajectory(params, policy)
         files["trajectory.csv"] = trajectory_csv(traj)
         summary = (
@@ -94,7 +94,7 @@ def run(config: RunConfig) -> list[str]:
             f"{traj.final_cost:.2f} over {len(traj.times)} grid points"
         )
 
-    elif config.mode is RunMode.COMPARE:
+    elif config.mode == "compare":
         base = simulate_trajectory(params, build_preset("baseline"))
         pol = simulate_trajectory(params, policy)
         r = roi(base.final_cost, pol.final_cost)
@@ -111,7 +111,7 @@ def run(config: RunConfig) -> list[str]:
         pb_txt = "none" if pb is None else f"{pb:.2f} yr"
         summary = f"compare {config.scenario} vs baseline: ROI {r:.1f}%, payback {pb_txt}"
 
-    elif config.mode is RunMode.SWEEP:
+    elif config.mode == "sweep":
         grid = sweep_design_space(
             params, policy, np.array(config.delta_axis), np.array(config.gamma_axis)
         )
@@ -123,7 +123,7 @@ def run(config: RunConfig) -> list[str]:
             f"[{grid.roi_percent.min():.1f}%, {grid.roi_percent.max():.1f}%]"
         )
 
-    elif config.mode is RunMode.BREAKEVEN:
+    elif config.mode == "breakeven":
         gammas = breakeven_gamma(params, policy, config.delta_axis)
         files["breakeven.csv"] = breakeven_csv(config.delta_axis, gammas)
         pairs = ", ".join(
@@ -132,7 +132,7 @@ def run(config: RunConfig) -> list[str]:
         )
         summary = f"breakeven {config.scenario}: {pairs}"
 
-    elif config.mode is RunMode.MONTE_CARLO:
+    elif config.mode == "mc":
         spec = _default_mc_spec(policy.adherence_gain_delta)
         mc_summary, draws = run_monte_carlo(params, policy, spec, config.n_draws, config.seed)
         files["mc_summary.json"] = json_bytes(mc_summary.as_dict())
@@ -142,7 +142,7 @@ def run(config: RunConfig) -> list[str]:
             f"mean ROI {mc_summary.roi_mean:.2f}%, P(ROI>0) {mc_summary.prob_roi_positive:.3f}"
         )
 
-    elif config.mode is RunMode.STRESS:
+    elif config.mode == "stress":
         value = effective_stress_value(config)
         [pairs] = stress_pairs(params, [policy], ((StressKind(config.stress_kind), value),))
         (roi_un, cost_un), (roi_st, cost_st) = pairs["unstressed"], pairs[config.stress_kind]
@@ -259,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     delta_axis = ("--delta-axis", {"help": "comma-separated increasing deltas"})
     defaults = " / ".join(f"{value:g}" for _, value in STRESSES.values())
     # Each run sub-command, in --help order: its help line and the flags it
-    # takes beside --scenario.  A sub-command's name is its RunMode value.
+    # takes beside --scenario.  Its name is its run mode, a key of _MODE_KEYS.
     run_commands = {
         "simulate": ("simulate one scenario trajectory", ()),
         "compare": ("compare a scenario against the baseline arm", ()),
@@ -291,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.config:
         raw = {key: value for _, key, value in document_lines(read_text("config", args.config))}
-        if "mode" in raw and parse_value("mode", raw["mode"]).value != args.mode:
+        if "mode" in raw and parse_value("mode", raw["mode"]) != args.mode:
             raise ValueError(f"mode: the document's mode {raw['mode']} differs from the sub-command {args.mode}")
     else:
         raw = {"params_file": str(reference_params_path()), "scenario": "early_adherence"}
@@ -307,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if not args.command:
-            valid = ", ".join([mode.value for mode in RunMode] + ["export-plots"])
+            valid = ", ".join([*_MODE_KEYS, "export-plots"])
             raise ValueError(f"command: a sub-command is required; valid: {valid}")
         # An overflow or invalid operation that reaches no output is no error
         # and prints nothing; one that reaches a result fails the check on it
@@ -317,6 +317,9 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "export-plots":
                 if args.config:
                     raise ValueError("config: export-plots reads no run configuration")
+                for key in ("params_file", "output_dir"):
+                    if getattr(args, key) == "":
+                        raise ValueError(f"{key}: missing required key")
                 export_plots(
                     params_file=args.params_file or str(reference_params_path()),
                     family=args.family,

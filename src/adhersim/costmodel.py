@@ -374,8 +374,7 @@ def _rest_rows(params: ModelParams, policy: PolicyConfig, grid, deltas, nudges, 
         buffers.key, buffers.e = key, _decay_factor(policy, (i0, distinct), points, pieces, out=e)
         if eta != 0.0:
             # R, Simpson's rule on k_c, takes the same step on every panel.
-            sums = _simpson_sums(weight, e if policy.baseline_decay is None else e[:0], n,
-                                 (r0, (4.0 * k_c + k_c + k_c) * (h / 6.0)))
+            sums = _simpson_sums(weight, e, n, (r0, (4.0 * k_c + k_c + k_c) * (h / 6.0)))
             buffers.s, buffers.r = sums[:-1], sums[-1:]
     e = buffers.e
 
@@ -396,12 +395,9 @@ def _rest_rows(params: ModelParams, policy: PolicyConfig, grid, deltas, nudges, 
             excess = np.subtract(a, params.adherence_baseline_A0, out=a)
             own_sums = _simpson_sums(weight, np.maximum(0.0, excess, out=excess), n)
             own_sums *= eta
-        if policy.baseline_decay is not None:
-            z = own_sums
-        else:
-            z = np.multiply((eta * deltas)[:, None], buffers.s[rows])
-            if n_own:
-                z[own] = own_sums
+        z = np.multiply((eta * deltas)[:, None], buffers.s[rows])
+        if n_own:
+            z[own] = own_sums
         np.subtract(buffers.r, z, out=z)
         r_end = buffers.r[0, -1]
         z += -params.disease_steepness_k * params.disease_midpoint_s0

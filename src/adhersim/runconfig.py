@@ -19,7 +19,6 @@ surrounding whitespace.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 
@@ -36,31 +35,26 @@ from .scenarios import (
 )
 
 
-class RunMode(enum.Enum):
-    SIMULATE = "simulate"
-    COMPARE = "compare"
-    SWEEP = "sweep"
-    BREAKEVEN = "breakeven"
-    MONTE_CARLO = "mc"
-    STRESS = "stress"
-
-
 _POLICY_OVERRIDE_FIELDS = tuple(f.name for f in fields(PolicyConfig) if f.name != "starts")
 _STRESS_KINDS = tuple(kind.value for kind in StressKind)
-# The keys each mode cannot run without.
+# Each run mode, named as its sub-command, with the keys it cannot run without.
 _MODE_KEYS = {
-    RunMode.MONTE_CARLO: ("seed", "n_draws"),
-    RunMode.SWEEP: ("delta_axis", "gamma_axis"),
-    RunMode.BREAKEVEN: ("delta_axis",),
-    RunMode.STRESS: ("stress_kind",),
+    "simulate": (),
+    "compare": (),
+    "sweep": ("delta_axis", "gamma_axis"),
+    "breakeven": ("delta_axis",),
+    "mc": ("seed", "n_draws"),
+    "stress": ("stress_kind",),
 }
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run; ``mode`` is its sub-command's name, a key of ``_MODE_KEYS``."""
+
     params_file: str
     scenario: str
-    mode: RunMode
+    mode: str
     output_dir: str
     seed: int | None = None
     n_draws: int | None = None
@@ -132,7 +126,7 @@ def validate_run_config(config: RunConfig) -> None:
     for key in _MODE_KEYS.get(config.mode, ()):
         value = getattr(config, key)
         if value is None or isinstance(value, tuple) and not value:
-            raise ValueError(f"{key}: required by mode {config.mode.value}")
+            raise ValueError(f"{key}: required by mode {config.mode}")
     try:
         config.build_policy()
     except ValueError as exc:
@@ -156,13 +150,8 @@ def parse_value(key: str, text: str):
         return text
     if key in ("delta_axis", "gamma_axis"):
         return _parse_axis(key, text)
-    if key == "mode":
-        try:
-            return RunMode(text.lower())
-        except ValueError:
-            raise ValueError(
-                f"mode: unknown mode {text!r}; valid: {', '.join(m.value for m in RunMode)}"
-            ) from None
+    if key == "mode" and text.lower() not in _MODE_KEYS:
+        raise ValueError(f"mode: unknown mode {text!r}; valid: {', '.join(_MODE_KEYS)}")
     if key in ("seed", "n_draws"):
         kind, expected = int, "an integer"
     elif key == "stress_value" or key.startswith("policy."):
@@ -219,5 +208,5 @@ def serialize_run_config(config: RunConfig) -> str:
             if value:
                 lines.append(f"{f.name} = " + ", ".join(map(repr, value)))
         elif value is not None:
-            lines.append(f"{f.name} = {value.value if isinstance(value, RunMode) else value}")
+            lines.append(f"{f.name} = {value}")
     return "\n".join(lines) + "\n"

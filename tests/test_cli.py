@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 from pathlib import Path
@@ -11,6 +12,7 @@ from adhersim.costmodel import simulate_trajectory
 from adhersim.exports import csv_bytes, histogram_csv
 from adhersim.montecarlo import run_monte_carlo
 from adhersim.params import reference_params_path
+from adhersim.runconfig import _MODE_KEYS
 from adhersim.scenarios import PRESET_NAMES, StressKind, apply_stress, build_preset
 
 POLICY_PRESETS = [name for name in PRESET_NAMES if name != "baseline"]
@@ -317,8 +319,13 @@ class TestConfigFile:
         assert _run(["--config", cfg] + flags) == 0
         assert (out / output).exists()
 
-    @pytest.mark.parametrize("mode, command", [("mc", "simulate"), ("simulate", "compare"), ("bogus", "simulate")])
-    def test_document_mode_other_than_the_sub_command_is_rejected(self, tmp_path, capsys, mode, command):
+    @pytest.mark.parametrize("mode, command, message", [
+        ("mc", "simulate", "the document's mode mc differs from the sub-command simulate"),
+        ("simulate", "compare", "the document's mode simulate differs from the sub-command compare"),
+        ("bogus", "simulate", "unknown mode 'bogus'; valid: simulate, compare, sweep, breakeven, mc, stress"),
+        ("STRESS", "mc", "the document's mode STRESS differs from the sub-command mc"),
+    ])
+    def test_document_mode_other_than_the_sub_command_is_rejected(self, tmp_path, capsys, mode, command, message):
         cfg = tmp_path / "run.cfg"
         out = tmp_path / "out"
         cfg.write_text(
@@ -330,9 +337,22 @@ class TestConfigFile:
             "n_draws = 5\n"
         )
         assert _run(["--config", cfg, command]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: mode: ") and err.count("\n") == 1
+        assert capsys.readouterr().err == f"error: mode: {message}\n"
         assert not out.exists()
+
+    def test_document_mode_in_any_case_runs_and_echoes_its_name(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "out"
+        cfg.write_text(
+            f"params_file = {reference_params_path()}\n"
+            "scenario = early_adherence\n"
+            "mode = Stress\n"
+            f"output_dir = {out}\n"
+            "stress_kind = cost_inflation\n"
+        )
+        assert _run(["--config", cfg, "stress"]) == 0
+        echo = json.loads((out / "manifest.json").read_text())["config_echo"].splitlines()
+        assert "mode = stress" in echo
 
     def test_out_supplies_output_dir_the_config_leaves_out(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -562,6 +582,17 @@ class TestInputErrors:
         assert f"error: {expected}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("args", [["simulate"], ["export-plots", "--family", "severity"]],
+                             ids=["run", "export_plots"])
+    @pytest.mark.parametrize("flag, key", [("--params", "params_file"), ("--out", "output_dir")])
+    def test_empty_path_flag_names_its_key(self, tmp_path, capsys, monkeypatch, args, flag, key):
+        # An empty flag is no absent one: its default does not stand in.
+        monkeypatch.chdir(tmp_path)
+        other = ["--out", "out"] if flag == "--params" else []
+        assert _run([flag, ""] + other + args) == 2
+        assert capsys.readouterr().err == f"error: {key}: missing required key\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag, name, content, expected", [
         ("--config", "missing.cfg", None, "config: {} does not exist"),
         ("--params", "", None, "params_file: cannot read {}: Is a directory"),
@@ -625,6 +656,14 @@ def test_unknown_kind_or_family_names_its_key(tmp_path, capsys, args, message):
     assert _run(["--out", out, *args]) == 2
     assert capsys.readouterr().err == message
     assert not out.exists()
+
+
+def test_every_run_mode_is_the_sub_command_of_its_name():
+    parser = cli._build_parser()
+    [sub] = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    assert sub.choices.keys() == {*_MODE_KEYS, "export-plots"}
+    for name in _MODE_KEYS:
+        assert parser.parse_args([name]).mode == name
 
 
 @pytest.mark.parametrize("with_config", [False, True], ids=["bare", "config"])

@@ -44,7 +44,6 @@ from adhersim.params import MAX_HORIZON_YEARS, reference_params, reference_param
 from adhersim.runconfig import (
     _POLICY_OVERRIDE_FIELDS,
     RunConfig,
-    RunMode,
     parse_run_config,
     serialize_run_config,
     validate_run_config,
@@ -839,6 +838,8 @@ STRESS_VALUES = {
     "cost_inflation": st.floats(1.0, 1e6),
     "accelerated_progression": st.floats(0.0, 1.0, exclude_min=True),
 }
+# The run modes, named as their sub-commands.
+RUN_MODES = ("simulate", "compare", "sweep", "breakeven", "mc", "stress")
 # Mostly ordinary paths; arbitrary text also brings '#', line breaks and
 # surrounding whitespace, which a document line cannot carry.
 paths = st.one_of(st.from_regex(r"[A-Za-z0-9_./][A-Za-z0-9_./ =-]{0,12}[A-Za-z0-9_.]", fullmatch=True),
@@ -848,7 +849,7 @@ paths = st.one_of(st.from_regex(r"[A-Za-z0-9_./][A-Za-z0-9_./ =-]{0,12}[A-Za-z0-
 @st.composite
 def run_configs(draw):
     """Configurations whose every key but the two paths is valid for its mode."""
-    mode = draw(st.sampled_from(RunMode))
+    mode = draw(st.sampled_from(RUN_MODES))
 
     def maybe(strategy, required: bool):
         return draw(strategy if required else st.none() | strategy)
@@ -856,16 +857,16 @@ def run_configs(draw):
     def config_axis(values):
         return st.lists(values, min_size=1, max_size=4, unique=True).map(lambda v: tuple(sorted(v)))
 
-    stress_kind = maybe(st.sampled_from(sorted(STRESS_VALUES)), mode is RunMode.STRESS)
+    stress_kind = maybe(st.sampled_from(sorted(STRESS_VALUES)), mode == "stress")
     return RunConfig(
         params_file=draw(paths),
         scenario=draw(st.sampled_from(PRESET_NAMES + ("custom",))),
         mode=mode,
         output_dir=draw(paths),
-        seed=maybe(st.integers(0, 2**63), mode is RunMode.MONTE_CARLO),
-        n_draws=maybe(st.integers(1, MAX_DRAWS), mode is RunMode.MONTE_CARLO),
-        delta_axis=maybe(config_axis(st.floats(0.0, 1.0)), mode in (RunMode.SWEEP, RunMode.BREAKEVEN)) or (),
-        gamma_axis=maybe(config_axis(finite), mode is RunMode.SWEEP) or (),
+        seed=maybe(st.integers(0, 2**63), mode == "mc"),
+        n_draws=maybe(st.integers(1, MAX_DRAWS), mode == "mc"),
+        delta_axis=maybe(config_axis(st.floats(0.0, 1.0)), mode in ("sweep", "breakeven")) or (),
+        gamma_axis=maybe(config_axis(finite), mode == "sweep") or (),
         stress_kind=stress_kind,
         stress_value=None if stress_kind is None else maybe(STRESS_VALUES[stress_kind], False),
         policy_overrides=draw(st.fixed_dictionaries({}, optional=OVERRIDE_VALUES)),
@@ -910,7 +911,7 @@ NOT_FINITE = st.sampled_from((math.nan, math.inf, -math.inf))
 @st.composite
 def valid_documents(draw):
     """A valid run-configuration document as an ordered key -> value dict."""
-    mode = draw(st.sampled_from(RunMode))
+    mode = draw(st.sampled_from(RUN_MODES))
 
     def wanted(required: bool) -> bool:
         return required or draw(st.booleans())
@@ -921,18 +922,18 @@ def valid_documents(draw):
     doc = {
         "params_file": "params/reference_params.txt",
         "scenario": draw(st.sampled_from(PRESET_NAMES + ("custom",))),
-        "mode": mode.value,
+        "mode": mode,
         "output_dir": "out/run",
     }
-    if wanted(mode is RunMode.MONTE_CARLO):
+    if wanted(mode == "mc"):
         doc["seed"] = str(draw(st.integers(0, 2**63)))
-    if wanted(mode is RunMode.MONTE_CARLO):
+    if wanted(mode == "mc"):
         doc["n_draws"] = str(draw(st.integers(1, 10**6)))
-    if wanted(mode in (RunMode.SWEEP, RunMode.BREAKEVEN)):
+    if wanted(mode in ("sweep", "breakeven")):
         doc["delta_axis"] = axis_text(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)))
-    if wanted(mode is RunMode.SWEEP):
+    if wanted(mode == "sweep"):
         doc["gamma_axis"] = axis_text(draw(st.lists(finite, min_size=1, max_size=4)))
-    if wanted(mode is RunMode.STRESS):
+    if wanted(mode == "stress"):
         kind = draw(st.sampled_from(sorted(STRESS_VALUES)))
         doc["stress_kind"] = kind
         if wanted(False):
@@ -943,14 +944,13 @@ def valid_documents(draw):
 
 
 def required_keys(doc) -> tuple[str, ...]:
-    mode = RunMode(doc["mode"])
     by_mode = {
-        RunMode.MONTE_CARLO: ("seed", "n_draws"),
-        RunMode.SWEEP: ("delta_axis", "gamma_axis"),
-        RunMode.BREAKEVEN: ("delta_axis",),
-        RunMode.STRESS: ("stress_kind",),
+        "mc": ("seed", "n_draws"),
+        "sweep": ("delta_axis", "gamma_axis"),
+        "breakeven": ("delta_axis",),
+        "stress": ("stress_kind",),
     }
-    return ("params_file", "scenario", "mode", "output_dir") + by_mode.get(mode, ())
+    return ("params_file", "scenario", "mode", "output_dir") + by_mode.get(doc["mode"], ())
 
 
 @st.composite

@@ -2,7 +2,6 @@ import pytest
 
 from adhersim.runconfig import (
     RunConfig,
-    RunMode,
     effective_stress_value,
     parse_run_config,
     serialize_run_config,
@@ -18,7 +17,7 @@ output_dir = out
 
 def test_minimal_config_with_defaults():
     cfg = parse_run_config(MINIMAL)
-    assert cfg.mode is RunMode.SIMULATE
+    assert cfg.mode == "simulate"
     assert cfg.scenario == "baseline"
     assert cfg.seed is None
     assert cfg.n_draws is None
@@ -133,7 +132,7 @@ def test_serialized_text_of_every_key():
     # This text is the manifest's config_echo: field order, axis and value
     # reprs, then the policy overrides sorted by name.
     cfg = RunConfig(
-        params_file="p/ref.txt", scenario="adaptive_nudges", mode=RunMode.STRESS, output_dir="out/x",
+        params_file="p/ref.txt", scenario="adaptive_nudges", mode="stress", output_dir="out/x",
         seed=7, n_draws=250, delta_axis=(0.1, 0.25), gamma_axis=(1e-07, 0.5, 1.0),
         stress_kind="accelerated_progression", stress_value=0.1 + 0.2,
         policy_overrides={"start_tau": 2.0, "cost_scale_gamma": 1.25, "adherence_gain_delta": 0.3},

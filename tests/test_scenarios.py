@@ -6,7 +6,7 @@ import pytest
 
 from adhersim.costmodel import arm_costs, simulate_trajectory
 from adhersim.numerics import STEPS_PER_YEAR
-from adhersim.runconfig import RunConfig, RunMode
+from adhersim.runconfig import RunConfig
 from adhersim.scenarios import (
     ADAPTIVE_DECAY_THETA,
     ADAPTIVE_NUDGE_THRESHOLD,
@@ -300,7 +300,7 @@ class TestOneRule:
         assert_priced_as(ref_params, early, "regressive")
 
     def test_custom_policy_given_adaptive_fields_nudges(self, ref_params):
-        custom = RunConfig("params.txt", "custom", RunMode.COMPARE, "out", policy_overrides=dict(
+        custom = RunConfig("params.txt", "custom", "compare", "out", policy_overrides=dict(
             start_tau=2.0, adherence_gain_delta=0.3, cost_scale_gamma=2.0,
             decay_theta=ADAPTIVE_DECAY_THETA, nudge_threshold=ADAPTIVE_NUDGE_THRESHOLD,
         )).build_policy()
