@@ -6,8 +6,10 @@ run-configuration file whose keys the flags then override.  A flag's argparse
 dest is the run-configuration key it sets (--out is ``output_dir``, --kind is
 ``stress_kind``), and a flag is its key's text: it is laid over the document's
 line and parsed like one, so a malformed flag names its key as a line does.
-Each run writes its mode-specific CSV/JSON outputs plus a manifest.json with
-checksums, and prints a one-line summary.
+Each run sub-command is one entry of ``_RUN_COMMANDS``: its help line, its
+flags, and the step that gives its mode-specific CSV/JSON outputs and one-line
+summary; the run writes those with a manifest.json of checksums and prints the
+summary.
 
 The CLI runs the engine and analytics calls of every mode and every
 export-plots figure family; ``exports`` then only formats their results and
@@ -62,7 +64,6 @@ from .runconfig import (
     _KEYS,
     _MODE_KEYS,
     _STRESS_KINDS,
-    effective_stress_value,
     parse_keys,
     parse_value,
     serialize_run_config,
@@ -83,91 +84,101 @@ def run(config: RunConfig) -> list[str]:
     params = load_params(config.params_file)
     policy = config.build_policy()
     validate_authored_pair(params, policy)
-    echo = serialize_run_config(config)
-    files: dict[str, bytes] = {}
-
-    if config.mode == "simulate":
-        traj = simulate_trajectory(params, policy)
-        files["trajectory.csv"] = trajectory_csv(traj)
-        summary = (
-            f"simulate {config.scenario}: C({params.horizon_T:g}) = "
-            f"{traj.final_cost:.2f} over {len(traj.times)} grid points"
-        )
-
-    elif config.mode == "compare":
-        base = simulate_trajectory(params, build_preset("baseline"))
-        pol = simulate_trajectory(params, policy)
-        r = roi(base.final_cost, pol.final_cost)
-        pb = payback_time(base, pol)
-        files["baseline_trajectory.csv"] = trajectory_csv(base)
-        files["policy_trajectory.csv"] = trajectory_csv(pol)
-        files["summary.json"] = json_bytes({
-            "scenario": config.scenario,
-            "cost_baseline": base.final_cost,
-            "cost_policy": pol.final_cost,
-            "roi_percent": r,
-            "payback_years": pb,
-        })
-        pb_txt = "none" if pb is None else f"{pb:.2f} yr"
-        summary = f"compare {config.scenario} vs baseline: ROI {r:.1f}%, payback {pb_txt}"
-
-    elif config.mode == "sweep":
-        grid = sweep_design_space(
-            params, policy, np.array(config.delta_axis), np.array(config.gamma_axis)
-        )
-        files["roi_grid.csv"] = roi_grid_csv(grid)
-        files["contours.json"] = contours_json(grid)
-        files["breakeven.csv"] = breakeven_csv(grid.delta_axis, grid.breakeven_gamma_per_delta)
-        summary = (
-            f"sweep {len(config.delta_axis)}x{len(config.gamma_axis)} grid: ROI range "
-            f"[{grid.roi_percent.min():.1f}%, {grid.roi_percent.max():.1f}%]"
-        )
-
-    elif config.mode == "breakeven":
-        gammas = breakeven_gamma(params, policy, config.delta_axis)
-        files["breakeven.csv"] = breakeven_csv(config.delta_axis, gammas)
-        pairs = ", ".join(
-            f"gamma*({d:g})={'none' if g is None else format(g, '.3f')}"
-            for d, g in zip(config.delta_axis, gammas)
-        )
-        summary = f"breakeven {config.scenario}: {pairs}"
-
-    elif config.mode == "mc":
-        spec = _default_mc_spec(policy.adherence_gain_delta)
-        mc_summary, draws = run_monte_carlo(params, policy, spec, config.n_draws, config.seed)
-        files["mc_summary.json"] = json_bytes(mc_summary.as_dict())
-        files["draws.csv"] = draws_csv(draws)
-        summary = (
-            f"mc {config.scenario} n={config.n_draws} seed={config.seed}: "
-            f"mean ROI {mc_summary.roi_mean:.2f}%, P(ROI>0) {mc_summary.prob_roi_positive:.3f}"
-        )
-
-    elif config.mode == "stress":
-        value = effective_stress_value(config)
-        [pairs] = stress_pairs(params, [policy], ((StressKind(config.stress_kind), value),))
-        (roi_un, cost_un), (roi_st, cost_st) = pairs["unstressed"], pairs[config.stress_kind]
-        files["stress_summary.csv"] = csv_bytes(
-            [
-                "stress_kind",
-                "stress_value",
-                "roi_unstressed_percent",
-                "roi_stressed_percent",
-                "cost_unstressed",
-                "cost_stressed",
-            ],
-            [[config.stress_kind], [value], [roi_un], [roi_st], [cost_un], [cost_st]],
-        )
-        summary = (
-            f"stress {config.scenario} {config.stress_kind}={value:g}: "
-            f"ROI {roi_un:.2f}% -> {roi_st:.2f}%"
-        )
-
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled mode {config.mode}")
-
-    written = write_run_outputs(config.output_dir, files, echo)
+    files, summary = _RUN_COMMANDS[config.mode][2](params, policy, config)
+    written = write_run_outputs(config.output_dir, files, serialize_run_config(config))
     print(summary)
     return written
+
+
+def _simulate(params, policy, config):
+    traj = simulate_trajectory(params, policy)
+    return {"trajectory.csv": trajectory_csv(traj)}, (
+        f"simulate {config.scenario}: C({params.horizon_T:g}) = "
+        f"{traj.final_cost:.2f} over {len(traj.times)} grid points"
+    )
+
+
+def _compare(params, policy, config):
+    base = simulate_trajectory(params, build_preset("baseline"))
+    pol = simulate_trajectory(params, policy)
+    r = roi(base.final_cost, pol.final_cost)
+    pb = payback_time(base, pol)
+    files = {"baseline_trajectory.csv": trajectory_csv(base), "policy_trajectory.csv": trajectory_csv(pol)}
+    files["summary.json"] = json_bytes({
+        "scenario": config.scenario,
+        "cost_baseline": base.final_cost,
+        "cost_policy": pol.final_cost,
+        "roi_percent": r,
+        "payback_years": pb,
+    })
+    pb_txt = "none" if pb is None else f"{pb:.2f} yr"
+    return files, f"compare {config.scenario} vs baseline: ROI {r:.1f}%, payback {pb_txt}"
+
+
+def _sweep(params, policy, config):
+    grid = sweep_design_space(
+        params, policy, np.array(config.delta_axis), np.array(config.gamma_axis)
+    )
+    files = {"roi_grid.csv": roi_grid_csv(grid), "contours.json": contours_json(grid),
+             "breakeven.csv": breakeven_csv(grid.delta_axis, grid.breakeven_gamma_per_delta)}
+    return files, (
+        f"sweep {len(config.delta_axis)}x{len(config.gamma_axis)} grid: ROI range "
+        f"[{grid.roi_percent.min():.1f}%, {grid.roi_percent.max():.1f}%]"
+    )
+
+
+def _breakeven(params, policy, config):
+    gammas = breakeven_gamma(params, policy, config.delta_axis)
+    pairs = ", ".join(
+        f"gamma*({d:g})={'none' if g is None else format(g, '.3f')}"
+        for d, g in zip(config.delta_axis, gammas)
+    )
+    return {"breakeven.csv": breakeven_csv(config.delta_axis, gammas)}, f"breakeven {config.scenario}: {pairs}"
+
+
+def _mc(params, policy, config):
+    spec = _default_mc_spec(policy.adherence_gain_delta)
+    mc_summary, draws = run_monte_carlo(params, policy, spec, config.n_draws, config.seed)
+    return {"mc_summary.json": json_bytes(mc_summary.as_dict()), "draws.csv": draws_csv(draws)}, (
+        f"mc {config.scenario} n={config.n_draws} seed={config.seed}: "
+        f"mean ROI {mc_summary.roi_mean:.2f}%, P(ROI>0) {mc_summary.prob_roi_positive:.3f}"
+    )
+
+
+def _stress(params, policy, config):
+    kind = StressKind(config.stress_kind)
+    value = STRESSES[kind][1] if config.stress_value is None else config.stress_value
+    [pairs] = stress_pairs(params, [policy], ((kind, value),))
+    (roi_un, cost_un), (roi_st, cost_st) = pairs["unstressed"], pairs[config.stress_kind]
+    table = csv_bytes(
+        ["stress_kind", "stress_value", "roi_unstressed_percent", "roi_stressed_percent",
+         "cost_unstressed", "cost_stressed"],
+        [[config.stress_kind], [value], [roi_un], [roi_st], [cost_un], [cost_st]],
+    )
+    return {"stress_summary.csv": table}, (
+        f"stress {config.scenario} {config.stress_kind}={value:g}: "
+        f"ROI {roi_un:.2f}% -> {roi_st:.2f}%"
+    )
+
+
+# Each run sub-command, in --help order: its help line, the flags it takes
+# beside --scenario, and its step, which returns the run's files and summary
+# line.  Its name is its run mode, a key of _MODE_KEYS.
+_DELTA_AXIS = ("--delta-axis", {"help": "comma-separated increasing deltas"})
+_RUN_COMMANDS = {
+    "simulate": ("simulate one scenario trajectory", (), _simulate),
+    "compare": ("compare a scenario against the baseline arm", (), _compare),
+    "mc": ("Monte Carlo over stochastic adherence gains",
+           (("--n-draws", {"help": "number of Monte Carlo draws"}),), _mc),
+    "stress": ("paired unstressed/stressed run", (
+        ("--kind", {"dest": "stress_kind", "help": f"stress kind ({', '.join(_STRESS_KINDS)})"}),
+        ("--value", {"dest": "stress_value", "metavar": "VALUE", "help": "stress multiplier (default "
+                     + " / ".join(f"{value:g}" for _, value in STRESSES.values()) + ")"}),
+    ), _stress),
+    "sweep": ("ROI sweep over the (delta, gamma) design space",
+              (_DELTA_AXIS, ("--gamma-axis", {"help": "comma-separated increasing gammas"})), _sweep),
+    "breakeven": ("break-even gamma* for each delta", (_DELTA_AXIS,), _breakeven),
+}
 
 
 def _default_mc_spec(template_delta: float) -> DistributionSpec:
@@ -256,26 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", help="master random seed")
     parser.add_argument("--config", help="run-configuration file; flags override its keys")
 
-    delta_axis = ("--delta-axis", {"help": "comma-separated increasing deltas"})
-    defaults = " / ".join(f"{value:g}" for _, value in STRESSES.values())
-    # Each run sub-command, in --help order: its help line and the flags it
-    # takes beside --scenario.  Its name is its run mode, a key of _MODE_KEYS.
-    run_commands = {
-        "simulate": ("simulate one scenario trajectory", ()),
-        "compare": ("compare a scenario against the baseline arm", ()),
-        "mc": ("Monte Carlo over stochastic adherence gains",
-               (("--n-draws", {"help": "number of Monte Carlo draws"}),)),
-        "stress": ("paired unstressed/stressed run", (
-            ("--kind", {"dest": "stress_kind", "help": f"stress kind ({', '.join(_STRESS_KINDS)})"}),
-            ("--value", {"dest": "stress_value", "metavar": "VALUE",
-                         "help": f"stress multiplier (default {defaults})"}),
-        )),
-        "sweep": ("ROI sweep over the (delta, gamma) design space",
-                  (delta_axis, ("--gamma-axis", {"help": "comma-separated increasing gammas"}))),
-        "breakeven": ("break-even gamma* for each delta", (delta_axis,)),
-    }
     sub = parser.add_subparsers(dest="command")
-    for name, (help_text, flags) in run_commands.items():
+    for name, (help_text, flags, _) in _RUN_COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(mode=name)
         p.add_argument("--scenario",

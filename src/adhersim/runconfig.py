@@ -11,10 +11,11 @@ Example::
     policy.cost_scale_gamma = 1.5   # optional preset overrides
 
 Unknown keys, missing mode-required keys, and out-of-range values are
-rejected with the offending key named.  ``serialize_run_config`` emits a
-canonical document that parses back to an equal configuration; so that it
-can, ``params_file`` and ``output_dir`` must be one line with no ``#`` and no
-surrounding whitespace.
+rejected with the offending key named.  The stress multipliers come from
+``stress_kind`` and ``stress_value``, not from ``policy.*`` keys.
+``serialize_run_config`` emits a canonical document that parses back to an
+equal configuration; so that it can, ``params_file`` and ``output_dir`` must
+be one line with no ``#`` and no surrounding whitespace.
 """
 
 from __future__ import annotations
@@ -35,7 +36,11 @@ from .scenarios import (
 )
 
 
-_POLICY_OVERRIDE_FIELDS = tuple(f.name for f in fields(PolicyConfig) if f.name != "starts")
+# Every PolicyConfig field but starts and the stress multipliers, which
+# stress_kind and stress_value set on both arms of a stress run.
+_POLICY_OVERRIDE_FIELDS = tuple(
+    f.name for f in fields(PolicyConfig) if f.name not in ("starts", *(name for name, _ in STRESSES.values()))
+)
 _STRESS_KINDS = tuple(kind.value for kind in StressKind)
 # Each run mode, named as its sub-command, with the keys it cannot run without.
 _MODE_KEYS = {
@@ -186,14 +191,6 @@ def parse_keys(raw: dict[str, str]) -> RunConfig:
             target = overrides if key.startswith("policy.") else values
             target[key.removeprefix("policy.")] = parse_value(key, text)
     return RunConfig(**values, policy_overrides=overrides)
-
-
-def effective_stress_value(config: RunConfig) -> float:
-    if config.stress_kind is None:
-        raise ValueError("no stress_kind configured")
-    if config.stress_value is not None:
-        return config.stress_value
-    return STRESSES[StressKind(config.stress_kind)][1]
 
 
 def serialize_run_config(config: RunConfig) -> str:

@@ -222,18 +222,21 @@ class TestMonteCarloCommand:
 
 
 class TestStressCommand:
-    def test_paired_results(self, tmp_path):
+    @pytest.mark.parametrize("kind, value", [("cost_inflation", 1.2), ("accelerated_progression", 0.85)])
+    def test_paired_results(self, tmp_path, kind, value):
         out = tmp_path / "st"
-        rc = _run(["--out", out, "stress", "--scenario", "early_adherence",
-                   "--kind", "cost_inflation"])
+        rc = _run(["--out", out, "stress", "--scenario", "early_adherence", "--kind", kind])
         assert rc == 0
         header, rows = _read_csv(out / "stress_summary.csv")
         assert header[:4] == ["stress_kind", "stress_value",
                               "roi_unstressed_percent", "roi_stressed_percent"]
         row = rows[0]
-        assert row[0] == "cost_inflation"
-        assert float(row[1]) == 1.2
-        assert float(row[3]) < float(row[2])
+        assert row[0] == kind
+        assert float(row[1]) == value
+        # The unstressed arm is compare's, at early_adherence's headline ROI.
+        assert float(row[2]) == pytest.approx(9.74, abs=0.01)
+        # Inflation makes the policy dearer; a faster progression gives it more to save.
+        assert (float(row[3]) < float(row[2])) == (kind == "cost_inflation")
 
     @staticmethod
     def _direct(params, policy, kind, value):
@@ -409,13 +412,27 @@ class TestInputErrors:
     @pytest.mark.parametrize("extra, expected", [
         ("policy.start_tau = -1\n", "policy.start_tau: must be >= 0"),
         ("policy.adherence_gain_delta = 1.5\n", "policy.adherence_gain_delta: must be in [0, 1]"),
-        ("policy.inflation_factor = nan\n", "policy.inflation_factor: must be finite, got nan"),
-        ("policy.progression_compression = inf\n", "policy.progression_compression: must be finite, got inf"),
-    ], ids=["negative_tau", "gain_above_one", "nan_inflation", "infinite_compression"])
+        ("policy.cost_scale_gamma = nan\n", "policy.cost_scale_gamma: must be finite, got nan"),
+        ("policy.decay_theta = inf\n", "policy.decay_theta: must be finite, got inf"),
+    ], ids=["negative_tau", "gain_above_one", "nan_gamma", "infinite_theta"])
     def test_out_of_range_override_names_its_key(self, tmp_path, capsys, extra, expected):
         rc = _run(["--config", self._config(tmp_path, "simulate", extra), "simulate"])
         assert rc == 2
         assert f"error: {expected}\n" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("extra, key", [
+        ("stress_kind = accelerated_progression\npolicy.progression_compression = 0.85\n",
+         "policy.progression_compression"),
+        ("stress_kind = cost_inflation\npolicy.inflation_factor = 1.3\n", "policy.inflation_factor"),
+    ], ids=["compression", "inflation"])
+    def test_stress_multiplier_is_no_policy_key(self, tmp_path, capsys, extra, key):
+        # Set as a policy key, a multiplier would stress the policy arm alone.
+        rc = _run(["--config", self._config(tmp_path, "stress", extra), "stress"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: unknown key; valid: ")
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("args, expected", [
@@ -662,6 +679,7 @@ def test_every_run_mode_is_the_sub_command_of_its_name():
     parser = cli._build_parser()
     [sub] = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
     assert sub.choices.keys() == {*_MODE_KEYS, "export-plots"}
+    assert cli._RUN_COMMANDS.keys() == _MODE_KEYS.keys()
     for name in _MODE_KEYS:
         assert parser.parse_args([name]).mode == name
 

@@ -2,7 +2,6 @@ import pytest
 
 from adhersim.runconfig import (
     RunConfig,
-    effective_stress_value,
     parse_run_config,
     serialize_run_config,
 )
@@ -98,13 +97,7 @@ def test_policy_overrides_applied_and_validated():
 
 def test_stress_defaults_and_ranges():
     text = MINIMAL.replace("mode = simulate", "mode = stress") + "stress_kind = cost_inflation\n"
-    cfg = parse_run_config(text)
-    assert effective_stress_value(cfg) == 1.2
-    cfg2 = parse_run_config(
-        MINIMAL.replace("mode = simulate", "mode = stress")
-        + "stress_kind = accelerated_progression\n"
-    )
-    assert effective_stress_value(cfg2) == 0.85
+    parse_run_config(text)
     with pytest.raises(ValueError, match="stress_value"):
         parse_run_config(text + "stress_value = 0.8\n")
     with pytest.raises(ValueError, match="stress_kind"):
